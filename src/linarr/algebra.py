@@ -16,15 +16,21 @@ from .classify import is_supersolvable, modular_points, tjurina_census
 from .field import CycField, CycNumber, cyc_to_strings
 from .linalg import (
     crt_pair,
-    flatten_rows,
     fp_kernel_vector,
     fp_nullity,
-    good_prime,
+    interpolate,
     kernel_vector,
     lift_flat_vector,
     nullity,
+    reduce_at,
+    split_prime,
+    split_roots,
 )
 from .projgeo import Arrangement, build_lattice
+
+
+class CertificationError(RuntimeError):
+    """An answer failed the exact check that certifies it."""
 
 
 class Poly:
@@ -316,38 +322,47 @@ def _dot_is_zero(rows, vec) -> bool:
 def _kernel_nonzero(rows, ncols: int, F: CycField) -> bool:
     """Certified test for a nonzero kernel over the exact field.
 
-    Zero nullity modulo a good prime already proves zero nullity over the
-    rationals (a nonzero rational kernel vector scales to an integral one
-    with a unit coordinate, which survives reduction).  A modular kernel
-    vector is only trusted after rational reconstruction and an exact check;
-    a second prime and CRT widen the window before falling back to exact
-    elimination.
+    Modulo a split prime p = 1 (mod n), zeta -> omega^k (k in (Z/n)*) is a
+    ring map onto F_p, so a nonzero exact kernel vector, scaled to be
+    integral at the prime above p with a unit coordinate, survives it: a
+    zero kernel at omega alone proves a zero exact kernel.  Otherwise a
+    kernel vector is taken at every root with identical pivots, its values
+    are interpolated back to power-basis coefficients, and it is only
+    trusted after rational reconstruction and an exact check.  A second and
+    third prime, combined by CRT, widen the window before falling back to
+    exact elimination.
     """
     if ncols <= _EXACT_COLS:
         return kernel_vector(rows, ncols, F.one, F.zero) is not None
-    n = F.order
-    phi = F.degree
     seen = []
     for skip in range(3):
+        p = split_prime(F.order, skip)
+        roots = split_roots(F.order, p)
+        vecs, pivs = [], []
         try:
-            p = good_prime(n, skip=skip)
-            flat = flatten_rows(rows, F, p)
-        except (ArithmeticError, ZeroDivisionError):
+            for root in roots:
+                vec, piv = fp_kernel_vector(reduce_at(rows, root, p), ncols, p)
+                if vec is None:
+                    return False
+                vecs.append(vec)
+                pivs.append(piv)
+        except ZeroDivisionError:
             continue
-        vec, pivots = fp_kernel_vector(flat, ncols * phi, p)
-        if vec is None:
-            return False
-        lifted = lift_flat_vector(vec, F, p)
+        pivots = pivs[0]
+        if any(piv != pivots for piv in pivs):
+            continue
+        flat = interpolate(vecs, roots, F, p)
+        lifted = lift_flat_vector(flat, F, p)
         if lifted is not None and any(lifted) and _dot_is_zero(rows, lifted):
             return True
-        for p0, vec0, piv0 in seen:
+        for p0, flat0, piv0 in seen:
             if piv0 == pivots:
                 mod = p0 * p
-                comb = [crt_pair(a, p0, b, p) for a, b in zip(vec0, vec)]
+                comb = [crt_pair(a, p0, b, p) for a, b in zip(flat0, flat)]
                 lifted = lift_flat_vector(comb, F, mod)
                 if lifted is not None and any(lifted) and _dot_is_zero(rows, lifted):
                     return True
-        seen.append((p, vec, pivots))
+        seen.append((p, flat, pivots))
     return kernel_vector(rows, ncols, F.one, F.zero) is not None
 
 
@@ -377,19 +392,21 @@ def syzygy_dimension(arr: Arrangement, r: int) -> int:
     """Dimension of the degree-r relation space.
 
     Informational companion to the certified mdr machinery: large systems
-    are measured modulo a single good prime.
+    are measured at one root of unity modulo a split prime, which bounds
+    the exact dimension from above and equals it unless the prime is
+    unlucky.
     """
     rows, ncols = _gauged_rows(arr, r)
     F = arr.field
     if ncols <= _EXACT_COLS:
         return nullity(rows, ncols)
     for skip in range(3):
+        p = split_prime(F.order, skip)
         try:
-            p = good_prime(F.order, skip=skip)
-            flat = flatten_rows(rows, F, p)
-        except (ArithmeticError, ZeroDivisionError):
+            red = reduce_at(rows, split_roots(F.order, p)[0], p)
+        except ZeroDivisionError:
             continue
-        return fp_nullity(flat, ncols * F.degree, p) // F.degree
+        return fp_nullity(red, ncols, p)
     return nullity(rows, ncols)
 
 
@@ -430,7 +447,7 @@ def supersolvable_exponents(arr: Arrangement) -> tuple[int, int, int]:
     """Exponents (1, m-1, d-m) sorted, from a maximal modular point.
 
     The census consistency check is structural: the point count weighted by
-    (k-1)^2 must equal (d-1)^2 - (m-1)(d-m).
+    (k-1)^2 must equal (d-1)^2 - (m-1)(d-m), else CertificationError.
     """
     lat = build_lattice(arr)
     mods = modular_points(arr, lat)
@@ -439,7 +456,11 @@ def supersolvable_exponents(arr: Arrangement) -> tuple[int, int, int]:
     d = len(arr.lines)
     m = max(mult for _, mult in mods)
     d2, d3 = sorted((m - 1, d - m))
-    assert tjurina_census(lat) == (d - 1) ** 2 - d2 * d3
+    tau = tjurina_census(lat)
+    if tau != (d - 1) ** 2 - d2 * d3:
+        raise CertificationError(
+            f"Tjurina census {tau} != (d-1)^2 - {d2}*{d3} at d={d}"
+        )
     return (1, d2, d3)
 
 
@@ -552,7 +573,7 @@ def multi_exponents(
 
     The count bound total - s + 1 <= s - 1 (s = number of points) admits a
     closed form, returned after verifying the predicted kernel dimensions at
-    d1 and d1 - 1.  Otherwise the least degree with a nonzero derivation is
+    d1 and d1 - 1 (CertificationError if they differ).  Otherwise the least degree with a nonzero derivation is
     found by exact scan; force_kernel skips the closed form to make the scan
     comparable against it.
     """
@@ -562,9 +583,12 @@ def multi_exponents(
     if not force_kernel and easy[0] <= easy[1]:
         d1, d2 = easy
         want = 2 if d1 == d2 else 1
-        assert _multi_dim(R, d1) == want
-        if d1 > 0:
-            assert _multi_dim(R, d1 - 1) == 0
+        dims = (_multi_dim(R, d1), _multi_dim(R, d1 - 1) if d1 > 0 else 0)
+        if dims != (want, 0):
+            raise CertificationError(
+                f"closed form {easy}: derivation dims {dims} at degrees "
+                f"{d1}, {d1 - 1}, expected ({want}, 0)"
+            )
         return easy
     for p in range(total // 2 + 1):
         if _multi_dim(R, p) > 0:

@@ -1,12 +1,15 @@
 """Exact linear algebra over cyclotomic fields, plus mod-p certificates.
 
 The exact routines work on any element type supporting +, -, *, / and
-truthiness (CycNumber and Fraction both qualify).  The mod-p routines map
-Q(zeta_n) into F_p[t]/(Phi_n) for a prime p chosen so that Phi_n stays
-irreducible; they are used as rank certificates, never as approximations:
-a mod-p nullity of zero proves the exact nullity is zero, and candidate
-kernel vectors are lifted by rational reconstruction and re-verified
-exactly by the caller.
+truthiness (CycNumber and Fraction both qualify).  The mod-p routines use a
+split prime p = 1 (mod n), for which Phi_n has the phi(n) distinct roots
+omega^k mod p, k in (Z/n)*.  Sending zeta to one of them maps Q(zeta_n),
+away from denominators divisible by p, onto F_p as a ring map, so a matrix
+keeps its size and its rank can only drop.  The results are used as rank
+certificates, never as approximations: a nullity of zero at one root proves
+the exact nullity is zero, and kernel vectors computed at every root are
+interpolated back to power-basis coefficients, lifted by rational
+reconstruction and re-verified exactly by the caller.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .field import CycField, CycNumber, cyclotomic_polynomial
+from .field import CycField, CycNumber
 
 
 def _complexity(x) -> int:
@@ -137,220 +140,96 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def good_prime(n: int, start: int = (1 << 30) + 3, skip: int = 0) -> int:
-    """A prime p with Phi_n irreducible mod p: ord(p mod n) = phi(n).
+def split_prime(n: int, skip: int = 0) -> int:
+    """A prime p = 1 (mod n) above 2^30, skipping the first `skip` of them.
 
-    Exists precisely when (Z/n)* is cyclic; raises otherwise.
+    Phi_n splits into phi(n) distinct linear factors mod such a prime.
     """
-    phi = len(cyclotomic_polynomial(n)) - 1
     found = 0
-    p = start if start % 2 else start + 1
-    for _ in range(200000):
-        if _is_prime(p) and n % p:
-            r = p % n
-            if gcd(r, n) == 1:
-                e, acc = 1, r % n
-                while acc != 1 % n:
-                    acc = acc * r % n
-                    e += 1
-                if e == phi:
-                    if found == skip:
-                        return p
-                    found += 1
-        p += 2
-    raise ArithmeticError(f"no suitable prime found for n={n}")
+    p = ((1 << 30) // n + 1) * n + 1
+    while True:
+        if _is_prime(p):
+            if found == skip:
+                return p
+            found += 1
+        p += n
 
 
-class FpCyc:
-    """Element of F_p[t]/(Phi_n), Phi_n irreducible mod p (a field)."""
+def split_roots(n: int, p: int) -> list[int]:
+    """The roots of Phi_n mod a prime p = 1 (mod n).
 
-    __slots__ = ("ctx", "coeffs")
+    They are omega^k for k in (Z/n)*, in increasing k, where omega, the
+    first, is a primitive n-th root of unity mod p.
+    """
+    if (p - 1) % n:
+        raise ValueError(f"{p} is not 1 mod {n}")
+    factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
+    for g in range(2, p):
+        omega = pow(g, (p - 1) // n, p)
+        if all(pow(omega, n // q, p) != 1 for q in factors):
+            return [pow(omega, k, p) for k in range(1, n + 1) if gcd(k, n) == 1]
 
-    def __init__(self, ctx, coeffs):
-        self.ctx = ctx
-        self.coeffs = coeffs
 
-    def __bool__(self):
-        return any(self.coeffs)
+def reduce_at(rows, root: int, p: int) -> list[list[int]]:
+    """Field-entry rows mapped to F_p by zeta -> root.
 
-    def __eq__(self, other):
-        return isinstance(other, FpCyc) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        p = self.ctx.p
-        return FpCyc(
-            self.ctx,
-            tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __sub__(self, other):
-        p = self.ctx.p
-        return FpCyc(
-            self.ctx,
-            tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)),
-        )
-
-    def __neg__(self):
-        p = self.ctx.p
-        return FpCyc(self.ctx, tuple(-a % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        ctx = self.ctx
-        p, deg, mod = ctx.p, ctx.degree, ctx.modulus
-        if deg == 1:
-            return FpCyc(ctx, (self.coeffs[0] * other.coeffs[0] % p,))
-        conv = [0] * (2 * deg - 1)
-        a, b = self.coeffs, other.coeffs
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        for k in range(2 * deg - 2, deg - 1, -1):
-            c = conv[k] % p
-            if c:
-                base = k - deg
-                for i in range(deg):
-                    m = mod[i]
-                    if m:
-                        conv[base + i] -= c * m
-        return FpCyc(ctx, tuple(c % p for c in conv[:deg]))
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def inverse(self):
-        ctx = self.ctx
-        if not self:
-            raise ZeroDivisionError
-        if ctx.degree == 1:
-            return FpCyc(ctx, (pow(self.coeffs[0], -1, ctx.p),))
-        # extended Euclid in F_p[t]
-        p = ctx.p
-        r0 = list(ctx.full_modulus)
-        r1 = list(self.coeffs)
-        s0, s1 = [0], [1]
-
-        def deg_of(v):
-            for i in range(len(v) - 1, -1, -1):
-                if v[i]:
-                    return i
-            return -1
-
-        while True:
-            d1 = deg_of(r1)
-            if d1 < 0:
-                raise ZeroDivisionError("zero divisor in mod-p field")
-            if d1 == 0:
-                inv = pow(r1[0], -1, p)
-                out = [(x * inv) % p for x in s1]
-                out = out[: ctx.degree] + [0] * max(0, ctx.degree - len(out))
-                return FpCyc(ctx, tuple(out[: ctx.degree]))
-            d0 = deg_of(r0)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
+    Each coefficient is reduced mod p and the result is evaluated at root
+    by Horner's rule.  At a root of Phi_n mod p this is a ring map, so it
+    preserves every relation among the rows.  Raises ZeroDivisionError when
+    a denominator vanishes mod p.
+    """
+    cache: dict[CycNumber, int] = {}
+    out = []
+    for row in rows:
+        red = []
+        for x in row:
+            if not x:
+                red.append(0)
                 continue
-            c = r0[d0] * pow(r1[d1], -1, p) % p
-            shift = d0 - d1
-            for i in range(d1 + 1):
-                if r1[i]:
-                    r0[i + shift] = (r0[i + shift] - c * r1[i]) % p
-            need = len(s1) + shift
-            if len(s0) < need:
-                s0 = s0 + [0] * (need - len(s0))
-            for i in range(len(s1)):
-                if s1[i]:
-                    s0[i + shift] = (s0[i + shift] - c * s1[i]) % p
+            v = cache.get(x)
+            if v is None:
+                v = 0
+                for c in reversed(x.coeffs):
+                    den = c.denominator % p
+                    if den == 0:
+                        raise ZeroDivisionError("denominator vanishes mod p")
+                    v = (v * root + c.numerator * pow(den, -1, p)) % p
+                cache[x] = v
+            red.append(v)
+        out.append(red)
+    return out
 
 
-class FpCycContext:
-    """Arithmetic context for F_p[t]/(Phi_n)."""
+def interpolate(
+    vectors: list[list[int]], roots: list[int], F: CycField, p: int
+) -> list[int]:
+    """Power-basis coefficients from values at the roots of Phi_n mod p.
 
-    def __init__(self, n: int, p: int):
-        self.n = n
-        self.p = p
-        mod = cyclotomic_polynomial(n)
-        self.degree = len(mod) - 1
-        self.full_modulus = tuple(m % p for m in mod)
-        self.modulus = tuple(m % p for m in mod[:-1])
-        self.zero = FpCyc(self, (0,) * self.degree)
-        self.one = FpCyc(self, tuple(1 if i == 0 else 0 for i in range(self.degree)))
-
-    def reduce(self, x: CycNumber) -> FpCyc:
-        p = self.p
-        out = []
-        for c in x.coeffs:
-            den = c.denominator % p
-            if den == 0:
-                raise ZeroDivisionError("denominator vanishes mod p")
-            out.append(c.numerator % p * pow(den, -1, p) % p)
-        return FpCyc(self, tuple(out))
-
-
-def modp_echelon(rows, ncols):
-    """Row reduction over the FpCyc field; returns rows and pivot columns."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    head = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(head, len(rows)):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[head], rows[sel] = rows[sel], rows[head]
-        piv_row = rows[head]
-        inv = piv_row[col].inverse()
-        for i in range(head + 1, len(rows)):
-            x = rows[i][col]
-            if x:
-                factor = x * inv
-                row = rows[i]
-                for j in range(col, ncols):
-                    v = piv_row[j]
-                    if v:
-                        row[j] = row[j] - factor * v
-        pivots.append(col)
-        head += 1
-        if head == len(rows):
-            break
-    return rows, pivots
-
-
-def modp_nullity(rows, ncols) -> int:
-    if not rows:
-        return ncols
-    return ncols - len(modp_echelon(rows, ncols)[1])
-
-
-def modp_kernel_vector(rows, ncols, ctx: FpCycContext):
-    """One kernel vector mod p, or None."""
-    if not rows:
-        vec = [ctx.zero] * ncols
-        if ncols == 0:
-            return None
-        vec[0] = ctx.one
-        return vec
-    red, pivots = modp_echelon(rows, ncols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    if not free_cols:
-        return None
-    fc = free_cols[0]
-    vec = [ctx.zero] * ncols
-    vec[fc] = ctx.one
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        row = red[r]
-        total = row[fc]
-        for pc2 in pivots[r + 1 :]:
-            v = row[pc2]
-            if v:
-                total = total + v * vec[pc2]
-        vec[pc] = -(total * row[pc].inverse())
-    return vec
+    vectors[i] holds the coordinates at roots[i].  The result is the flat
+    layout that lift_flat_vector reads: phi coefficients per coordinate,
+    constant term first.
+    """
+    mod = [c % p for c in F.modulus]
+    phi = F.degree
+    # basis[i]: coefficients of the Lagrange polynomial that is 1 at roots[i]
+    # and 0 at the others, that is Phi_n / (t - roots[i]) scaled at roots[i].
+    basis = []
+    for x in roots:
+        quot = [0] * phi
+        acc = 0
+        for j in range(phi, 0, -1):
+            acc = (acc * x + mod[j]) % p
+            quot[j - 1] = acc
+        at_x = 0
+        for q in reversed(quot):
+            at_x = (at_x * x + q) % p
+        scale = pow(at_x, -1, p)
+        basis.append([q * scale % p for q in quot])
+    out = []
+    for values in zip(*vectors):
+        for j in range(phi):
+            out.append(sum(v * b[j] for v, b in zip(values, basis)) % p)
+    return out
 
 
 def rational_reconstruct(a: int, p: int) -> Fraction | None:
@@ -369,88 +248,6 @@ def rational_reconstruct(a: int, p: int) -> Fraction | None:
     if gcd(r1, abs(s1)) != 1:
         return None
     return Fraction(r1, s1) if s1 > 0 else Fraction(-r1, -s1)
-
-
-def lift_fpcyc(x: FpCyc, F: CycField) -> CycNumber | None:
-    """Lift an FpCyc element to Q(zeta_n) by rational reconstruction."""
-    out = []
-    for c in x.coeffs:
-        q = rational_reconstruct(c, x.ctx.p)
-        if q is None:
-            return None
-        out.append(q)
-    return F.element(out)
-
-
-class FlatContext:
-    """Reduction of a Q(zeta_n) matrix to a plain integer matrix mod p.
-
-    Each field entry becomes a phi x phi multiplication block over F_p, so
-    the flat nullity is exactly phi times the nullity over F_p[t]/(Phi_n).
-    Plain-int rows make the elimination loop much faster than object
-    arithmetic; this is the workhorse for the big derivation systems.
-    """
-
-    __slots__ = ("F", "p", "phi", "mod")
-
-    def __init__(self, F: CycField, p: int):
-        self.F = F
-        self.p = p
-        self.phi = F.degree
-        self.mod = [c % p for c in F.modulus[:-1]]
-
-    def entry_coeffs(self, x: CycNumber) -> list[int]:
-        p = self.p
-        out = []
-        for c in x.coeffs:
-            den = c.denominator % p
-            if den == 0:
-                raise ZeroDivisionError("denominator vanishes mod p")
-            out.append(c.numerator % p * pow(den, -1, p) % p)
-        return out
-
-    def block_columns(self, coeffs: list[int]) -> list[list[int]]:
-        """Column j holds the coefficients of x * t^j mod Phi_n."""
-        p, phi, mod = self.p, self.phi, self.mod
-        cols = [list(coeffs)]
-        cur = coeffs
-        for _ in range(phi - 1):
-            lead = cur[-1]
-            nxt = [0] + list(cur[:-1])
-            if lead:
-                for i in range(phi):
-                    nxt[i] = (nxt[i] - lead * mod[i]) % p
-            cols.append(nxt)
-            cur = nxt
-        return cols
-
-
-def flatten_rows(rows, F: CycField, p: int) -> list[list[int]]:
-    """Expand field-entry rows into phi times as many plain F_p rows.
-
-    Unknown j splits into phi flat unknowns (its coefficient vector); a
-    flat kernel vector regrouped phi at a time is a kernel vector of the
-    original system.  Raises ZeroDivisionError on a bad prime.
-    """
-    ctx = FlatContext(F, p)
-    phi = ctx.phi
-    flat = []
-    cache: dict[CycNumber, list[list[int]]] = {}
-    zero_cols = [[0] * phi for _ in range(phi)]
-    for row in rows:
-        blocks = []
-        for x in row:
-            if not x:
-                blocks.append(zero_cols)
-                continue
-            b = cache.get(x)
-            if b is None:
-                b = ctx.block_columns(ctx.entry_coeffs(x))
-                cache[x] = b
-            blocks.append(b)
-        for s in range(phi):
-            flat.append([cols[j][s] for cols in blocks for j in range(phi)])
-    return flat
 
 
 def fp_echelon(rows: list[list[int]], p: int) -> list[int]:
@@ -530,8 +327,9 @@ def crt_pair(a1: int, p1: int, a2: int, p2: int) -> int:
 
 
 def lift_flat_vector(vec: list[int], F: CycField, modulus: int):
-    """Regroup a flat kernel vector into field elements by rational
-    reconstruction; None when any coordinate fails to reconstruct."""
+    """Regroup a flat vector (phi coefficients per coordinate) into field
+    elements by rational reconstruction; None when any coefficient fails to
+    reconstruct."""
     phi = F.degree
     out = []
     for j in range(0, len(vec), phi):

@@ -153,17 +153,21 @@ class Arrangement:
 
     @classmethod
     def from_json(cls, data: dict) -> "Arrangement":
+        """Inverse of to_json; raises ValueError on any malformed input."""
         try:
-            n = int(data["cyclotomic_order"])
-            raw_lines = data["lines"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed arrangement JSON: {exc}") from exc
-        F = cyc_field(n)
-        lines = []
-        for raw in raw_lines:
-            if len(raw) != 3:
-                raise ValueError("each line needs three coefficients")
-            lines.append(ProjLine(F, [cyc_from_strings(F, c) for c in raw]))
+            n = data["cyclotomic_order"]
+            if type(n) is not int:
+                raise ValueError(f"cyclotomic_order must be an integer, not {n!r}")
+            F = cyc_field(n)
+            lines = []
+            for raw in data["lines"]:
+                if len(raw) != 3:
+                    raise ValueError("each line needs three coefficients")
+                lines.append(ProjLine(F, [cyc_from_strings(F, c) for c in raw]))
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"malformed arrangement JSON: {type(exc).__name__}: {exc}"
+            ) from exc
         return cls(F, lines)
 
     def save(self, path) -> None:
@@ -209,12 +213,15 @@ class Lattice:
         }
 
 
-_LATTICE_CACHE: dict[Arrangement, Lattice] = {}
+# Keyed by the line tuple, not by the Arrangement: arrangements compare as
+# sets of lines, but incidence indices depend on the order of the lines.
+_LATTICE_CACHE: dict[tuple[int, tuple[ProjLine, ...]], Lattice] = {}
 
 
 def build_lattice(arr: Arrangement) -> Lattice:
     """All pairwise intersection points, grouped exactly."""
-    cached = _LATTICE_CACHE.get(arr)
+    key = (arr.field.order, arr.lines)
+    cached = _LATTICE_CACHE.get(key)
     if cached is not None:
         return cached
     d = len(arr.lines)
@@ -241,7 +248,7 @@ def build_lattice(arr: Arrangement) -> Lattice:
         incidence=tuple(tuple(sorted(inc)) for _, inc in items),
     )
     lattice.census()  # asserts the pair count identity
-    _LATTICE_CACHE[arr] = lattice
+    _LATTICE_CACHE[key] = lattice
     return lattice
 
 

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from linarr.algebra import (
     MultiRestriction,
     Poly,
     _gauged_rows,
+    _kernel_nonzero,
     defining_polynomial,
     is_balanced,
     mdr,
@@ -28,7 +31,7 @@ from linarr.families import (
 )
 from linarr.field import cyc_field
 from linarr.linalg import kernel_vector, rank
-from linarr.projgeo import build_lattice
+from linarr.projgeo import Arrangement, ProjLine, build_lattice
 
 
 def expand_factors(F, factors):
@@ -375,3 +378,48 @@ def test_syzygy_dimension_free_resolution():
     np6 = near_pencil(6)
     assert [syzygy_dimension(np6, r) for r in range(3)] == [0, 1, 3]
     assert syzygy_dimension(pencil(5), 0) == 1
+
+
+def test_kernel_nonzero_matches_exact_over_q_zeta_8():
+    # full_monomial(4) written over Q(zeta_8): (Z/8)* is not cyclic, so only
+    # a split prime gives a modular certificate here.
+    base = full_monomial(4)
+    F = cyc_field(8)
+    i = F.zeta_pow(2)
+
+    def lift(x):
+        return F.scalar(x.coeffs[0]) + i * x.coeffs[1]
+
+    arr = Arrangement(
+        F, [ProjLine(F, [lift(c) for c in line.coords]) for line in base.lines]
+    )
+    for r in (4, 5):
+        rows, ncols = _gauged_rows(arr, r)
+        exact = kernel_vector(rows, ncols, F.one, F.zero) is not None
+        assert _kernel_nonzero(rows, ncols, F) == exact == (r == 5)
+
+
+def test_certificates_survive_optimize_flag():
+    # A lying kernel computation must still be caught under python -O, where
+    # assert statements are stripped.
+    script = """
+import linarr.algebra as alg
+from linarr import CertificationError, full_monomial, near_pencil
+
+z = next(i for i, l in enumerate(near_pencil(6).lines)
+         if not l.coords[0] and not l.coords[1])
+R = alg.ziegler_restriction(near_pencil(6), z)
+alg._multi_dim = lambda R, p: 0
+alg.tjurina_census = lambda lat: -1
+for call in (lambda: alg.multi_exponents(R),
+             lambda: alg.supersolvable_exponents(full_monomial(1))):
+    try:
+        call()
+    except CertificationError:
+        print("caught")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["caught", "caught"]

@@ -192,6 +192,12 @@ def test_unknown_campaign_exits_two():
 
 
 def test_bad_json_file_exits_two(tmp_path, capsys):
-    path = tmp_path / "junk.json"
-    path.write_text("{not json")
-    assert main(["analyze", str(path)]) == 2
+    for text in (
+        "{not json",
+        '{"cyclotomic_order": 1, "lines": 5}',
+        '{"cyclotomic_order": 1, "lines": [[["1/0"], ["0"], ["1"]]]}',
+        '{"cyclotomic_order": 2.5, "lines": [[["1"], ["0"], ["0"]]]}',
+    ):
+        path = tmp_path / "junk.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2

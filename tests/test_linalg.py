@@ -1,18 +1,22 @@
 import random
 from fractions import Fraction
 
-from linarr.field import cyc_field
+import pytest
+
+from linarr.field import cyc_field, cyclotomic_polynomial, euler_phi
 from linarr.linalg import (
-    FpCycContext,
-    good_prime,
+    fp_kernel_vector,
+    fp_nullity,
+    interpolate,
     kernel_basis,
     kernel_vector,
-    lift_fpcyc,
-    modp_kernel_vector,
-    modp_nullity,
+    lift_flat_vector,
     nullity,
     rank,
     rational_reconstruct,
+    reduce_at,
+    split_prime,
+    split_roots,
 )
 
 
@@ -58,97 +62,81 @@ def test_cyclotomic_rank():
     assert rows[0][0] * vec[0] + rows[0][1] * vec[1] == K.zero
 
 
-def test_good_prime_orders():
-    for n in (1, 2, 3, 4, 5, 6):
-        p = good_prime(n)
-        assert p > 2 ** 29
-        if n > 2:
-            assert p % n != 1  # Phi_n must not split
+def test_split_prime_orders():
+    for n in (1, 2, 3, 4, 5, 6, 8, 12):
+        p = split_prime(n)
+        assert p > 2 ** 30 and (p - 1) % n == 0
+        assert split_prime(n, skip=1) > p
+        roots = split_roots(n, p)
+        assert len(set(roots)) == len(roots) == euler_phi(n)
+        for w in roots:
+            phi_n = cyclotomic_polynomial(n)
+            assert sum(c * pow(w, i, p) for i, c in enumerate(phi_n)) % p == 0
+        # the first root has order exactly n
+        assert [e for e in range(1, n + 1) if pow(roots[0], e, p) == 1] == [n]
 
 
-def test_modp_matches_exact_nullity():
-    rng = random.Random(11)
-    K = cyc_field(5)
-    ctx = FpCycContext(5, good_prime(5))
-    for _ in range(5):
-        rows = [
-            [
-                K.element([rng.randint(-4, 4) for _ in range(4)])
-                for _ in range(5)
+def test_split_nullity_matches_exact():
+    # (Z/8)* and (Z/12)* are not cyclic: no prime keeps Phi_8 or Phi_12
+    # irreducible, but split primes exist for every order.
+    rng = random.Random(5)
+    for n in (5, 8, 12):
+        K = cyc_field(n)
+        p = split_prime(n)
+        for _ in range(4):
+            rows = [
+                [
+                    K.element([F(rng.randint(-3, 3), rng.randint(1, 3))
+                               for _ in range(K.degree)])
+                    for _ in range(5)
+                ]
+                for _ in range(3)
             ]
-            for _ in range(4)
-        ]
-        exact = nullity(rows, 5)
-        modp = modp_nullity([[ctx.reduce(x) for x in row] for row in rows], 5)
-        assert exact == modp
+            rows.append([a + b for a, b in zip(rows[0], rows[1])])
+            exact = nullity(rows, 5)
+            assert exact == 2
+            for w in split_roots(n, p):
+                assert fp_nullity(reduce_at(rows, w, p), 5, p) == exact
 
 
 def test_rational_reconstruct_round_trip():
-    p = good_prime(1)
+    p = split_prime(8)
     for q in (F(0), F(3, 7), F(-22, 5), F(1000), F(-1, 999)):
         residue = q.numerator * pow(q.denominator, -1, p) % p
         assert rational_reconstruct(residue, p) == q
 
 
-def test_modp_kernel_lift():
-    K = cyc_field(3)
-    ctx = FpCycContext(3, good_prime(3))
+def test_flat_kernel_vector_lifts_and_verifies():
+    K = cyc_field(8)
     z = K.zeta
-    rows = [[K.one, z, K.zero], [K.zero, K.one, z]]
-    mrows = [[ctx.reduce(x) for x in row] for row in rows]
-    vec = modp_kernel_vector(mrows, 3, ctx)
-    assert vec is not None
-    lifted = [lift_fpcyc(x, K) for x in vec]
-    assert all(x is not None for x in lifted)
+    half = F(1, 2)
+    # kernel spanned by (-3/2 z^3, z^2, 1)
+    rows = [
+        [K.one, z, z ** 3 * half],
+        [K.zero, K.one, -(z ** 2)],
+    ]
+    p = split_prime(8)
+    roots = split_roots(8, p)
+    vecs = []
+    for w in roots:
+        vec, pivots = fp_kernel_vector(reduce_at(rows, w, p), 3, p)
+        assert pivots == [0, 1]
+        vecs.append(vec)
+    lifted = lift_flat_vector(interpolate(vecs, roots, K, p), K, p)
+    assert lifted == [z ** 3 * F(-3, 2), z ** 2, K.one]
     for row in rows:
         acc = K.zero
         for a, b in zip(row, lifted):
             acc = acc + a * b
-        assert acc == K.zero
-
-
-def test_flat_nullity_matches_exact():
-    from linarr.linalg import fp_nullity, flatten_rows, good_prime, nullity
-
-    rng = random.Random(5)
-    F = cyc_field(5)
-    p = good_prime(5)
-    for _ in range(4):
-        rows = [
-            [
-                F.element([Fraction(rng.randint(-3, 3)) for _ in range(4)])
-                for _ in range(5)
-            ]
-            for _ in range(3)
-        ]
-        rows.append([a + b for a, b in zip(rows[0], rows[1])])
-        exact = nullity([list(r) for r in rows], 5)
-        flat = flatten_rows(rows, F, p)
-        assert fp_nullity(flat, 5 * F.degree, p) == F.degree * exact
-
-
-def test_flat_kernel_vector_lifts_and_verifies():
-    from linarr.linalg import fp_kernel_vector, flatten_rows, good_prime, lift_flat_vector
-
-    F = cyc_field(3)
-    p = good_prime(3)
-    z = F.zeta
-    # row space forces  v0 + z v1 - v2 = 0  style relations
-    rows = [
-        [F.one, z, -F.one - z],
-        [F.zero, F.one, -F.one],
-    ]
-    flat = flatten_rows(rows, F, p)
-    vec, _ = fp_kernel_vector(flat, 3 * F.degree, p)
-    assert vec is not None
-    lifted = lift_flat_vector(vec, F, p)
-    assert lifted is not None
-    assert any(lifted)
-    for row in rows:
-        acc = F.zero
-        for a, b in zip(row, lifted):
-            acc = acc + a * b
         assert not acc
+
+
+def test_reduce_at_rejects_bad_denominator():
+    K = cyc_field(4)
+    p = split_prime(4)
+    bad = K.element([F(1, p), F(0)])
+    with pytest.raises(ZeroDivisionError):
+        reduce_at([[K.one, bad]], split_roots(4, p)[0], p)
 
 
 def test_crt_pair():

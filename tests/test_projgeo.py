@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from linarr.families import a_of_w
 from linarr.field import cyc_field
 from linarr.projgeo import (
     Arrangement,
@@ -141,6 +142,19 @@ def test_incidence_is_consistent():
         assert len(inc) == lat.mult[pi]
         for li in inc:
             assert FULL_TRIANGLE.lines[li].contains(lat.points[pi])
+
+
+def test_lattice_cache_respects_line_order():
+    # Equal as sets of lines, so the two arrangements compare equal, but the
+    # incidence indices of each lattice must follow its own line order.
+    arr = a_of_w(2, (0,))
+    rev = Arrangement(arr.field, arr.lines[::-1])
+    assert rev == arr
+    build_lattice(arr)
+    lat = build_lattice(rev)
+    for pi, inc in enumerate(lat.incidence):
+        for li in inc:
+            assert rev.lines[li].contains(lat.points[pi])
 
 
 def test_json_round_trip(tmp_path):
