@@ -99,6 +99,27 @@ def test_split_nullity_matches_exact():
                 assert fp_nullity(reduce_at(rows, w, p), 5, p) == exact
 
 
+def test_flat_nullity_matches_exact():
+    # nullity at one root of a split prime, on the original-size matrix,
+    # is the exact nullity (the count syzygy_dimension reports)
+    rng = random.Random(5)
+    K = cyc_field(5)
+    for skip in (0, 1):
+        p = split_prime(5, skip)
+        w = split_roots(5, p)[0]
+        for _ in range(4):
+            rows = [
+                [
+                    K.element([F(rng.randint(-3, 3)) for _ in range(4)])
+                    for _ in range(5)
+                ]
+                for _ in range(3)
+            ]
+            rows.append([a + b for a, b in zip(rows[0], rows[1])])
+            exact = nullity([list(r) for r in rows], 5)
+            assert fp_nullity(reduce_at(rows, w, p), 5, p) == exact
+
+
 def test_rational_reconstruct_round_trip():
     p = split_prime(8)
     for q in (F(0), F(3, 7), F(-22, 5), F(1000), F(-1, 999)):
@@ -129,6 +150,23 @@ def test_flat_kernel_vector_lifts_and_verifies():
         for a, b in zip(row, lifted):
             acc = acc + a * b
         assert not acc
+
+
+def test_split_kernel_lift():
+    K = cyc_field(3)
+    z = K.zeta
+    rows = [[K.one, z, K.zero], [K.zero, K.one, z]]
+    p = split_prime(3)
+    roots = split_roots(3, p)
+    vecs = [fp_kernel_vector(reduce_at(rows, w, p), 3, p)[0] for w in roots]
+    assert all(v is not None for v in vecs)
+    lifted = lift_flat_vector(interpolate(vecs, roots, K, p), K, p)
+    assert lifted is not None and any(lifted)
+    for row in rows:
+        acc = K.zero
+        for a, b in zip(row, lifted):
+            acc = acc + a * b
+        assert acc == K.zero
 
 
 def test_reduce_at_rejects_bad_denominator():
