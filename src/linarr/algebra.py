@@ -5,12 +5,21 @@ an arrangement to one of its lines as a rank-two multiarrangement, exponent
 pairs of such restrictions, and the vanishing dimension at the nodes of a
 generic arrangement.  Everything is certified over the exact field; modular
 arithmetic only ever shortcuts a computation whose outcome it proves.
+
+Kernel questions go to split primes p = 1 (mod n) first: a zero kernel at
+one root of unity mod p proves a zero exact kernel, and a nonzero one is
+reported only for a vector, lifted by interpolation, CRT and rational
+reconstruction, that passes an exact check.  Restriction exponents take one
+such rank: a rank-two multiarrangement is free (Ziegler), so at degree
+p0 = ceil(total/2) - 1 its derivations have dimension max(0, p0 - d1 + 1),
+which gives d1.  That d1 is certified by a zero kernel mod p at d1 - 1 and
+a lifted derivation at d1 checked by exact divisibility.  Exact elimination
+is the fallback once a budget of primes runs out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .classify import is_supersolvable, modular_points, tjurina_census
 from .field import CycField, CycNumber, cyc_to_strings
@@ -307,6 +316,21 @@ _EXACT_COLS = 40
 
 _SYZ_CACHE: dict[tuple[Arrangement, int], bool] = {}
 
+# Split primes tried before a kernel question falls back to exact elimination.
+_PRIME_BUDGET = 8
+
+
+def _omega_nullity(F: CycField, ncols: int, rows_at) -> int | None:
+    """Nullity at omega mod the first split prime the rows reduce at, an
+    upper bound on the exact nullity; None when none in the budget does."""
+    for skip in range(_PRIME_BUDGET):
+        p = split_prime(F.order, skip)
+        try:
+            return fp_nullity(rows_at(split_roots(F.order, p)[0], p), ncols, p)
+        except ZeroDivisionError:
+            pass
+    return None
+
 
 def _dot_is_zero(rows, vec) -> bool:
     for row in rows:
@@ -319,51 +343,52 @@ def _dot_is_zero(rows, vec) -> bool:
     return True
 
 
-def _kernel_nonzero(rows, ncols: int, F: CycField) -> bool:
-    """Certified test for a nonzero kernel over the exact field.
+def _split_kernel(F: CycField, ncols: int, rows_at, check) -> bool | None:
+    """Certified nonzero-kernel test on split primes p = 1 (mod n).
 
-    Modulo a split prime p = 1 (mod n), zeta -> omega^k (k in (Z/n)*) is a
-    ring map onto F_p, so a nonzero exact kernel vector, scaled to be
-    integral at the prime above p with a unit coordinate, survives it: a
-    zero kernel at omega alone proves a zero exact kernel.  Otherwise a
-    kernel vector is taken at every root with identical pivots, its values
-    are interpolated back to power-basis coefficients, and it is only
-    trusted after rational reconstruction and an exact check.  A second and
-    third prime, combined by CRT, widen the window before falling back to
-    exact elimination.
+    rows_at(root, p) is the system's image under zeta -> root, or raises
+    ZeroDivisionError at a bad prime.  False: a zero kernel at omega, which
+    proves a zero exact kernel.  True: kernel vectors at every root with
+    identical pivots, interpolated, combined by CRT with every earlier
+    prime of the same pivots, reconstructed, and passed by the exact
+    check(vector).  None: the prime budget ran out.
     """
-    if ncols <= _EXACT_COLS:
-        return kernel_vector(rows, ncols, F.one, F.zero) is not None
-    seen = []
-    for skip in range(3):
+    acc: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    for skip in range(_PRIME_BUDGET):
         p = split_prime(F.order, skip)
         roots = split_roots(F.order, p)
         vecs, pivs = [], []
         try:
             for root in roots:
-                vec, piv = fp_kernel_vector(reduce_at(rows, root, p), ncols, p)
+                vec, piv = fp_kernel_vector(rows_at(root, p), ncols, p)
                 if vec is None:
                     return False
                 vecs.append(vec)
                 pivs.append(piv)
         except ZeroDivisionError:
             continue
-        pivots = pivs[0]
-        if any(piv != pivots for piv in pivs):
+        if any(piv != pivs[0] for piv in pivs):
             continue
         flat = interpolate(vecs, roots, F, p)
-        lifted = lift_flat_vector(flat, F, p)
-        if lifted is not None and any(lifted) and _dot_is_zero(rows, lifted):
+        mod, prev = acc.get(tuple(pivs[0]), (1, None))
+        if prev is not None:
+            flat = [crt_pair(a, mod, b, p) for a, b in zip(prev, flat)]
+        mod *= p
+        acc[tuple(pivs[0])] = (mod, flat)
+        lifted = lift_flat_vector(flat, F, mod)
+        if lifted is not None and any(lifted) and check(lifted):
             return True
-        for p0, flat0, piv0 in seen:
-            if piv0 == pivots:
-                mod = p0 * p
-                comb = [crt_pair(a, p0, b, p) for a, b in zip(flat0, flat)]
-                lifted = lift_flat_vector(comb, F, mod)
-                if lifted is not None and any(lifted) and _dot_is_zero(rows, lifted):
-                    return True
-        seen.append((p, flat, pivots))
-    return kernel_vector(rows, ncols, F.one, F.zero) is not None
+    return None
+
+
+def _kernel_nonzero(rows, ncols: int, F: CycField) -> bool:
+    """Certified test for a nonzero kernel over the exact field: split
+    primes, then exact elimination once the prime budget runs out."""
+    hit = _split_kernel(F, ncols, lambda root, p: reduce_at(rows, root, p),
+                        lambda vec: _dot_is_zero(rows, vec))
+    if hit is None:
+        return kernel_vector(rows, ncols, F.one, F.zero) is not None
+    return hit
 
 
 def _syz_nonzero_at(arr: Arrangement, r: int) -> bool:
@@ -373,7 +398,8 @@ def _syz_nonzero_at(arr: Arrangement, r: int) -> bool:
     if hit is not None:
         return hit
     d = len(arr.lines)
-    assert 0 <= r <= d - 2
+    if not 0 <= r <= d - 2:
+        raise ValueError("relation degree out of range")
     lat = build_lattice(arr)
     if lat.mult[0] >= d - r:
         # A point on m >= d - r lines carries the derivation g d_P with
@@ -397,16 +423,11 @@ def syzygy_dimension(arr: Arrangement, r: int) -> int:
     unlucky.
     """
     rows, ncols = _gauged_rows(arr, r)
-    F = arr.field
-    if ncols <= _EXACT_COLS:
-        return nullity(rows, ncols)
-    for skip in range(3):
-        p = split_prime(F.order, skip)
-        try:
-            red = reduce_at(rows, split_roots(F.order, p)[0], p)
-        except ZeroDivisionError:
-            continue
-        return fp_nullity(red, ncols, p)
+    if ncols > _EXACT_COLS:
+        dim = _omega_nullity(arr.field, ncols,
+                             lambda root, p: reduce_at(rows, root, p))
+        if dim is not None:
+            return dim
     return nullity(rows, ncols)
 
 
@@ -517,9 +538,10 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
         b = l[o2] - l[piv] * c[o2]
         if a:
             a, b = F.one, b / a
-        else:
-            assert b, "distinct lines cannot restrict to the zero form"
+        elif b:
             a, b = F.zero, F.one
+        else:
+            raise ValueError("distinct lines cannot restrict to the zero form")
         key = (a.sort_key(), b.sort_key())
         entry = groups.get(key)
         if entry is None:
@@ -529,41 +551,86 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
     ordered = sorted(groups.items(), key=lambda kv: (-kv[1][1], kv[0]))
     forms = tuple(entry[0] for _, entry in ordered)
     mult = tuple(entry[1] for _, entry in ordered)
-    assert sum(mult) == d - 1
+    if sum(mult) != d - 1:
+        raise ValueError("restriction multiplicities do not sum to d - 1")
     return MultiRestriction(F, forms, mult)
 
 
-def _multi_dim(R: MultiRestriction, p: int) -> int:
-    """dim of the degree-p derivations of the multirestriction, exact.
+def _restriction_rows(forms, mult, deg: int, zero, one) -> list[list]:
+    """Linear conditions on the degree-deg derivations theta = P d_u + Q d_v.
 
-    theta = P d_u + Q d_v must send each form alpha into (alpha^mult).  In
-    coordinates (s, t) built from a point on alpha and one off it, alpha
-    becomes a scalar times t, so divisibility reads as the vanishing of the
-    first mult coefficients of theta(alpha)(s, t).
+    Generic over the element type: field elements, or the forms' images
+    mod p as integers (entries then still to be reduced).  theta must send
+    each form alpha into (alpha^mult).  In coordinates (s, t) built from
+    the point Z on alpha and W = (1, 0) or (0, 1) off it, alpha becomes a
+    scalar times t, so divisibility reads as the vanishing of the first
+    mult coefficients of theta(alpha)(s, t).  Columns hold P, then Q, on
+    the monomials u^(deg-j) v^j.
     """
-    F = R.field
-    zero, one = F.zero, F.one
     rows = []
-    ncols = 2 * (p + 1)
-    for (cu, cv), m in zip(R.forms, R.mult):
-        Z = (-cv, cu)
-        W = (one, zero) if cu else (zero, one)
-        pwu = [[one]]
-        pwv = [[one]]
-        for _ in range(p):
+    for (cu, cv), m in zip(forms, mult):
+        Z, W = (-cv, cu), ((one, zero) if cu else (zero, one))
+        pwu, pwv = [[one]], [[one]]
+        for _ in range(deg):
             pwu.append(_conv(pwu[-1], [Z[0], W[0]], zero))
             pwv.append(_conv(pwv[-1], [Z[1], W[1]], zero))
-        restr = [_conv(pwu[p - j], pwv[j], zero) for j in range(p + 1)]
-        for i in range(min(m, p + 1)):
-            row = []
-            for c in (cu, cv):
-                if c:
-                    row.extend(c * restr[j][i] if restr[j][i] else zero
-                               for j in range(p + 1))
-                else:
-                    row.extend([zero] * (p + 1))
-            rows.append(row)
-    return nullity(rows, ncols)
+        restr = [_conv(pwu[deg - j], pwv[j], zero) for j in range(deg + 1)]
+        for i in range(min(m, deg + 1)):
+            rows.append([c * x[i] for c in (cu, cv) for x in restr])
+    return rows
+
+
+def _multi_dim(R: MultiRestriction, deg: int) -> int:
+    """dim of the degree-deg derivations of the multirestriction, exact."""
+    F = R.field
+    return nullity(_restriction_rows(R.forms, R.mult, deg, F.zero, F.one),
+                   2 * deg + 2)
+
+
+def _fp_rows(R: MultiRestriction, deg: int, root: int, p: int):
+    """Image of the exact rows under zeta -> root.  W stays the exact
+    choice: a root where a nonzero cu vanishes raises ZeroDivisionError."""
+    red = reduce_at(R.forms, root, p)
+    if any(bool(x) != bool(cu) for (x, _), (cu, _) in zip(red, R.forms)):
+        raise ZeroDivisionError("a nonzero form coefficient vanishes mod p")
+    return [[x % p for x in row]
+            for row in _restriction_rows(red, R.mult, deg, 0, 1)]
+
+
+def _fp_dim(R: MultiRestriction, deg: int) -> int | None:
+    return _omega_nullity(R.field, 2 * deg + 2,
+                          lambda root, p: _fp_rows(R, deg, root, p))
+
+
+def _derives(R: MultiRestriction, deg: int, vec) -> bool:
+    """Exact check that vec = (P, Q) is a derivation of degree deg: each
+    cu P + cv Q divisible by alpha^min(mult, deg + 1), tested by synthetic
+    division at v = 1, or on the leading coefficients when cu = 0."""
+    for (cu, cv), m in zip(R.forms, R.mult):
+        g = [cu * a + cv * b for a, b in zip(vec[:deg + 1], vec[deg + 1:])]
+        k = min(m, deg + 1)
+        if not cu:
+            if any(g[:k]):
+                return False
+            continue
+        r = -cv / cu
+        for _ in range(k):
+            quot = [g[0]]
+            for c in g[1:]:
+                quot.append(c + r * quot[-1])
+            if quot.pop():
+                return False
+            g = quot
+    return True
+
+
+def _hilbert_d1(total: int, null: int) -> int | None:
+    """d1 from null = dim D_p0 = max(0, p0 - d1 + 1), the d2 term being 0
+    at p0 = ceil(total/2) - 1 < d2; None when no d1 fits."""
+    p0 = (total + 1) // 2 - 1
+    if null:
+        return p0 + 1 - null if null <= p0 + 1 else None
+    return None if total % 2 else total // 2
 
 
 def multi_exponents(
@@ -571,31 +638,35 @@ def multi_exponents(
 ) -> tuple[int, int]:
     """Exponent pair (d1, d2) of the restriction, d1 <= d2, summing to total.
 
-    The count bound total - s + 1 <= s - 1 (s = number of points) admits a
-    closed form, returned after verifying the predicted kernel dimensions at
-    d1 and d1 - 1 (CertificationError if they differ).  Otherwise the least degree with a nonzero derivation is
-    found by exact scan; force_kernel skips the closed form to make the scan
-    comparable against it.
+    d1 is the closed form total - s + 1 (s points) when the count bound
+    total - s + 1 <= s - 1 admits it and force_kernel is false, else one
+    rank mod p at p0 = ceil(total/2) - 1 (_hilbert_d1), and is returned once
+    certified on both sides.  Past the prime budget it is read from the
+    exact nullity at p0: CertificationError if no d1 fits that or it
+    contradicts the closed form.
     """
     total = R.total
     s = len(R.forms)
-    easy = (total - s + 1, s - 1)
-    if not force_kernel and easy[0] <= easy[1]:
-        d1, d2 = easy
-        want = 2 if d1 == d2 else 1
-        dims = (_multi_dim(R, d1), _multi_dim(R, d1 - 1) if d1 > 0 else 0)
-        if dims != (want, 0):
-            raise CertificationError(
-                f"closed form {easy}: derivation dims {dims} at degrees "
-                f"{d1}, {d1 - 1}, expected ({want}, 0)"
-            )
-        return easy
-    for p in range(total // 2 + 1):
-        if _multi_dim(R, p) > 0:
-            d1, d2 = p, total - p
-            assert d1 <= d2
-            return (d1, d2)
-    raise AssertionError("no derivation up to total/2; invalid restriction")
+    closed = not force_kernel and total - s + 1 <= s - 1
+    p0 = (total + 1) // 2 - 1
+    if closed:
+        d1 = total - s + 1
+    else:
+        null = _fp_dim(R, p0)
+        d1 = None if null is None else _hilbert_d1(total, null)
+    if d1 is not None and (d1 == 0 or _fp_dim(R, d1 - 1) == 0):
+        if _split_kernel(R.field, 2 * d1 + 2,
+                         lambda root, p: _fp_rows(R, d1, root, p),
+                         lambda vec: _derives(R, d1, vec)):
+            return (d1, total - d1)
+    null = _multi_dim(R, p0)
+    exact = _hilbert_d1(total, null)
+    if exact is None or (closed and exact != d1):
+        raise CertificationError(
+            f"derivation dim {null} at degree {p0} of total {total} gives "
+            f"d1 = {exact}" + (f", closed form says {d1}" if closed else "")
+        )
+    return (exact, total - exact)
 
 
 def is_balanced(R: MultiRestriction) -> bool:

@@ -366,8 +366,6 @@ def exponent_in_mu(x: CycNumber, n: int) -> int | None:
     N = F.order
     if n < 1:
         raise ValueError("n must be positive")
-    if n % 1:
-        pass
     if N % n == 0:
         zn = F.zeta_pow(N // n) if n > 1 else F.one
     else:

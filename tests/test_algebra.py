@@ -4,12 +4,18 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import linarr.algebra as alg
 from linarr.algebra import (
     MultiRestriction,
     Poly,
+    _derives,
     _gauged_rows,
     _kernel_nonzero,
+    _multi_dim,
+    _syz_nonzero_at,
     defining_polynomial,
     is_balanced,
     mdr,
@@ -21,11 +27,20 @@ from linarr.algebra import (
     verify_mdr,
     ziegler_restriction,
 )
-from linarr.classify import modular_points, tjurina_census
+from linarr.campaigns import _standard_pool
+from linarr.classify import (
+    is_pencil,
+    is_supersolvable,
+    modular_points,
+    tjurina_census,
+)
 from linarr.families import (
+    ConeSpec,
     a_of_w,
+    cone,
     full_monomial,
     generic_arrangement,
+    generic_vertex,
     near_pencil,
     pencil,
 )
@@ -313,6 +328,134 @@ def test_balanced_exponent_gap_bound():
     assert d2 - d1 <= len(R.forms) - 2
 
 
+def _scan_exponents(R):
+    """Reference exponents: the least degree with exact nullity > 0."""
+    p = 0
+    while _multi_dim(R, p) == 0:
+        p += 1
+    return (p, R.total - p)
+
+
+def _cone_over_q(dprime, seed, extra):
+    base = generic_arrangement(dprime, seed=seed)
+    return cone(ConeSpec(base, generic_vertex(base, seed=seed), extra, seed))
+
+
+def test_multi_exponents_match_exact_scan():
+    restrictions = []
+    for _, arr in _standard_pool(0, 3, 4):
+        if is_pencil(arr) or not is_supersolvable(arr):
+            continue
+        _, line_idxs = _max_modular_lines(arr)
+        restrictions += [ziegler_restriction(arr, i) for i in set(line_idxs)]
+    for seed in (1, 2):
+        arr = _cone_over_q(4, seed, 1)
+        restrictions += [
+            ziegler_restriction(arr, i) for i in range(len(arr.lines))
+        ]
+    assert len(restrictions) > 100
+    for R in restrictions:
+        want = _scan_exponents(R)
+        assert multi_exponents(R) == want
+        assert multi_exponents(R, force_kernel=True) == want
+
+
+@st.composite
+def restrictions(draw):
+    n = draw(st.sampled_from((1, 3, 4, 5, 8)))
+    F = cyc_field(n)
+    coeff = st.integers(-3, 3)
+    slopes = draw(st.lists(
+        st.tuples(*[coeff] * F.degree), min_size=1, max_size=5, unique=True,
+    ))
+    forms = [(F.one, F.element(c)) for c in slopes]
+    if draw(st.booleans()):
+        forms.append((F.zero, F.one))
+    mult = draw(st.lists(
+        st.integers(1, 3), min_size=len(forms), max_size=len(forms),
+    ))
+    order = draw(st.permutations(range(len(forms))))
+    return F, forms, mult, order
+
+
+@settings(max_examples=25, deadline=None)
+@given(restrictions())
+def test_multi_exponents_property(case):
+    F, forms, mult, order = case
+    R = MultiRestriction(F, tuple(forms), tuple(mult))
+    shuffled = MultiRestriction(
+        F, tuple(forms[i] for i in order), tuple(mult[i] for i in order)
+    )
+    want = _scan_exponents(R)
+    for force in (False, True):
+        assert multi_exponents(R, force_kernel=force) == want
+        assert multi_exponents(shuffled, force_kernel=force) == want
+
+
+def test_derivation_check_rejects_perturbed_vector(monkeypatch):
+    R = ziegler_restriction(_cone_over_q(3, 0, 1), 1)
+    lifted = []
+
+    def spy(R, deg, vec):
+        ok = _derives(R, deg, vec)
+        if ok:
+            lifted.append((deg, vec))
+        return ok
+
+    monkeypatch.setattr(alg, "_derives", spy)
+    assert multi_exponents(R, force_kernel=True) == (3, 3)
+    [(deg, vec)] = lifted
+    one = R.field.one
+    for j in range(len(vec)):
+        bad = list(vec)
+        bad[j] = bad[j] + one
+        assert not _derives(R, deg, bad)
+
+
+def test_lower_side_refuses_a_high_candidate(monkeypatch):
+    # An unlucky rank at p0 = 2 proposes d1 = 2; the zero-kernel test at
+    # degree 1 refuses it and the exact fallback gives the true d1 = 1.
+    arr = near_pencil(6)
+    z = next(i for i, l in enumerate(arr.lines)
+             if not l.coords[0] and not l.coords[1])
+    R = ziegler_restriction(arr, z)
+    fp_dim = alg._fp_dim
+    monkeypatch.setattr(
+        alg, "_fp_dim", lambda R, deg: 1 if deg == 2 else fp_dim(R, deg)
+    )
+    assert multi_exponents(R, force_kernel=True) == (1, 4)
+
+
+def test_restriction_over_q_needs_three_primes(monkeypatch):
+    # Its kernel vector has coefficients too large to reconstruct from one
+    # or two primes; CRT over the primes so far certifies it without the
+    # exact fallback.
+    R = ziegler_restriction(_cone_over_q(3, 0, 1), 1)
+    assert R.field.order == 1 and R.mult == (2, 2, 1, 1)
+    want = _scan_exponents(R)
+    skips = []
+    split_prime = alg.split_prime
+
+    def counting_split_prime(n, skip):
+        skips.append(skip)
+        return split_prime(n, skip)
+
+    def no_exact(*args):
+        raise AssertionError("exact fallback")
+
+    monkeypatch.setattr(alg, "split_prime", counting_split_prime)
+    monkeypatch.setattr(alg, "_multi_dim", no_exact)
+    monkeypatch.setattr(alg, "nullity", no_exact)
+    assert multi_exponents(R, force_kernel=True) == want == (3, 3)
+    assert max(skips) >= 2
+
+
+def test_relation_degree_out_of_range_raises():
+    braid = full_monomial(1)
+    with pytest.raises(ValueError):
+        _syz_nonzero_at(braid, len(braid.lines) - 1)
+
+
 def test_nodal_vanishing_dimensions():
     for dprime in (3, 4, 5):
         arr = generic_arrangement(dprime, seed=1)
@@ -409,7 +552,8 @@ from linarr import CertificationError, full_monomial, near_pencil
 z = next(i for i, l in enumerate(near_pencil(6).lines)
          if not l.coords[0] and not l.coords[1])
 R = alg.ziegler_restriction(near_pencil(6), z)
-alg._multi_dim = lambda R, p: 0
+alg._derives = lambda R, deg, vec: False
+alg.nullity = lambda rows, ncols: 1
 alg.tjurina_census = lambda lat: -1
 for call in (lambda: alg.multi_exponents(R),
              lambda: alg.supersolvable_exponents(full_monomial(1))):
