@@ -1,14 +1,21 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are residue classes in Q[t]/(Phi_n), stored as coefficient tuples
-of length phi(n) = deg Phi_n.  The rationals are the special case n = 1.
+Elements are residue classes in Q[t]/(Phi_n), stored as phi(n) = deg Phi_n
+integer numerators over one common denominator, kept canonical (denominator
+positive and coprime to the numerators, zero as 0/1), so equality and
+hashing compare integers.  Products are integer convolutions reduced mod
+Phi_n, which is monic and integral; inverses come from fraction-free
+elimination over Z.  Fractions appear only at the edges: building elements,
+the `coeffs` view and `as_fraction`.  The rationals are the case n = 1.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add, neg, sub
 
 
 def divisors(n: int) -> list[int]:
@@ -60,9 +67,6 @@ def euler_phi(n: int) -> int:
 
 _FIELDS: dict[int, "CycField"] = {}
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def cyc_field(n: int) -> "CycField":
     """The field Q(zeta_n).  Instances are cached, one per order."""
@@ -75,34 +79,41 @@ def cyc_field(n: int) -> "CycField":
 
 
 class CycField:
-    __slots__ = ("order", "modulus", "degree", "_zeta_powers")
+    """Q(zeta_n).  `zero` and `one` are built once and shared."""
+
+    __slots__ = ("order", "modulus", "degree", "_tail", "zero", "one",
+                 "_zeta_powers")
 
     def __init__(self, n: int):
         self.order = n
         self.modulus = cyclotomic_polynomial(n)
         self.degree = len(self.modulus) - 1
+        # nonzero (i, m) with t^degree = -sum m t^i mod Phi_n
+        self._tail = tuple((i, m) for i, m in enumerate(self.modulus[:-1]) if m)
+        self.zero = self.scalar(0)
+        self.one = self.scalar(1)
         self._zeta_powers: list[CycNumber] | None = None
 
     def element(self, coeffs) -> "CycNumber":
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = [Fraction(c) for c in coeffs]
         if len(cs) != self.degree:
             raise ValueError(
                 f"expected {self.degree} coefficients for Q(zeta_{self.order})"
             )
-        return CycNumber(self, cs)
+        # over the lcm of reduced denominators the numerators share no factor
+        den = lcm(*(c.denominator for c in cs))
+        return CycNumber(
+            self, tuple(c.numerator * (den // c.denominator) for c in cs), den
+        )
 
     def scalar(self, q) -> "CycNumber":
-        cs = [_ZERO] * self.degree
-        cs[0] = Fraction(q)
-        return CycNumber(self, tuple(cs))
+        if type(q) is int:
+            return CycNumber(self, self._padded(q), 1)
+        q = Fraction(q)
+        return CycNumber(self, self._padded(q.numerator), q.denominator)
 
-    @property
-    def zero(self) -> "CycNumber":
-        return self.scalar(0)
-
-    @property
-    def one(self) -> "CycNumber":
-        return self.scalar(1)
+    def _padded(self, c: int) -> tuple[int, ...]:
+        return (c,) + (0,) * (self.degree - 1)
 
     @property
     def zeta(self) -> "CycNumber":
@@ -122,9 +133,7 @@ class CycField:
         if self.degree == 1:
             # t is congruent to a rational: t = -modulus[0]
             return self.scalar(-self.modulus[0])
-        cs = [_ZERO] * self.degree
-        cs[1] = _ONE
-        return CycNumber(self, tuple(cs))
+        return CycNumber(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def __repr__(self):
         return f"CycField({self.order})"
@@ -136,15 +145,56 @@ class CycField:
         return hash(("CycField", self.order))
 
 
-class CycNumber:
-    __slots__ = ("field", "coeffs", "_hash")
+def _reduced(field: CycField, num: tuple[int, ...], den: int) -> "CycNumber":
+    """The canonical element num/den, for den > 0."""
+    g = gcd(den, *num)
+    if g == 1:
+        return CycNumber(field, num, den)
+    return CycNumber(field, tuple(map(g.__rfloordiv__, num)), den // g)
 
-    def __init__(self, field: CycField, coeffs: tuple[Fraction, ...]):
+
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for coprime n and d > 0, without building it:
+    Python's numeric hash, n / d modulo the prime sys.hash_info.modulus."""
+    P = sys.hash_info.modulus
+    h = sys.hash_info.inf if d % P == 0 else abs(n) % P * pow(d, -1, P) % P
+    if n < 0:
+        h = -h
+    return -2 if h == -1 else h
+
+
+def _combine(op, x: "CycNumber", y: "CycNumber") -> "CycNumber":
+    """x + y or x - y for op add or sub; no cross-multiply on equal denominators."""
+    a, b = x.den, y.den
+    if a == b:
+        return _reduced(x.field, tuple(map(op, x.num, y.num)), a)
+    return _reduced(
+        x.field, tuple(map(op, map(b.__mul__, x.num), map(a.__mul__, y.num))), a * b
+    )
+
+
+class CycNumber:
+    """An element num/den of Q(zeta_n): integer numerators, constant term
+    first, over one denominator.  Always canonical: den > 0,
+    gcd(den, *num) == 1, and zero is (0, ..., 0) / 1."""
+
+    __slots__ = ("field", "num", "den", "_hash")
+
+    def __init__(self, field: CycField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash = None
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on each access."""
+        d = self.den
+        return tuple(Fraction(a, d) for a in self.num)
+
     def _coerce(self, other):
+        if other.__class__ is CycNumber and other.field is self.field:
+            return other  # the common case, tested first
         if isinstance(other, CycNumber):
             if other.field.order != self.field.order:
                 raise ValueError(
@@ -160,9 +210,7 @@ class CycNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNumber(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return _combine(add, self, o)
 
     __radd__ = __add__
 
@@ -170,9 +218,7 @@ class CycNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNumber(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return _combine(sub, self, o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -181,33 +227,35 @@ class CycNumber:
         return o - self
 
     def __neg__(self):
-        return CycNumber(self.field, tuple(-a for a in self.coeffs))
+        return CycNumber(self.field, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        deg = self.field.degree
+        F = self.field
+        a, b = self.num, o.num
+        den = self.den * o.den
+        deg = F.degree
         if deg == 1:
-            return CycNumber(self.field, (self.coeffs[0] * o.coeffs[0],))
-        a, b = self.coeffs, o.coeffs
-        conv = [_ZERO] * (2 * deg - 1)
+            num = a[0] * b[0]
+            g = gcd(num, den)
+            return CycNumber(F, (num // g,), den // g)
+        conv = [0] * (2 * deg - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        mod = self.field.modulus
+                k = i
+                for y in b:
+                    conv[k] += x * y
+                    k += 1
+        # Phi_n is monic and integral: fold t^k for k >= deg back down
         for k in range(2 * deg - 2, deg - 1, -1):
             c = conv[k]
             if c:
-                conv[k] = _ZERO
                 base = k - deg
-                for i in range(deg):
-                    m = mod[i]
-                    if m:
-                        conv[base + i] -= c * m
-        return CycNumber(self.field, tuple(conv[:deg]))
+                for i, m in F._tail:
+                    conv[base + i] -= c * m
+        return _reduced(F, tuple(conv[:deg]), den)
 
     __rmul__ = __mul__
 
@@ -238,34 +286,51 @@ class CycNumber:
         return result
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.scalar(other)
-        if not isinstance(other, CycNumber):
-            return NotImplemented
-        return (
-            self.field.order == other.field.order and self.coeffs == other.coeffs
-        )
+        if isinstance(other, CycNumber):
+            return (
+                self.field.order == other.field.order
+                and self.den == other.den
+                and self.num == other.num
+            )
+        if isinstance(other, int):
+            return self.den == 1 and self.num[0] == other and self.is_rational()
+        if isinstance(other, Fraction):
+            return (
+                self.den == other.denominator
+                and self.num[0] == other.numerator
+                and self.is_rational()
+            )
+        return NotImplemented
 
     def __hash__(self):
+        # a rational element hashes like its Fraction, since it equals it
         h = self._hash
         if h is None:
-            h = hash((self.field.order, self.coeffs))
+            if self.is_rational():
+                h = _rational_hash(self.num[0], self.den)
+            else:
+                h = hash((self.field.order, self.num, self.den))
             self._hash = h
         return h
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def sort_key(self):
-        return self.coeffs
+        """Orders elements exactly as their `coeffs` tuples do.
+
+        Integer coefficients compare with ints, which is the same order and
+        much cheaper than comparing Fractions.
+        """
+        return self.num if self.den == 1 else self.coeffs
 
     def __repr__(self):
         deg = self.field.degree
@@ -283,61 +348,54 @@ class CycNumber:
         return f"Cyc({self.field.order}; {body})"
 
 
-def _poly_ext_gcd(a, b):
-    # over Q[t]: returns (g, u, v) with u*a + v*b = g, g monic or zero
-    r0, r1 = list(a), list(b)
-    s0, s1 = [_ONE], [_ZERO]
-    t0, t1 = [_ZERO], [_ONE]
-
-    def deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i]:
-                return i
-        return -1
-
-    def sub_scaled(p, q, c, shift):
-        # p -= c * t^shift * q
-        need = len(q) + shift
-        if len(p) < need:
-            p = p + [_ZERO] * (need - len(p))
-        for i, x in enumerate(q):
-            if x:
-                p[i + shift] -= c * x
-        return p
-
-    while deg(r1) >= 0:
-        d0, d1 = deg(r0), deg(r1)
-        if d0 < d1:
-            r0, r1, s0, s1, t0, t1 = r1, r0, s1, s0, t1, t0
-            continue
-        c = r0[d0] / r1[d1]
-        shift = d0 - d1
-        r0 = sub_scaled(r0, r1, c, shift)
-        s0 = sub_scaled(s0, s1, c, shift)
-        t0 = sub_scaled(t0, t1, c, shift)
-    d = deg(r0)
-    if d < 0:
-        return r0, s0, t0
-    lead = r0[d]
-    r0 = [x / lead for x in r0]
-    s0 = [x / lead for x in s0]
-    t0 = [x / lead for x in t0]
-    return r0, s0, t0
-
-
 @lru_cache(maxsize=8192)
 def _inverse(x: CycNumber) -> CycNumber:
+    """1/x, by solving num * y = 1 in Z[t]/(Phi_n) without fractions.
+
+    Column j of the integer matrix M is num * t^j mod Phi_n, so M y = e0.
+    Fraction-free Gauss-Jordan elimination divides exactly at every step
+    (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22, 1968) and ends with det(M) * y
+    in the last column, so 1/x = den * y = den * column / det(M).
+    """
     if not x:
         raise ZeroDivisionError("division by zero in cyclotomic field")
     F = x.field
-    if F.degree == 1:
-        return CycNumber(F, (1 / x.coeffs[0],))
-    mod = [Fraction(m) for m in F.modulus]
-    g, u, _ = _poly_ext_gcd(list(x.coeffs), mod)
-    # Phi_n is irreducible, so gcd with a nonzero residue is 1
-    u = u[: F.degree] + [_ZERO] * max(0, F.degree - len(u))
-    inv = CycNumber(F, tuple(u[: F.degree]))
-    return inv
+    deg = F.degree
+    if deg == 1:
+        a = x.num[0]
+        return CycNumber(F, (x.den,), a) if a > 0 else CycNumber(F, (-x.den,), -a)
+    cols = [list(x.num)]
+    tail = F._tail
+    for _ in range(deg - 1):
+        prev_col = cols[-1]
+        top = prev_col[-1]
+        col = [0] + prev_col[:-1]
+        if top:
+            for i, m in tail:
+                col[i] -= top * m
+        cols.append(col)
+    rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(deg)]
+    prev = 1
+    for k in range(deg):
+        if not rows[k][k]:
+            # M is invertible, so some lower row has a nonzero entry here
+            r = next(r for r in range(k + 1, deg) if rows[r][k])
+            rows[k], rows[r] = rows[r], rows[k]
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i in range(deg):
+            if i != k:
+                row = rows[i]
+                f = row[k]
+                for j in range(k + 1, deg + 1):
+                    row[j] = (p * row[j] - f * pivot_row[j]) // prev
+        prev = p
+    if prev < 0:
+        prev, scale = -prev, -x.den
+    else:
+        scale = x.den
+    return _reduced(F, tuple([scale * row[deg] for row in rows]), prev)
 
 
 def zeta_pow(F: CycField, j: int) -> CycNumber:

@@ -22,9 +22,7 @@ from .field import CycField, CycNumber
 
 def _complexity(x) -> int:
     if isinstance(x, CycNumber):
-        return sum(
-            c.numerator.bit_length() + c.denominator.bit_length() for c in x.coeffs
-        )
+        return sum(a.bit_length() for a in x.num) + x.den.bit_length()
     if isinstance(x, Fraction):
         return x.numerator.bit_length() + x.denominator.bit_length()
     return 1
@@ -173,10 +171,10 @@ def split_roots(n: int, p: int) -> list[int]:
 def reduce_at(rows, root: int, p: int) -> list[list[int]]:
     """Field-entry rows mapped to F_p by zeta -> root.
 
-    Each coefficient is reduced mod p and the result is evaluated at root
-    by Horner's rule.  At a root of Phi_n mod p this is a ring map, so it
-    preserves every relation among the rows.  Raises ZeroDivisionError when
-    a denominator vanishes mod p.
+    The numerators are evaluated at root by Horner's rule mod p and divided
+    by the common denominator.  At a root of Phi_n mod p this is a ring map,
+    so it preserves every relation among the rows.  Raises ZeroDivisionError
+    when the denominator vanishes mod p.
     """
     cache: dict[CycNumber, int] = {}
     out = []
@@ -188,12 +186,13 @@ def reduce_at(rows, root: int, p: int) -> list[list[int]]:
                 continue
             v = cache.get(x)
             if v is None:
+                den = x.den % p
+                if den == 0:
+                    raise ZeroDivisionError("denominator vanishes mod p")
                 v = 0
-                for c in reversed(x.coeffs):
-                    den = c.denominator % p
-                    if den == 0:
-                        raise ZeroDivisionError("denominator vanishes mod p")
-                    v = (v * root + c.numerator * pow(den, -1, p)) % p
+                for c in reversed(x.num):
+                    v = (v * root + c) % p
+                v = v * pow(den, -1, p) % p
                 cache[x] = v
             red.append(v)
         out.append(red)

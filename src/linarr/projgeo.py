@@ -59,7 +59,7 @@ class _ProjTriple:
         return h
 
     def sort_key(self):
-        return tuple(c.coeffs for c in self.coords)
+        return tuple(c.sort_key() for c in self.coords)
 
     def __repr__(self):
         inner = " : ".join(repr(c) for c in self.coords)

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linarr.field import (
     CycField,
@@ -188,3 +190,136 @@ def test_serialization_round_trip():
 def test_field_instances_cached():
     assert cyc_field(6) is cyc_field(6)
     assert cyc_field(6) == CycField(6)
+
+
+def test_zero_and_one_built_once():
+    for n in (1, 5, 12):
+        F = cyc_field(n)
+        assert F.zero is F.zero
+        assert F.one is F.one
+        assert not F.zero and F.one == 1
+
+
+def test_rational_elements_hash_like_python_numbers():
+    for n in (1, 5, 8):
+        F = cyc_field(n)
+        assert hash(F.one) == hash(1)
+        assert {1: "a"}.get(F.one) == "a"
+        assert {F.scalar(-3): "b"}.get(-3) == "b"
+        half = F.scalar(Fraction(1, 2))
+        assert half == Fraction(1, 2)
+        assert hash(half) == hash(Fraction(1, 2))
+        assert {Fraction(1, 2): "c"}.get(half) == "c"
+
+
+# --- property tests against a schoolbook Fraction reference ---------------
+
+
+def _ref_mul(F, a, b):
+    """Product of two Fraction coefficient tuples in Q[t]/(Phi_n)."""
+    deg, mod = F.degree, F.modulus
+    conv = [Fraction(0)] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for k in range(2 * deg - 2, deg - 1, -1):
+        c, conv[k] = conv[k], Fraction(0)
+        for i in range(deg):
+            conv[k - deg + i] -= c * mod[i]
+    return tuple(conv[:deg])
+
+
+def _ref_inv(F, a):
+    """Inverse by Gaussian elimination over Fractions on [M | e0], where
+    column j of M is a * t^j."""
+    deg = F.degree
+    t = tuple(Fraction(int(i == 1)) for i in range(deg)) if deg > 1 else None
+    cols, col = [], tuple(a)
+    for _ in range(deg):
+        cols.append(col)
+        if t is not None:
+            col = _ref_mul(F, col, t)
+    rows = [[c[i] for c in cols] + [Fraction(int(i == 0))] for i in range(deg)]
+    for k in range(deg):
+        piv = next(r for r in range(k, deg) if rows[r][k])
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(deg):
+            if i != k and rows[i][k]:
+                f = rows[i][k]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[k])]
+    return tuple(r[deg] for r in rows)
+
+
+_COEFF = st.one_of(
+    st.fractions(min_value=-60, max_value=60, max_denominator=40),
+    st.integers(-10**12, 10**12).map(Fraction),
+)
+
+
+@st.composite
+def _field_elements(draw, count):
+    """A field Q(zeta_n), n in 1..12 (so (Z/n)* of orders 8 and 12, which
+    are not cyclic, are included), and `count` elements of it."""
+    F = cyc_field(draw(st.integers(1, 12)))
+    coeffs = st.lists(_COEFF, min_size=F.degree, max_size=F.degree)
+    return F, [F.element(draw(coeffs)) for _ in range(count)]
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    assert len(x.num) == x.field.degree
+    if not any(x.num):
+        assert x.den == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_elements(3))
+def test_ring_axioms_property(case):
+    F, (a, b, c) = case
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a and a * b == b * a
+    assert a + F.zero == a and a * F.one == a and a * F.zero == F.zero
+    assert a - a == F.zero and -a + a == F.zero
+    assert (a - b) + b == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_elements(2))
+def test_inverse_and_canonical_form_property(case):
+    F, (a, b) = case
+    results = [a, -a, a + b, a - b, a - a, a * b]
+    if a:
+        inv = 1 / a
+        assert a * inv == 1
+        assert (b / a) * a == b
+        results.append(inv)
+    for x in results:
+        _assert_canonical(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_elements(2))
+def test_coeffs_view_property(case):
+    F, (a, b) = case
+    assert F.element(a.coeffs) == a
+    assert a.coeffs == tuple(Fraction(v, a.den) for v in a.num)
+    assert (a.sort_key() < b.sort_key()) == (a.coeffs < b.coeffs)
+    assert (a.sort_key() == b.sort_key()) == (a == b)
+    assert sorted([a, b, -a, a * b], key=lambda x: x.sort_key()) == sorted(
+        [a, b, -a, a * b], key=lambda x: x.coeffs
+    )
+    q = a.coeffs[0]
+    assert hash(F.scalar(q)) == hash(q) and F.scalar(q) == q
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_elements(2))
+def test_kernels_match_fraction_reference(case):
+    F, (a, b) = case
+    assert (a * b).coeffs == _ref_mul(F, a.coeffs, b.coeffs)
+    if a:
+        assert (1 / a).coeffs == _ref_inv(F, a.coeffs)

@@ -1,12 +1,20 @@
 """Projective geometry: intersections, lattices, transforms, isomorphism."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from linarr.families import a_of_w
+from linarr.families import (
+    ConeSpec,
+    a_of_w,
+    cone,
+    full_monomial,
+    generic_arrangement,
+    generic_vertex,
+)
 from linarr.field import cyc_field
 from linarr.projgeo import (
     Arrangement,
@@ -155,6 +163,40 @@ def test_lattice_cache_respects_line_order():
     for pi, inc in enumerate(lat.incidence):
         for li in inc:
             assert rev.lines[li].contains(lat.points[pi])
+
+
+def _frozen_cone():
+    base = generic_arrangement(4, seed=3)
+    vertex = generic_vertex(base, seed=3)  # (1 : -29/4 : -1/2)
+    return cone(ConeSpec(base, vertex, 1, 3))
+
+
+# sha256 of the sorted-key JSON of each lattice, recorded before the field
+# moved to integer numerators; point order and every coordinate string must
+# not change with the representation.
+FROZEN_LATTICES = {
+    "a_of_w(5, (0, 1, 3))": (
+        lambda: a_of_w(5, (0, 1, 3)),
+        "49c7f60f15b2c4f58c7c7ba8dfece84989331ca9638db702c88d7c1d207becb8",
+    ),
+    "cone over Q, fractional vertex": (
+        _frozen_cone,
+        "8c3a112df7dbfee37f522343a6733d6b8de0ec28578d479cc9c0a7c9950142b7",
+    ),
+    "transformed full_monomial(4)": (
+        lambda: apply_transform(
+            full_monomial(4), random_invertible_matrix(random.Random(7))
+        ),
+        "3af24a6e424df1a2e07ebc5585c8ad2323743f7f613d700fb6fee8e835883eb4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_LATTICES))
+def test_lattice_json_is_byte_identical(name):
+    make, want = FROZEN_LATTICES[name]
+    text = json.dumps(build_lattice(make()).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def test_json_round_trip(tmp_path):
