@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import is_supersolvable, modular_points, tjurina_census
-from .field import CycField, CycNumber, cyc_to_strings
+from .field import CertificationError, CycField, CycNumber, cyc_to_strings
 from .linalg import (
     crt_pair,
     fp_kernel_vector,
@@ -36,10 +36,6 @@ from .linalg import (
     split_roots,
 )
 from .projgeo import Arrangement, build_lattice
-
-
-class CertificationError(RuntimeError):
-    """An answer failed the exact check that certifies it."""
 
 
 class Poly:

@@ -18,6 +18,14 @@ from math import gcd, lcm
 from operator import add, neg, sub
 
 
+class CertificationError(RuntimeError):
+    """An answer failed the exact check that certifies it.
+
+    Defined here, in the module every other layer imports, so that lattices,
+    class recovery and kernel certificates all raise the same type.
+    """
+
+
 def divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out

@@ -1,9 +1,18 @@
 """Exact projective geometry in P^2 over a cyclotomic field.
 
 Points and lines are coefficient triples, normalized so the first nonzero
-coordinate is 1; that makes exact grouping by hashing possible.  The
-intersection lattice of an arrangement records every pairwise intersection
-point with its multiplicity and incident lines.
+coordinate is 1, so equal points compare and hash equal.  The intersection
+lattice of an arrangement records every pairwise intersection point with its
+multiplicity and incident lines.
+
+The lattice is grouped modulo a split prime p = 1 (mod n): the lines are
+reduced at a root of Phi_n mod p, every pair is intersected mod p, and pairs
+are grouped by the normalized point they meet in.  Reduction is a ring map,
+so equal exact points stay equal mod p and each group is a union of exact
+groups.  Each group is then certified exactly, as one point: one exact
+intersection of its two lowest lines, and an exact incidence check for every
+further line.  A failed check, a pair of lines that coincide mod p or a
+denominator divisible by p sends the whole lattice to the next split prime.
 """
 
 from __future__ import annotations
@@ -11,8 +20,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .field import CycField, CycNumber, cyc_field, cyc_from_strings, cyc_to_strings
+from .field import (
+    CertificationError,
+    CycField,
+    CycNumber,
+    _inverse,
+    cyc_field,
+    cyc_from_strings,
+    cyc_to_strings,
+)
+from .linalg import reduce_at, split_prime, split_roots
 
 
 def _normalize(field: CycField, triple) -> tuple[CycNumber, ...]:
@@ -24,16 +43,18 @@ def _normalize(field: CycField, triple) -> tuple[CycNumber, ...]:
             coords.append(c)
         else:
             coords.append(field.scalar(c))
-    lead = None
-    for c in coords:
-        if c:
-            lead = c
-            break
-    if lead is None:
+    k = next((k for k, c in enumerate(coords) if c), None)
+    if k is None:
         raise ValueError("zero triple is not projective")
+    lead = coords[k]
     if lead == field.one:
         return tuple(coords)
-    return tuple(c / lead for c in coords)
+    inv = _inverse(lead)
+    coords[k] = field.one
+    for i in range(k + 1, len(coords)):
+        if coords[i]:
+            coords[i] = coords[i] * inv
+    return tuple(coords)
 
 
 class _ProjTriple:
@@ -196,7 +217,7 @@ class Lattice:
             out[m] = out.get(m, 0) + 1
         total = sum(n_k * k * (k - 1) // 2 for k, n_k in out.items())
         if total != self.d * (self.d - 1) // 2:
-            raise AssertionError("pair count identity violated")
+            raise CertificationError("pair count identity violated")
         return dict(sorted(out.items()))
 
     def point_index(self) -> dict[ProjPoint, int]:
@@ -219,7 +240,8 @@ _LATTICE_CACHE: dict[tuple[int, tuple[ProjLine, ...]], Lattice] = {}
 
 
 def build_lattice(arr: Arrangement) -> Lattice:
-    """All pairwise intersection points, grouped exactly."""
+    """All pairwise intersection points, grouped at a split prime and
+    certified exactly one point at a time (see the module docstring)."""
     key = (arr.field.order, arr.lines)
     cached = _LATTICE_CACHE.get(key)
     if cached is not None:
@@ -227,29 +249,74 @@ def build_lattice(arr: Arrangement) -> Lattice:
     d = len(arr.lines)
     if d < 2:
         raise ValueError("need at least two lines to intersect")
-    seen: dict[ProjPoint, set[int]] = {}
+    # Only finitely many primes divide a denominator, a cross-product
+    # coordinate or a 2x2 minor of two distinct points, so this ends.
+    skip = 0
+    while (points := _certified_points(arr, skip)) is None:
+        skip += 1
+    scale = lcm(*(c.den for p, _ in points for c in p.coords))
+
+    def order(item):
+        p, inc = item
+        # every coefficient over the common denominator `scale`: integers
+        # in the order of the Fraction coefficient tuples
+        return (-len(inc), tuple(
+            a * (scale // c.den) for c in p.coords for a in c.num
+        ))
+
+    points.sort(key=order)
+    lattice = Lattice(
+        d=d,
+        points=tuple(p for p, _ in points),
+        mult=tuple(len(inc) for _, inc in points),
+        incidence=tuple(inc for _, inc in points),
+    )
+    lattice.census()  # certifies the pair count identity
+    _LATTICE_CACHE[key] = lattice
+    return lattice
+
+
+def _certified_points(arr: Arrangement, skip: int):
+    """(point, incident line indices) for every intersection point, from the
+    grouping at split_prime(n, skip); None when that prime does not serve."""
+    n = arr.field.order
+    p = split_prime(n, skip)
     lines = arr.lines
-    for i in range(d):
-        for j in range(i + 1, d):
-            p = line_intersect(lines[i], lines[j])
-            grp = seen.get(p)
+    try:
+        red = reduce_at([l.coords for l in lines], split_roots(n, p)[0], p)
+    except ZeroDivisionError:
+        return None
+    groups: dict[tuple[int, int, int], set[int]] = {}
+    for i, (a0, a1, a2) in enumerate(red):
+        for j in range(i + 1, len(red)):
+            b0, b1, b2 = red[j]
+            x = (a1 * b2 - a2 * b1) % p
+            y = (a2 * b0 - a0 * b2) % p
+            z = (a0 * b1 - a1 * b0) % p
+            if x:
+                inv = pow(x, -1, p)
+                pt = (1, y * inv % p, z * inv % p)
+            elif y:
+                pt = (0, 1, z * pow(y, -1, p) % p)
+            elif z:
+                pt = (0, 0, 1)
+            else:
+                return None  # lines i and j coincide mod p
+            grp = groups.get(pt)
             if grp is None:
-                seen[p] = {i, j}
+                groups[pt] = {i, j}
             else:
                 grp.add(i)
                 grp.add(j)
-    items = sorted(
-        seen.items(), key=lambda kv: (-len(kv[1]), kv[0].sort_key())
-    )
-    lattice = Lattice(
-        d=d,
-        points=tuple(p for p, _ in items),
-        mult=tuple(len(inc) for _, inc in items),
-        incidence=tuple(tuple(sorted(inc)) for _, inc in items),
-    )
-    lattice.census()  # asserts the pair count identity
-    _LATTICE_CACHE[key] = lattice
-    return lattice
+    out = []
+    for grp in groups.values():
+        inc = tuple(sorted(grp))
+        point = line_intersect(lines[inc[0]], lines[inc[1]])
+        for li in inc[2:]:
+            if not lines[li].contains(point):
+                return None  # distinct exact points met mod p
+        out.append((point, inc))
+    return out
 
 
 def census(arr_or_lattice) -> dict[int, int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .classify import modular_points
-from .field import exponent_in_mu
+from .field import CertificationError, exponent_in_mu
 from .projgeo import Arrangement, build_lattice, line_intersect, line_through
 
 
@@ -100,7 +100,7 @@ def recover_class(arr: Arrangement) -> Recovery:
     ]
     k = len(rest)
     if k != len(arr.lines) - 2 * m + 1:
-        raise AssertionError("modular pencil sizes inconsistent")
+        raise CertificationError("modular pencil sizes inconsistent")
     if k == 0:
         return Recovery(WClass(n, 0, ()), False)
     if k == 1:
@@ -108,11 +108,11 @@ def recover_class(arr: Arrangement) -> Recovery:
     q = line_intersect(rest[0], rest[1])
     for l in rest[2:]:
         if not l.contains(q):
-            raise AssertionError("extra lines are not concurrent")
+            raise CertificationError("extra lines are not concurrent")
     u = line_through(p1, q)
     v = line_through(p2, q)
     if u not in arr.line_set or v not in arr.line_set:
-        raise AssertionError("joining lines missing from the arrangement")
+        raise CertificationError("joining lines missing from the arrangement")
     lambdas = [_pencil_ratio(l, u, v) for l in rest]
     ref = lambdas[0]
     exps = []
@@ -121,7 +121,7 @@ def recover_class(arr: Arrangement) -> Recovery:
         try:
             exps.append(exponent_in_mu(t, n))
         except ValueError as exc:
-            raise AssertionError(
+            raise CertificationError(
                 f"ratio is not an n-th root of unity: {exc}"
             ) from exc
     return Recovery(canonicalize(n, exps), k == n)
@@ -137,4 +137,4 @@ def _pencil_ratio(l, u, v):
                 alpha = lc[i] * vc[j] - lc[j] * vc[i]
                 beta = uc[i] * lc[j] - uc[j] * lc[i]
                 return alpha / beta
-    raise AssertionError("pencil basis is degenerate")
+    raise CertificationError("pencil basis is degenerate")

@@ -5,17 +5,25 @@ import json
 import random
 from fractions import Fraction
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import linarr.projgeo as projgeo
+from linarr.classify import modular_points
 from linarr.families import (
     ConeSpec,
     a_of_w,
+    adversarial_vertex,
     cone,
     full_monomial,
     generic_arrangement,
     generic_vertex,
 )
 from linarr.field import cyc_field
+from linarr.linalg import split_prime
 from linarr.projgeo import (
     Arrangement,
     ProjLine,
@@ -322,3 +330,133 @@ def test_census_pair_identity_all():
         c = census(arr)
         d = len(arr)
         assert sum(v * k * (k - 1) // 2 for k, v in c.items()) == d * (d - 1) // 2
+
+
+def pairwise_lattice(arr):
+    """The exact all-pairs grouping, kept as the oracle for build_lattice:
+    every pair of lines intersected over the exact field and grouped by the
+    normalized point, ordered by multiplicity, then by coefficients."""
+    seen = {}
+    lines = arr.lines
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            seen.setdefault(line_intersect(lines[i], lines[j]), set()).update((i, j))
+    items = sorted(seen.items(), key=lambda kv: (-len(kv[1]), kv[0].sort_key()))
+    return (
+        tuple(p for p, _ in items),
+        tuple(len(inc) for _, inc in items),
+        tuple(tuple(sorted(inc)) for _, inc in items),
+    )
+
+
+def fresh_lattice(arr):
+    """build_lattice without the lattice cache, so the grouping really runs."""
+    with mock.patch.dict(projgeo._LATTICE_CACHE, clear=True):
+        lat = build_lattice(arr)
+    return lat
+
+
+def as_tuple(lat):
+    return lat.points, lat.mult, lat.incidence
+
+
+def embed(arr, F):
+    """A rational arrangement with its coefficients read in F."""
+    return Arrangement(
+        F,
+        [ProjLine(F, [F.scalar(c.as_fraction()) for c in l.coords]) for l in arr.lines],
+    )
+
+
+@st.composite
+def arrangements(draw):
+    F = cyc_field(draw(st.sampled_from((1, 3, 4, 5, 8, 12))))
+    n = F.order
+    kind = draw(st.sampled_from(("generic", "full_monomial", "a_of_w", "cone")))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "full_monomial":
+        return full_monomial(n)
+    if kind == "a_of_w":
+        w = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        return a_of_w(n, w)
+    if kind == "generic":
+        return embed(generic_arrangement(draw(st.integers(3, 6)), seed=seed), F)
+    # a triangle has no diagonal for an adversarial vertex to sit on
+    base = generic_arrangement(draw(st.integers(4, 5)), seed=seed)
+    if draw(st.booleans()):
+        vertex = generic_vertex(base, seed=seed)
+    else:
+        vertex = adversarial_vertex(base, seed=seed)
+    return embed(cone(ConeSpec(base, vertex, draw(st.integers(0, 2)), seed)), F)
+
+
+def image(M, p):
+    F = p.field
+    return ProjPoint(
+        F,
+        tuple(
+            sum((F.scalar(M[r][c]) * p.coords[c] for c in range(3)), F.zero)
+            for r in range(3)
+        ),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrangements(), st.data())
+def test_lattice_matches_pairwise_oracle_property(arr, data):
+    lat = fresh_lattice(arr)
+    assert as_tuple(lat) == pairwise_lattice(arr)
+    mods = set(modular_points(arr, lat))
+
+    # Permuted lines: the same points, incidences relabelled, same answers.
+    perm = data.draw(st.permutations(range(len(arr))))
+    shuffled = Arrangement(arr.field, [arr.lines[k] for k in perm])
+    lat_s = fresh_lattice(shuffled)
+    assert {
+        p: tuple(sorted(perm[k] for k in inc))
+        for p, inc in zip(lat_s.points, lat_s.incidence)
+    } == dict(zip(lat.points, lat.incidence))
+    assert lat_s.census() == lat.census()
+    assert set(modular_points(shuffled, lat_s)) == mods
+
+    # Moved by a projective transform: the oracle again, and the modular
+    # points are the images of the old ones.
+    M = random_invertible_matrix(random.Random(data.draw(st.integers(0, 10**6))))
+    moved = apply_transform(arr, M)
+    lat_m = fresh_lattice(moved)
+    assert as_tuple(lat_m) == pairwise_lattice(moved)
+    assert lat_m.census() == lat.census()
+    assert set(modular_points(moved, lat_m)) == {(image(M, p), m) for p, m in mods}
+
+
+# Primes 7 and 13 are 1 mod 3.  For the first two arrangements, 7 divides a
+# denominator or makes two lines coincide, and at 13 two distinct exact
+# points meet mod p; only the exact incidence check notices the second.
+# full_monomial(3) moved has a denominator divisible by both.
+BAD_PRIME_CASES = {
+    "generic, bad denominator then collision": lambda: embed(
+        generic_arrangement(6, seed=0), cyc_field(3)
+    ),
+    "generic, coincident lines then collision": lambda: embed(
+        generic_arrangement(6, seed=1), cyc_field(3)
+    ),
+    "moved full_monomial(3), two bad denominators": lambda: apply_transform(
+        full_monomial(3), random_invertible_matrix(random.Random(0))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PRIME_CASES))
+def test_lattice_survives_bad_primes(name, monkeypatch):
+    tiny = (7, 13)
+    tried = []
+
+    def primes(n, skip=0):
+        tried.append(skip)
+        return tiny[skip] if skip < len(tiny) else split_prime(n, skip - len(tiny))
+
+    arr = BAD_PRIME_CASES[name]()
+    monkeypatch.setattr(projgeo, "split_prime", primes)
+    lat = fresh_lattice(arr)
+    assert as_tuple(lat) == pairwise_lattice(arr)
+    assert tried == [0, 1, 2]

@@ -1,11 +1,15 @@
 """Canonical classes, enumeration, prediction, and recovery round-trips."""
 
+import dataclasses
 import random
 
 import pytest
 
+import linarr.wclass as wclass
+from linarr import CertificationError
 from linarr.families import a_of_w, full_monomial, near_pencil, pencil
 from linarr.projgeo import (
+    ProjLine,
     apply_transform,
     build_lattice,
     lattice_isomorphic,
@@ -16,6 +20,7 @@ from linarr.wclass import (
     canonicalize,
     enumerate_classes,
     predicted_modular_count,
+    _pencil_ratio,
     recover_class,
 )
 
@@ -122,6 +127,22 @@ def test_recover_rejects_bad_inputs():
         recover_class(near_pencil(6))
     with pytest.raises(ValueError):
         recover_class(near_pencil(3))  # triangle: modular multiplicity 2
+
+
+def test_failed_structural_checks_raise_certification_error(monkeypatch):
+    # A structural check that fails is a failed certificate, which callers
+    # must tell apart from a bug; an AssertionError would not let them.
+    arr = a_of_w(4, (0, 1))
+    stray = ProjLine(arr.field, (1, 2, 3))  # not a line of arr
+    monkeypatch.setattr(wclass, "line_through", lambda p, q: stray)
+    with pytest.raises(CertificationError, match="joining lines"):
+        recover_class(arr)
+    u = arr.lines[0]
+    with pytest.raises(CertificationError, match="degenerate"):
+        _pencil_ratio(arr.lines[1], u, u)
+    lat = build_lattice(arr)
+    with pytest.raises(CertificationError, match="pair count"):
+        dataclasses.replace(lat, d=lat.d + 1).census()
 
 
 def test_exponent_doubling_preserves_lattice_at_order_five():
