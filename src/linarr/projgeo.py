@@ -43,7 +43,7 @@ def _normalize(field: CycField, triple) -> tuple[CycNumber, ...]:
             coords.append(c)
         else:
             coords.append(field.scalar(c))
-    k = next((k for k, c in enumerate(coords) if c), None)
+    k = next((i for i, c in enumerate(coords) if c), None)
     if k is None:
         raise ValueError("zero triple is not projective")
     lead = coords[k]

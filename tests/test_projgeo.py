@@ -237,19 +237,25 @@ def test_apply_transform_preserves_census():
         assert census(moved) == base
 
 
+def image(M, p):
+    """The point M p."""
+    F = p.field
+    return ProjPoint(
+        F,
+        tuple(
+            sum((F.scalar(M[r][c]) * p.coords[c] for c in range(3)), F.zero)
+            for r in range(3)
+        ),
+    )
+
+
 def test_apply_transform_moves_points_correctly():
     M = ((1, 2, 0), (0, 1, 0), (3, 0, 1))
     moved = apply_transform(FULL_TRIANGLE, M)
     lat0 = build_lattice(FULL_TRIANGLE)
     # image of each lattice point lies on the image arrangement's lines
     for p in lat0.points:
-        img = ProjPoint(
-            Q,
-            tuple(
-                sum((Q.scalar(M[r][c]) * p.coords[c] for c in range(3)), Q.zero)
-                for r in range(3)
-            ),
-        )
+        img = image(M, p)
         n_through = sum(1 for l in moved.lines if l.contains(img))
         assert n_through >= 2
 
@@ -388,17 +394,6 @@ def arrangements(draw):
     else:
         vertex = adversarial_vertex(base, seed=seed)
     return embed(cone(ConeSpec(base, vertex, draw(st.integers(0, 2)), seed)), F)
-
-
-def image(M, p):
-    F = p.field
-    return ProjPoint(
-        F,
-        tuple(
-            sum((F.scalar(M[r][c]) * p.coords[c] for c in range(3)), F.zero)
-            for r in range(3)
-        ),
-    )
 
 
 @settings(max_examples=40, deadline=None)
