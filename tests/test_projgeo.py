@@ -4,7 +4,6 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-
 from unittest import mock
 
 import pytest
@@ -358,8 +357,7 @@ def pairwise_lattice(arr):
 def fresh_lattice(arr):
     """build_lattice without the lattice cache, so the grouping really runs."""
     with mock.patch.dict(projgeo._LATTICE_CACHE, clear=True):
-        lat = build_lattice(arr)
-    return lat
+        return build_lattice(arr)
 
 
 def as_tuple(lat):
