@@ -6,15 +6,17 @@ pairs of such restrictions, and the vanishing dimension at the nodes of a
 generic arrangement.  Everything is certified over the exact field; modular
 arithmetic only ever shortcuts a computation whose outcome it proves.
 
-Kernel questions go to split primes p = 1 (mod n) first: a zero kernel at
-one root of unity mod p proves a zero exact kernel, and a nonzero one is
-reported only for a vector, lifted by interpolation, CRT and rational
-reconstruction, that passes an exact check.  Restriction exponents take one
-such rank: a rank-two multiarrangement is free (Ziegler), so at degree
-p0 = ceil(total/2) - 1 its derivations have dimension max(0, p0 - d1 + 1),
-which gives d1.  That d1 is certified by a zero kernel mod p at d1 - 1 and
-a lifted derivation at d1 checked by exact divisibility.  Exact elimination
-is the fallback once a budget of primes runs out.
+Every dimension is a certified nullity on split primes p = 1 (mod n)
+(linalg.certified_nullity): a zero kernel at one root of unity mod p
+proves a zero exact kernel, and a nonzero one is reported only for a kernel
+basis, lifted by interpolation, CRT and rational reconstruction, whose
+every vector passes an exact check.  Restriction exponents start from one
+uncertified rank: a rank-two multiarrangement is free (Ziegler), so at
+degree p0 = ceil(total/2) - 1 its derivations have dimension
+max(0, p0 - d1 + 1), which proposes d1.  That d1 is kept once a zero kernel
+mod p at d1 - 1 and a certified nonzero nullity at d1, its derivations
+checked by exact divisibility, confirm it; otherwise d1 is read from the
+certified nullity at p0.
 """
 
 from __future__ import annotations
@@ -23,18 +25,7 @@ from dataclasses import dataclass
 
 from .classify import is_supersolvable, modular_points, tjurina_census
 from .field import CertificationError, CycField, CycNumber, cyc_to_strings
-from .linalg import (
-    crt_pair,
-    fp_kernel_vector,
-    fp_nullity,
-    interpolate,
-    kernel_vector,
-    lift_flat_vector,
-    nullity,
-    reduce_at,
-    split_prime,
-    split_roots,
-)
+from .linalg import certified_nullity, nullity, omega_nullity, reduce_at
 from .projgeo import Arrangement, build_lattice
 
 
@@ -308,83 +299,7 @@ def _gauged_rows(arr: Arrangement, r: int):
     return rows, ncols
 
 
-_EXACT_COLS = 40
-
 _SYZ_CACHE: dict[tuple[Arrangement, int], bool] = {}
-
-# Split primes tried before a kernel question falls back to exact elimination.
-_PRIME_BUDGET = 8
-
-
-def _omega_nullity(F: CycField, ncols: int, rows_at) -> int | None:
-    """Nullity at omega mod the first split prime the rows reduce at, an
-    upper bound on the exact nullity; None when none in the budget does."""
-    for skip in range(_PRIME_BUDGET):
-        p = split_prime(F.order, skip)
-        try:
-            return fp_nullity(rows_at(split_roots(F.order, p)[0], p), ncols, p)
-        except ZeroDivisionError:
-            pass
-    return None
-
-
-def _dot_is_zero(rows, vec) -> bool:
-    for row in rows:
-        acc = None
-        for x, y in zip(row, vec):
-            if x and y:
-                acc = x * y if acc is None else acc + x * y
-        if acc:
-            return False
-    return True
-
-
-def _split_kernel(F: CycField, ncols: int, rows_at, check) -> bool | None:
-    """Certified nonzero-kernel test on split primes p = 1 (mod n).
-
-    rows_at(root, p) is the system's image under zeta -> root, or raises
-    ZeroDivisionError at a bad prime.  False: a zero kernel at omega, which
-    proves a zero exact kernel.  True: kernel vectors at every root with
-    identical pivots, interpolated, combined by CRT with every earlier
-    prime of the same pivots, reconstructed, and passed by the exact
-    check(vector).  None: the prime budget ran out.
-    """
-    acc: dict[tuple[int, ...], tuple[int, list[int]]] = {}
-    for skip in range(_PRIME_BUDGET):
-        p = split_prime(F.order, skip)
-        roots = split_roots(F.order, p)
-        vecs, pivs = [], []
-        try:
-            for root in roots:
-                vec, piv = fp_kernel_vector(rows_at(root, p), ncols, p)
-                if vec is None:
-                    return False
-                vecs.append(vec)
-                pivs.append(piv)
-        except ZeroDivisionError:
-            continue
-        if any(piv != pivs[0] for piv in pivs):
-            continue
-        flat = interpolate(vecs, roots, F, p)
-        mod, prev = acc.get(tuple(pivs[0]), (1, None))
-        if prev is not None:
-            flat = [crt_pair(a, mod, b, p) for a, b in zip(prev, flat)]
-        mod *= p
-        acc[tuple(pivs[0])] = (mod, flat)
-        lifted = lift_flat_vector(flat, F, mod)
-        if lifted is not None and any(lifted) and check(lifted):
-            return True
-    return None
-
-
-def _kernel_nonzero(rows, ncols: int, F: CycField) -> bool:
-    """Certified test for a nonzero kernel over the exact field: split
-    primes, then exact elimination once the prime budget runs out."""
-    hit = _split_kernel(F, ncols, lambda root, p: reduce_at(rows, root, p),
-                        lambda vec: _dot_is_zero(rows, vec))
-    if hit is None:
-        return kernel_vector(rows, ncols, F.one, F.zero) is not None
-    return hit
 
 
 def _syz_nonzero_at(arr: Arrangement, r: int) -> bool:
@@ -404,27 +319,14 @@ def _syz_nonzero_at(arr: Arrangement, r: int) -> bool:
         # only grow with degree, so existence at r follows.
         _SYZ_CACHE[key] = True
         return True
-    rows, ncols = _gauged_rows(arr, r)
-    hit = _kernel_nonzero(rows, ncols, arr.field)
+    hit = nullity(*_gauged_rows(arr, r)) > 0
     _SYZ_CACHE[key] = hit
     return hit
 
 
 def syzygy_dimension(arr: Arrangement, r: int) -> int:
-    """Dimension of the degree-r relation space.
-
-    Informational companion to the certified mdr machinery: large systems
-    are measured at one root of unity modulo a split prime, which bounds
-    the exact dimension from above and equals it unless the prime is
-    unlucky.
-    """
-    rows, ncols = _gauged_rows(arr, r)
-    if ncols > _EXACT_COLS:
-        dim = _omega_nullity(arr.field, ncols,
-                             lambda root, p: reduce_at(rows, root, p))
-        if dim is not None:
-            return dim
-    return nullity(rows, ncols)
+    """Dimension of the degree-r relation space, certified."""
+    return nullity(*_gauged_rows(arr, r))
 
 
 def mdr(arr: Arrangement, bound: int | None = None) -> int | None:
@@ -577,10 +479,10 @@ def _restriction_rows(forms, mult, deg: int, zero, one) -> list[list]:
 
 
 def _multi_dim(R: MultiRestriction, deg: int) -> int:
-    """dim of the degree-deg derivations of the multirestriction, exact."""
-    F = R.field
-    return nullity(_restriction_rows(R.forms, R.mult, deg, F.zero, F.one),
-                   2 * deg + 2)
+    """dim of the degree-deg derivations of the multirestriction, certified."""
+    return certified_nullity(R.field, 2 * deg + 2,
+                             lambda root, p: _fp_rows(R, deg, root, p),
+                             lambda vec: _derives(R, deg, vec))
 
 
 def _fp_rows(R: MultiRestriction, deg: int, root: int, p: int):
@@ -594,8 +496,9 @@ def _fp_rows(R: MultiRestriction, deg: int, root: int, p: int):
 
 
 def _fp_dim(R: MultiRestriction, deg: int) -> int | None:
-    return _omega_nullity(R.field, 2 * deg + 2,
-                          lambda root, p: _fp_rows(R, deg, root, p))
+    """Uncertified upper bound on _multi_dim, from one root mod p."""
+    return omega_nullity(R.field, 2 * deg + 2,
+                         lambda root, p: _fp_rows(R, deg, root, p))
 
 
 def _derives(R: MultiRestriction, deg: int, vec) -> bool:
@@ -637,9 +540,9 @@ def multi_exponents(
     d1 is the closed form total - s + 1 (s points) when the count bound
     total - s + 1 <= s - 1 admits it and force_kernel is false, else one
     rank mod p at p0 = ceil(total/2) - 1 (_hilbert_d1), and is returned once
-    certified on both sides.  Past the prime budget it is read from the
-    exact nullity at p0: CertificationError if no d1 fits that or it
-    contradicts the closed form.
+    certified on both sides.  Otherwise it is read from the certified
+    nullity at p0: CertificationError if no d1 fits that or it contradicts
+    the closed form.
     """
     total = R.total
     s = len(R.forms)
@@ -650,11 +553,9 @@ def multi_exponents(
     else:
         null = _fp_dim(R, p0)
         d1 = None if null is None else _hilbert_d1(total, null)
-    if d1 is not None and (d1 == 0 or _fp_dim(R, d1 - 1) == 0):
-        if _split_kernel(R.field, 2 * d1 + 2,
-                         lambda root, p: _fp_rows(R, d1, root, p),
-                         lambda vec: _derives(R, d1, vec)):
-            return (d1, total - d1)
+    if (d1 is not None and (d1 == 0 or _fp_dim(R, d1 - 1) == 0)
+            and _multi_dim(R, d1)):
+        return (d1, total - d1)
     null = _multi_dim(R, p0)
     exact = _hilbert_d1(total, null)
     if exact is None or (closed and exact != d1):

@@ -1,15 +1,14 @@
-"""Exact linear algebra over cyclotomic fields, plus mod-p certificates.
+"""Certified linear algebra over cyclotomic fields, on split primes.
 
-The exact routines work on any element type supporting +, -, *, / and
-truthiness (CycNumber and Fraction both qualify).  The mod-p routines use a
-split prime p = 1 (mod n), for which Phi_n has the phi(n) distinct roots
+A split prime p = 1 (mod n) has Phi_n split into the phi(n) distinct roots
 omega^k mod p, k in (Z/n)*.  Sending zeta to one of them maps Q(zeta_n),
 away from denominators divisible by p, onto F_p as a ring map, so a matrix
-keeps its size and its rank can only drop.  The results are used as rank
-certificates, never as approximations: a nullity of zero at one root proves
-the exact nullity is zero, and kernel vectors computed at every root are
-interpolated back to power-basis coefficients, lifted by rational
-reconstruction and re-verified exactly by the caller.
+keeps its size and its rank can only drop.  Every dimension comes from
+certified_nullity: the nullity mod p bounds the exact one from above, and a
+kernel basis computed at every root, interpolated back to power-basis
+coefficients, combined by CRT across primes, lifted by rational
+reconstruction and checked exactly, bounds it from below.  There is no
+exact elimination: an answer is certified, or CertificationError is raised.
 """
 
 from __future__ import annotations
@@ -17,100 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .field import CycField, CycNumber
+from .field import CertificationError, CycField, CycNumber
 
-
-def _complexity(x) -> int:
-    if isinstance(x, CycNumber):
-        return sum(a.bit_length() for a in x.num) + x.den.bit_length()
-    if isinstance(x, Fraction):
-        return x.numerator.bit_length() + x.denominator.bit_length()
-    return 1
-
-
-def echelon(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """Row reduce in place over the exact field.
-
-    Returns the reduced rows and the list of pivot columns.  Pivots are
-    chosen by smallest coefficient size to limit expression growth.
-    """
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    head = 0
-    for col in range(ncols):
-        best = None
-        best_size = None
-        for i in range(head, len(rows)):
-            x = rows[i][col]
-            if x:
-                size = _complexity(x)
-                if best is None or size < best_size:
-                    best, best_size = i, size
-        if best is None:
-            continue
-        rows[head], rows[best] = rows[best], rows[head]
-        piv_row = rows[head]
-        piv = piv_row[col]
-        for i in range(len(rows)):
-            if i == head:
-                continue
-            x = rows[i][col]
-            if x:
-                factor = x / piv
-                row = rows[i]
-                for j in range(col, ncols):
-                    v = piv_row[j]
-                    if v:
-                        row[j] = row[j] - factor * v
-        pivots.append(col)
-        head += 1
-        if head == len(rows):
-            break
-    return rows, pivots
-
-
-def rank(rows: list[list], ncols: int) -> int:
-    return len(echelon(rows, ncols)[1])
-
-
-def nullity(rows: list[list], ncols: int) -> int:
-    if not rows:
-        return ncols
-    return ncols - rank(rows, ncols)
-
-
-def kernel_basis(rows: list[list], ncols: int, one, zero) -> list[list]:
-    """Basis of the right kernel, exact.
-
-    echelon() fully reduces, so each pivot column is nonzero in its own row
-    only and the kernel reads off directly from the free columns.
-    """
-    if not rows:
-        return [
-            [one if j == i else zero for j in range(ncols)] for i in range(ncols)
-        ]
-    red, pivots = echelon(rows, ncols)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            v = red[r][fc]
-            if v:
-                vec[pc] = -v / red[r][pc]
-        basis.append(vec)
-    return basis
-
-
-def kernel_vector(rows: list[list], ncols: int, one, zero):
-    """One nonzero kernel vector, or None if the kernel is trivial."""
-    basis = kernel_basis(rows, ncols, one, zero)
-    return basis[0] if basis else None
-
-
-# --- mod-p support -----------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -289,33 +196,31 @@ def fp_nullity(rows: list[list[int]], ncols: int, p: int) -> int:
     return ncols - len(fp_echelon(rows, p))
 
 
-def fp_kernel_vector(rows: list[list[int]], ncols: int, p: int):
-    """One kernel vector mod p with the first free variable set to 1,
-    or None when the matrix has full column rank.  Deterministic given
-    the matrix, so vectors from different primes are CRT-compatible."""
-    if not rows:
-        if ncols == 0:
-            return None, []
-        vec = [0] * ncols
-        vec[0] = 1
-        return vec, []
+def fp_kernel_basis(rows: list[list[int]], ncols: int, p: int):
+    """Kernel basis mod p and the pivot columns.  One vector per free
+    column, with 1 on that column and 0 on the other free columns, so the
+    basis is determined by the matrix and bases from different primes with
+    the same pivots are CRT-compatible."""
     pivots = fp_echelon(rows, p)
+    # the nonzero entries of each pivot row on the later pivot columns
+    tails = [
+        [(pc, rows[r][pc]) for pc in pivots[r + 1:] if rows[r][pc]]
+        for r in range(len(pivots))
+    ]
     pivot_set = set(pivots)
-    fc = next((c for c in range(ncols) if c not in pivot_set), None)
-    if fc is None:
-        return None, pivots
-    vec = [0] * ncols
-    vec[fc] = 1
-    for r in range(len(pivots) - 1, -1, -1):
-        pc = pivots[r]
-        row = rows[r]
-        total = row[fc]
-        for pc2 in pivots[r + 1 :]:
-            v = row[pc2]
-            if v:
-                total += v * vec[pc2]
-        vec[pc] = -total % p
-    return vec, pivots
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[fc] = 1
+        for r in range(len(pivots) - 1, -1, -1):
+            total = rows[r][fc]
+            for pc, v in tails[r]:
+                total += v * vec[pc]
+            vec[pivots[r]] = -total % p
+        basis.append(vec)
+    return basis, pivots
 
 
 def crt_pair(a1: int, p1: int, a2: int, p2: int) -> int:
@@ -340,3 +245,94 @@ def lift_flat_vector(vec: list[int], F: CycField, modulus: int):
             coeffs.append(q)
         out.append(F.element(coeffs))
     return out
+
+
+def _dot_is_zero(rows, vec) -> bool:
+    for row in rows:
+        acc = None
+        for x, y in zip(row, vec):
+            if x and y:
+                acc = x * y if acc is None else acc + x * y
+        if acc:
+            return False
+    return True
+
+
+# Split primes tried per dimension question.  Only finitely many primes are
+# unlucky for a given system, so a true answer certifies once the CRT
+# modulus outgrows its kernel basis's coefficients (48 primes give about
+# 1440 bits); a check that never passes raises CertificationError here.
+_PRIME_CAP = 48
+
+
+def omega_nullity(F: CycField, ncols: int, rows_at) -> int | None:
+    """Nullity at omega mod the first split prime the rows reduce at: an
+    upper bound on the exact nullity, uncertified; None when no prime under
+    the cap reduces."""
+    for skip in range(_PRIME_CAP):
+        p = split_prime(F.order, skip)
+        try:
+            return fp_nullity(rows_at(split_roots(F.order, p)[0], p), ncols, p)
+        except ZeroDivisionError:
+            pass
+    return None
+
+
+def certified_nullity(F: CycField, ncols: int, rows_at, check) -> int:
+    """The exact nullity of a system over F, certified on split primes.
+
+    rows_at(root, p) is the system's image under zeta -> root, or raises
+    ZeroDivisionError at a bad prime; check(vector) tests exactly that a
+    vector over F lies in the kernel.  At each prime, a zero kernel at any
+    root proves a zero exact kernel.  Otherwise, when every root gives the
+    same pivots, the k basis vectors of fp_kernel_basis are interpolated,
+    combined by CRT with every earlier prime of the same pivots, and
+    reconstructed.  Once all k pass check, the exact nullity is k: they are
+    independent (1 on their own free column, 0 on the others), and k is
+    also the nullity mod p.  Raises CertificationError after _PRIME_CAP
+    primes.
+    """
+    acc: dict[tuple[int, ...], tuple[int, list[list[int]]]] = {}
+    for skip in range(_PRIME_CAP):
+        p = split_prime(F.order, skip)
+        roots = split_roots(F.order, p)
+        bases, pivs = [], []
+        try:
+            for root in roots:
+                basis, piv = fp_kernel_basis(rows_at(root, p), ncols, p)
+                if not basis:
+                    return 0
+                bases.append(basis)
+                pivs.append(piv)
+        except ZeroDivisionError:
+            continue
+        if any(piv != pivs[0] for piv in pivs):
+            continue
+        flats = [interpolate(vecs, roots, F, p) for vecs in zip(*bases)]
+        mod, prev = acc.get(tuple(pivs[0]), (1, None))
+        if prev is not None:
+            flats = [[crt_pair(a, mod, b, p) for a, b in zip(old, new)]
+                     for old, new in zip(prev, flats)]
+        mod *= p
+        acc[tuple(pivs[0])] = (mod, flats)
+        lifted = (lift_flat_vector(flat, F, mod) for flat in flats)
+        if all(vec is not None and check(vec) for vec in lifted):
+            return len(flats)
+    raise CertificationError(
+        f"nullity of a {ncols}-column system over Q(zeta_{F.order}) not "
+        f"certified within {_PRIME_CAP} split primes"
+    )
+
+
+def nullity(rows: list[list[CycNumber]], ncols: int) -> int:
+    """Certified nullity of a matrix with entries in one field Q(zeta_n)."""
+    if not rows or not ncols:
+        return ncols
+    return certified_nullity(
+        rows[0][0].field, ncols, lambda root, p: reduce_at(rows, root, p),
+        lambda vec: _dot_is_zero(rows, vec),
+    )
+
+
+def rank(rows: list[list[CycNumber]], ncols: int) -> int:
+    return ncols - nullity(rows, ncols)

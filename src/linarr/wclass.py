@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .classify import modular_points
-from .field import CertificationError, exponent_in_mu
+from .field import MAX_ORDER, CertificationError, exponent_in_mu
 from .projgeo import Arrangement, build_lattice, line_intersect, line_through
 
 
@@ -47,6 +47,8 @@ def canonicalize(n: int, exponents) -> WClass:
 def enumerate_classes(n: int, k: int) -> list[WClass]:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the supported maximum {MAX_ORDER}")
     return sorted({canonicalize(n, c) for c in combinations(range(n), k)})
 
 

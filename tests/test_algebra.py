@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -7,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exact_linalg
 import linarr.algebra as alg
+import linarr.linalg as la
+from exact_linalg import kernel_vector, nullity, rank
 from linarr.algebra import (
     MultiRestriction,
     Poly,
     _derives,
     _gauged_rows,
-    _kernel_nonzero,
     _multi_dim,
+    _restriction_rows,
     _syz_nonzero_at,
     defining_polynomial,
     is_balanced,
@@ -45,8 +49,13 @@ from linarr.families import (
     pencil,
 )
 from linarr.field import cyc_field
-from linarr.linalg import kernel_vector, rank
-from linarr.projgeo import Arrangement, ProjLine, build_lattice
+from linarr.projgeo import (
+    Arrangement,
+    ProjLine,
+    apply_transform,
+    build_lattice,
+    random_invertible_matrix,
+)
 
 
 def expand_factors(F, factors):
@@ -328,10 +337,17 @@ def test_balanced_exponent_gap_bound():
     assert d2 - d1 <= len(R.forms) - 2
 
 
+def _exact_multi_dim(R, deg):
+    F = R.field
+    rows = _restriction_rows(R.forms, R.mult, deg, F.zero, F.one)
+    return nullity(rows, 2 * deg + 2)
+
+
 def _scan_exponents(R):
-    """Reference exponents: the least degree with exact nullity > 0."""
+    """Reference exponents: the least degree with exact nullity > 0, by the
+    oracle's elimination."""
     p = 0
-    while _multi_dim(R, p) == 0:
+    while _exact_multi_dim(R, p) == 0:
         p += 1
     return (p, R.total - p)
 
@@ -358,6 +374,9 @@ def test_multi_exponents_match_exact_scan():
         want = _scan_exponents(R)
         assert multi_exponents(R) == want
         assert multi_exponents(R, force_kernel=True) == want
+        # the certified dimensions the CLI prints as degree_dims
+        for deg in range(want[0] + 1):
+            assert _multi_dim(R, deg) == _exact_multi_dim(R, deg)
 
 
 @st.composite
@@ -404,17 +423,20 @@ def test_derivation_check_rejects_perturbed_vector(monkeypatch):
 
     monkeypatch.setattr(alg, "_derives", spy)
     assert multi_exponents(R, force_kernel=True) == (3, 3)
-    [(deg, vec)] = lifted
+    # D_3 has dimension 2 at d1 = d2 = 3: both basis vectors are checked
+    assert {deg for deg, _ in lifted} == {3} and len(lifted) >= 2
     one = R.field.one
-    for j in range(len(vec)):
-        bad = list(vec)
-        bad[j] = bad[j] + one
-        assert not _derives(R, deg, bad)
+    for deg, vec in lifted:
+        for j in range(len(vec)):
+            bad = list(vec)
+            bad[j] = bad[j] + one
+            assert not _derives(R, deg, bad)
 
 
 def test_lower_side_refuses_a_high_candidate(monkeypatch):
     # An unlucky rank at p0 = 2 proposes d1 = 2; the zero-kernel test at
-    # degree 1 refuses it and the exact fallback gives the true d1 = 1.
+    # degree 1 refuses it and the certified nullity at p0 gives the true
+    # d1 = 1.
     arr = near_pencil(6)
     z = next(i for i, l in enumerate(arr.lines)
              if not l.coords[0] and not l.coords[1])
@@ -426,28 +448,52 @@ def test_lower_side_refuses_a_high_candidate(monkeypatch):
     assert multi_exponents(R, force_kernel=True) == (1, 4)
 
 
-def test_restriction_over_q_needs_three_primes(monkeypatch):
-    # Its kernel vector has coefficients too large to reconstruct from one
-    # or two primes; CRT over the primes so far certifies it without the
-    # exact fallback.
-    R = ziegler_restriction(_cone_over_q(3, 0, 1), 1)
-    assert R.field.order == 1 and R.mult == (2, 2, 1, 1)
-    want = _scan_exponents(R)
+def _count_primes_without_oracle(monkeypatch):
+    """Record the split primes linalg tries, and make the exact oracle
+    raise, so an answer can only come from the certified path."""
     skips = []
-    split_prime = alg.split_prime
+    split_prime = la.split_prime
 
     def counting_split_prime(n, skip):
         skips.append(skip)
         return split_prime(n, skip)
 
     def no_exact(*args):
-        raise AssertionError("exact fallback")
+        raise AssertionError("exact elimination")
 
-    monkeypatch.setattr(alg, "split_prime", counting_split_prime)
-    monkeypatch.setattr(alg, "_multi_dim", no_exact)
-    monkeypatch.setattr(alg, "nullity", no_exact)
+    monkeypatch.setattr(la, "split_prime", counting_split_prime)
+    for name in ("echelon", "rank", "nullity", "kernel_basis",
+                 "kernel_vector"):
+        monkeypatch.setattr(exact_linalg, name, no_exact)
+    return skips
+
+
+def test_restriction_over_q_needs_three_primes(monkeypatch):
+    # Its kernel vectors have coefficients too large to reconstruct from one
+    # or two primes; CRT over the primes so far certifies them.
+    R = ziegler_restriction(_cone_over_q(3, 0, 1), 1)
+    assert R.field.order == 1 and R.mult == (2, 2, 1, 1)
+    want = _scan_exponents(R)
+    skips = _count_primes_without_oracle(monkeypatch)
     assert multi_exponents(R, force_kernel=True) == want == (3, 3)
     assert max(skips) >= 2
+
+
+def test_wide_coefficients_certify_past_eight_primes(monkeypatch):
+    # At campaign seed 3, cone-d4-adversarial-e0-s2 restricts to four
+    # lines with mult (4, 2, 1, 1), whose degree-4 derivations have
+    # 125-137-bit coefficients: more than eight 30-bit primes of CRT.
+    [arr] = [a for label, a in _standard_pool(3, 1, 4)
+             if label == "cone-d4-adversarial-e0-s2"]
+    wide = [R for R in (ziegler_restriction(arr, i)
+                        for i in range(len(arr.lines)))
+            if R.mult == (4, 2, 1, 1)]
+    assert len(wide) == 4
+    skips = _count_primes_without_oracle(monkeypatch)
+    for R in wide:
+        del skips[:]
+        assert multi_exponents(R) == (4, 4)
+        assert max(skips) >= 8
 
 
 def test_relation_degree_out_of_range_raises():
@@ -523,6 +569,70 @@ def test_syzygy_dimension_free_resolution():
     assert syzygy_dimension(pencil(5), 0) == 1
 
 
+def test_wide_syzygy_dimension_matches_exact_oracle():
+    # 48 to 99 columns, past the old 40-column limit of exact elimination
+    arr = full_monomial(6)
+    for r in range(5, 9):
+        rows, ncols = _gauged_rows(arr, r)
+        assert ncols > 40
+        assert syzygy_dimension(arr, r) == nullity(rows, ncols)
+
+
+@st.composite
+def small_arrangements(draw):
+    kind = draw(st.sampled_from(
+        ("full_monomial", "a_of_w", "pencil", "near_pencil", "generic", "cone")
+    ))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "full_monomial":
+        return full_monomial(draw(st.integers(1, 3)))
+    if kind == "a_of_w":
+        n = draw(st.integers(2, 4))
+        return a_of_w(n, draw(st.lists(st.integers(0, n - 1), unique=True,
+                                       max_size=n)))
+    if kind == "pencil":
+        return pencil(draw(st.integers(3, 6)))
+    if kind == "near_pencil":
+        return near_pencil(draw(st.integers(4, 7)))
+    if kind == "generic":
+        return generic_arrangement(draw(st.integers(3, 6)), seed=seed)
+    return _cone_over_q(draw(st.integers(3, 4)), seed % 50, draw(st.integers(0, 1)))
+
+
+def _relation_answers(arr):
+    alg._SYZ_CACHE.clear()  # the cache treats a permutation as equal
+    d = len(arr.lines)
+    top = (d - 1) // 2
+    return (mdr(arr), [syzygy_dimension(arr, r) for r in range(top + 1)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_arrangements(), st.data())
+def test_relation_answers_invariant_property(arr, data):
+    want = _relation_answers(arr)
+    perm = data.draw(st.permutations(range(len(arr))))
+    shuffled = Arrangement(arr.field, [arr.lines[k] for k in perm])
+    M = random_invertible_matrix(random.Random(data.draw(st.integers(0, 10**6))))
+    moved = apply_transform(arr, M)
+    for other in (shuffled, moved):
+        assert _relation_answers(other) == want
+        if want[0] is not None:
+            alg._SYZ_CACHE.clear()
+            assert verify_mdr(other, want[0])
+            if want[0] > 0:
+                assert not verify_mdr(other, want[0] - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_arrangements(), st.integers(0, 10**6))
+def test_arrangement_json_round_trip_property(arr, seed):
+    moved = apply_transform(arr, random_invertible_matrix(random.Random(seed)))
+    for a in (arr, moved):
+        back = Arrangement.from_json(json.loads(json.dumps(a.to_json())))
+        assert back.lines == a.lines and back.field is a.field
+        assert back.to_json() == a.to_json()
+
+
 def test_kernel_nonzero_matches_exact_over_q_zeta_8():
     # full_monomial(4) written over Q(zeta_8): (Z/8)* is not cyclic, so only
     # a split prime gives a modular certificate here.
@@ -539,7 +649,8 @@ def test_kernel_nonzero_matches_exact_over_q_zeta_8():
     for r in (4, 5):
         rows, ncols = _gauged_rows(arr, r)
         exact = kernel_vector(rows, ncols, F.one, F.zero) is not None
-        assert _kernel_nonzero(rows, ncols, F) == exact == (r == 5)
+        assert (la.nullity(rows, ncols) > 0) == exact == (r == 5)
+        assert _syz_nonzero_at(arr, r) == exact
 
 
 def test_certificates_survive_optimize_flag():
@@ -553,7 +664,6 @@ z = next(i for i, l in enumerate(near_pencil(6).lines)
          if not l.coords[0] and not l.coords[1])
 R = alg.ziegler_restriction(near_pencil(6), z)
 alg._derives = lambda R, deg, vec: False
-alg.nullity = lambda rows, ncols: 1
 alg.tjurina_census = lambda lat: -1
 for call in (lambda: alg.multi_exponents(R),
              lambda: alg.supersolvable_exponents(full_monomial(1))):

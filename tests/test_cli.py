@@ -197,7 +197,15 @@ def test_bad_json_file_exits_two(tmp_path, capsys):
         '{"cyclotomic_order": 1, "lines": 5}',
         '{"cyclotomic_order": 1, "lines": [[["1/0"], ["0"], ["1"]]]}',
         '{"cyclotomic_order": 2.5, "lines": [[["1"], ["0"], ["0"]]]}',
+        # orders past the supported maximum: MemoryError and OverflowError
+        # before it was checked
+        '{"cyclotomic_order": 1000000000000000, "lines": [[["1"], ["0"], ["0"]]]}',
+        '{"cyclotomic_order": 100000000000000000000000, "lines": [[["1"], ["0"], ["0"]]]}',
     ):
         path = tmp_path / "junk.json"
         path.write_text(text)
         assert main(["analyze", str(path)]) == 2
+    capsys.readouterr()
+    assert main(["make", "full-monomial", str(10 ** 15)]) == 2
+    assert main(["enumerate-wclasses", str(10 ** 15), "2"]) == 2
+    assert capsys.readouterr().err.count("exceeds the supported maximum") == 2

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linarr.field import (
+    MAX_ORDER,
     CycField,
     cyc_field,
     cyc_from_strings,
@@ -123,6 +124,13 @@ def test_field_axioms_sampled(n):
         if a:
             assert a * (1 / a) == F.one
             assert (b / a) * a == b
+
+
+def test_order_ceiling():
+    assert len(cyclotomic_polynomial(MAX_ORDER)) == euler_phi(MAX_ORDER) + 1
+    for n in (MAX_ORDER + 1, 10 ** 15, 10 ** 23):
+        with pytest.raises(ValueError):
+            cyclotomic_polynomial(n)
 
 
 def test_division_by_zero():

@@ -2,17 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linarr.field import cyc_field, cyclotomic_polynomial, euler_phi
+import linarr.linalg as la
+from exact_linalg import kernel_basis, kernel_vector, nullity, rank
+from linarr.field import (
+    CertificationError,
+    cyc_field,
+    cyclotomic_polynomial,
+    euler_phi,
+)
 from linarr.linalg import (
-    fp_kernel_vector,
+    certified_nullity,
+    fp_kernel_basis,
     fp_nullity,
     interpolate,
-    kernel_basis,
-    kernel_vector,
     lift_flat_vector,
-    nullity,
-    rank,
     rational_reconstruct,
     reduce_at,
     split_prime,
@@ -57,6 +63,7 @@ def test_cyclotomic_rank():
     i = K.zeta
     rows = [[K.one, i], [i, K.scalar(-1)]]  # second row = i * first
     assert rank(rows, 2) == 1
+    assert la.rank(rows, 2) == 1 and la.nullity(rows, 2) == 1
     vec = kernel_vector(rows, 2, K.one, K.zero)
     assert vec is not None
     assert rows[0][0] * vec[0] + rows[0][1] * vec[1] == K.zero
@@ -140,7 +147,7 @@ def test_flat_kernel_vector_lifts_and_verifies():
     roots = split_roots(8, p)
     vecs = []
     for w in roots:
-        vec, pivots = fp_kernel_vector(reduce_at(rows, w, p), 3, p)
+        [vec], pivots = fp_kernel_basis(reduce_at(rows, w, p), 3, p)
         assert pivots == [0, 1]
         vecs.append(vec)
     lifted = lift_flat_vector(interpolate(vecs, roots, K, p), K, p)
@@ -158,8 +165,7 @@ def test_split_kernel_lift():
     rows = [[K.one, z, K.zero], [K.zero, K.one, z]]
     p = split_prime(3)
     roots = split_roots(3, p)
-    vecs = [fp_kernel_vector(reduce_at(rows, w, p), 3, p)[0] for w in roots]
-    assert all(v is not None for v in vecs)
+    vecs = [fp_kernel_basis(reduce_at(rows, w, p), 3, p)[0][0] for w in roots]
     lifted = lift_flat_vector(interpolate(vecs, roots, K, p), K, p)
     assert lifted is not None and any(lifted)
     for row in rows:
@@ -184,3 +190,89 @@ def test_crt_pair():
     assert a == 3
     b = crt_pair(5, 7, 9, 11)
     assert b % 7 == 5 and b % 11 == 9
+
+
+def test_fp_kernel_basis_has_one_vector_per_free_column():
+    p = split_prime(1)
+    rng = random.Random(3)
+    for _ in range(10):
+        left = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(5)]
+        right = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(2)]
+        rows = [[sum(a * b for a, b in zip(row, col)) % p
+                 for col in zip(*right)] for row in left]
+        basis, pivots = fp_kernel_basis([list(r) for r in rows], 6, p)
+        free = [c for c in range(6) if c not in pivots]
+        assert len(basis) == len(free) == fp_nullity(
+            [list(r) for r in rows], 6, p)
+        for vec, fc in zip(basis, free):
+            assert [vec[c] for c in free] == [int(c == fc) for c in free]
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, vec)) % p == 0
+
+
+@st.composite
+def matrices(draw):
+    """Small matrices over Q(zeta_n): random, or rank-deficient as a product
+    of two random factors, with zero rows mixed in."""
+    n = draw(st.sampled_from((1, 3, 4, 5, 8, 12)))
+    K = cyc_field(n)
+    coeff = st.builds(
+        Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+
+    def entry():
+        return K.element(draw(st.lists(coeff, min_size=K.degree,
+                                       max_size=K.degree)))
+
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        inner = draw(st.integers(0, 3))
+        left = [[entry() for _ in range(inner)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(inner)]
+        rows = [[sum((row[t] * right[t][j] for t in range(inner)), K.zero)
+                 for j in range(ncols)] for row in left]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [K.zero] * ncols)
+    return rows, ncols
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_certified_nullity_matches_exact_oracle(case):
+    rows, ncols = case
+    want = nullity([list(r) for r in rows], ncols)
+    assert la.nullity(rows, ncols) == want
+    assert la.rank(rows, ncols) == ncols - want
+
+
+def _one_row_system(K, ncols):
+    # one row (1, 0, ..., 0): the kernel basis is e_1, ..., e_(ncols-1)
+    row = [K.one] + [K.zero] * (ncols - 1)
+    return lambda root, p: reduce_at([row], root, p)
+
+
+def test_failing_check_raises_at_the_cap():
+    K = cyc_field(12)
+    calls = []
+
+    def never(vec):
+        calls.append(vec)
+        return False
+
+    with pytest.raises(CertificationError):
+        certified_nullity(K, 3, _one_row_system(K, 3), never)
+    assert len(calls) == la._PRIME_CAP
+
+
+@pytest.mark.parametrize("bad", (1, 2))
+def test_every_basis_vector_is_checked(bad):
+    # The check refuses only the basis vector with its 1 on column bad, so a
+    # nullity of 2 would be certified by checking the other vector alone.
+    K = cyc_field(3)
+    with pytest.raises(CertificationError):
+        certified_nullity(K, 3, _one_row_system(K, 3),
+                          lambda vec: not vec[bad])
+    assert certified_nullity(K, 3, _one_row_system(K, 3),
+                             lambda vec: True) == 2
