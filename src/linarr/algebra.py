@@ -10,13 +10,10 @@ Every dimension is a certified nullity on split primes p = 1 (mod n)
 (linalg.certified_nullity): a zero kernel at one root of unity mod p
 proves a zero exact kernel, and a nonzero one is reported only for a kernel
 basis, lifted by interpolation, CRT and rational reconstruction, whose
-every vector passes an exact check.  Restriction exponents start from one
-uncertified rank: a rank-two multiarrangement is free (Ziegler), so at
-degree p0 = ceil(total/2) - 1 its derivations have dimension
-max(0, p0 - d1 + 1), which proposes d1.  That d1 is kept once a zero kernel
-mod p at d1 - 1 and a certified nonzero nullity at d1, its derivations
-checked by exact divisibility, confirm it; otherwise d1 is read from the
-certified nullity at p0.
+every vector passes an exact check.  Restriction exponents take one such
+nullity: a rank-two multiarrangement is free (Ziegler), so at degree
+p0 = ceil(total/2) - 1 its derivations have dimension max(0, p0 - d1 + 1),
+which pins d1; derivations are checked by exact divisibility.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from dataclasses import dataclass
 
 from .classify import is_supersolvable, modular_points, tjurina_census
 from .field import CertificationError, CycField, CycNumber, cyc_to_strings
-from .linalg import certified_nullity, nullity, omega_nullity, reduce_at
+from .linalg import certified_nullity, nullity, reduce_at
 from .projgeo import Arrangement, build_lattice
 
 
@@ -299,29 +296,18 @@ def _gauged_rows(arr: Arrangement, r: int):
     return rows, ncols
 
 
-_SYZ_CACHE: dict[tuple[Arrangement, int], bool] = {}
-
-
 def _syz_nonzero_at(arr: Arrangement, r: int) -> bool:
-    """Whether a nonzero degree-r relation exists.  Exact answer, cached."""
-    key = (arr, r)
-    hit = _SYZ_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Whether a nonzero degree-r relation exists.  Exact answer."""
     d = len(arr.lines)
     if not 0 <= r <= d - 2:
         raise ValueError("relation degree out of range")
-    lat = build_lattice(arr)
-    if lat.mult[0] >= d - r:
+    if build_lattice(arr).mult[0] >= d - r:
         # A point on m >= d - r lines carries the derivation g d_P with
         # g the product of the forms missing the point: degree d - m <= r,
         # in every line's ideal, and never a multiple of E.  Relation spaces
         # only grow with degree, so existence at r follows.
-        _SYZ_CACHE[key] = True
         return True
-    hit = nullity(*_gauged_rows(arr, r)) > 0
-    _SYZ_CACHE[key] = hit
-    return hit
+    return nullity(*_gauged_rows(arr, r)) > 0
 
 
 def syzygy_dimension(arr: Arrangement, r: int) -> int:
@@ -495,12 +481,6 @@ def _fp_rows(R: MultiRestriction, deg: int, root: int, p: int):
             for row in _restriction_rows(red, R.mult, deg, 0, 1)]
 
 
-def _fp_dim(R: MultiRestriction, deg: int) -> int | None:
-    """Uncertified upper bound on _multi_dim, from one root mod p."""
-    return omega_nullity(R.field, 2 * deg + 2,
-                         lambda root, p: _fp_rows(R, deg, root, p))
-
-
 def _derives(R: MultiRestriction, deg: int, vec) -> bool:
     """Exact check that vec = (P, Q) is a derivation of degree deg: each
     cu P + cv Q divisible by alpha^min(mult, deg + 1), tested by synthetic
@@ -532,38 +512,22 @@ def _hilbert_d1(total: int, null: int) -> int | None:
     return None if total % 2 else total // 2
 
 
-def multi_exponents(
-    R: MultiRestriction, force_kernel: bool = False
-) -> tuple[int, int]:
+def multi_exponents(R: MultiRestriction) -> tuple[int, int]:
     """Exponent pair (d1, d2) of the restriction, d1 <= d2, summing to total.
 
-    d1 is the closed form total - s + 1 (s points) when the count bound
-    total - s + 1 <= s - 1 admits it and force_kernel is false, else one
-    rank mod p at p0 = ceil(total/2) - 1 (_hilbert_d1), and is returned once
-    certified on both sides.  Otherwise it is read from the certified
-    nullity at p0: CertificationError if no d1 fits that or it contradicts
-    the closed form.
+    One certified nullity at p0 = ceil(total/2) - 1 pins d1 through the
+    Hilbert function of the free rank-two module (_hilbert_d1);
+    CertificationError if no d1 fits it.
     """
-    total = R.total
-    s = len(R.forms)
-    closed = not force_kernel and total - s + 1 <= s - 1
-    p0 = (total + 1) // 2 - 1
-    if closed:
-        d1 = total - s + 1
-    else:
-        null = _fp_dim(R, p0)
-        d1 = None if null is None else _hilbert_d1(total, null)
-    if (d1 is not None and (d1 == 0 or _fp_dim(R, d1 - 1) == 0)
-            and _multi_dim(R, d1)):
-        return (d1, total - d1)
+    p0 = (R.total + 1) // 2 - 1
     null = _multi_dim(R, p0)
-    exact = _hilbert_d1(total, null)
-    if exact is None or (closed and exact != d1):
+    d1 = _hilbert_d1(R.total, null)
+    if d1 is None:
         raise CertificationError(
-            f"derivation dim {null} at degree {p0} of total {total} gives "
-            f"d1 = {exact}" + (f", closed form says {d1}" if closed else "")
+            f"derivation dim {null} at degree {p0} of total {R.total} "
+            f"fits no d1"
         )
-    return (exact, total - exact)
+    return (d1, R.total - d1)
 
 
 def is_balanced(R: MultiRestriction) -> bool:

@@ -265,19 +265,6 @@ def _dot_is_zero(rows, vec) -> bool:
 _PRIME_CAP = 48
 
 
-def omega_nullity(F: CycField, ncols: int, rows_at) -> int | None:
-    """Nullity at omega mod the first split prime the rows reduce at: an
-    upper bound on the exact nullity, uncertified; None when no prime under
-    the cap reduces."""
-    for skip in range(_PRIME_CAP):
-        p = split_prime(F.order, skip)
-        try:
-            return fp_nullity(rows_at(split_roots(F.order, p)[0], p), ncols, p)
-        except ZeroDivisionError:
-            pass
-    return None
-
-
 def certified_nullity(F: CycField, ncols: int, rows_at, check) -> int:
     """The exact nullity of a system over F, certified on split primes.
 

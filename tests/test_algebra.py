@@ -48,7 +48,7 @@ from linarr.families import (
     near_pencil,
     pencil,
 )
-from linarr.field import cyc_field
+from linarr.field import CertificationError, cyc_field
 from linarr.projgeo import (
     Arrangement,
     ProjLine,
@@ -248,7 +248,6 @@ def test_multi_exponents_boundary_cases():
         F, ((one, zero), (zero, one), (one, -one)), (1, 1, 1)
     )
     assert multi_exponents(simple3) == (1, 2)
-    assert multi_exponents(simple3, force_kernel=True) == (1, 2)
 
 
 def test_multi_exponents_braid_restriction():
@@ -260,7 +259,6 @@ def test_multi_exponents_braid_restriction():
     )
     R = ziegler_restriction(arr, x_index)
     assert multi_exponents(R) == (2, 3)
-    assert multi_exponents(R, force_kernel=True) == (2, 3)
 
 
 def test_multi_exponents_match_restriction_of_free_triples():
@@ -357,7 +355,9 @@ def _cone_over_q(dprime, seed, extra):
     return cone(ConeSpec(base, generic_vertex(base, seed=seed), extra, seed))
 
 
-def test_multi_exponents_match_exact_scan():
+def _scan_restrictions():
+    """Restrictions on maximal modular lines of the standard pool, and on
+    every line of two cones over Q."""
     restrictions = []
     for _, arr in _standard_pool(0, 3, 4):
         if is_pencil(arr) or not is_supersolvable(arr):
@@ -370,10 +370,13 @@ def test_multi_exponents_match_exact_scan():
             ziegler_restriction(arr, i) for i in range(len(arr.lines))
         ]
     assert len(restrictions) > 100
-    for R in restrictions:
+    return restrictions
+
+
+def test_multi_exponents_match_exact_scan():
+    for R in _scan_restrictions():
         want = _scan_exponents(R)
         assert multi_exponents(R) == want
-        assert multi_exponents(R, force_kernel=True) == want
         # the certified dimensions the CLI prints as degree_dims
         for deg in range(want[0] + 1):
             assert _multi_dim(R, deg) == _exact_multi_dim(R, deg)
@@ -406,9 +409,30 @@ def test_multi_exponents_property(case):
         F, tuple(forms[i] for i in order), tuple(mult[i] for i in order)
     )
     want = _scan_exponents(R)
-    for force in (False, True):
-        assert multi_exponents(R, force_kernel=force) == want
-        assert multi_exponents(shuffled, force_kernel=force) == want
+    assert multi_exponents(R) == want
+    assert multi_exponents(shuffled) == want
+
+
+def test_multi_exponents_asks_one_dimension_at_p0(monkeypatch):
+    asked = []
+
+    def spy(R, deg):
+        asked.append(deg)
+        return _multi_dim(R, deg)
+
+    monkeypatch.setattr(alg, "_multi_dim", spy)
+    for R in _scan_restrictions():
+        del asked[:]
+        multi_exponents(R)
+        assert asked == [(R.total + 1) // 2 - 1]
+
+
+def test_multi_exponents_raises_when_no_d1_fits(monkeypatch):
+    # dim D_p0 is at most p0 + 1 (reached at d1 = 0); p0 + 2 fits no d1
+    monkeypatch.setattr(alg, "_multi_dim", lambda R, deg: deg + 2)
+    for R in _scan_restrictions():
+        with pytest.raises(CertificationError):
+            multi_exponents(R)
 
 
 def test_derivation_check_rejects_perturbed_vector(monkeypatch):
@@ -422,8 +446,9 @@ def test_derivation_check_rejects_perturbed_vector(monkeypatch):
         return ok
 
     monkeypatch.setattr(alg, "_derives", spy)
-    assert multi_exponents(R, force_kernel=True) == (3, 3)
+    assert multi_exponents(R) == (3, 3)
     # D_3 has dimension 2 at d1 = d2 = 3: both basis vectors are checked
+    assert _multi_dim(R, 3) == 2
     assert {deg for deg, _ in lifted} == {3} and len(lifted) >= 2
     one = R.field.one
     for deg, vec in lifted:
@@ -431,21 +456,6 @@ def test_derivation_check_rejects_perturbed_vector(monkeypatch):
             bad = list(vec)
             bad[j] = bad[j] + one
             assert not _derives(R, deg, bad)
-
-
-def test_lower_side_refuses_a_high_candidate(monkeypatch):
-    # An unlucky rank at p0 = 2 proposes d1 = 2; the zero-kernel test at
-    # degree 1 refuses it and the certified nullity at p0 gives the true
-    # d1 = 1.
-    arr = near_pencil(6)
-    z = next(i for i, l in enumerate(arr.lines)
-             if not l.coords[0] and not l.coords[1])
-    R = ziegler_restriction(arr, z)
-    fp_dim = alg._fp_dim
-    monkeypatch.setattr(
-        alg, "_fp_dim", lambda R, deg: 1 if deg == 2 else fp_dim(R, deg)
-    )
-    assert multi_exponents(R, force_kernel=True) == (1, 4)
 
 
 def _count_primes_without_oracle(monkeypatch):
@@ -475,7 +485,9 @@ def test_restriction_over_q_needs_three_primes(monkeypatch):
     assert R.field.order == 1 and R.mult == (2, 2, 1, 1)
     want = _scan_exponents(R)
     skips = _count_primes_without_oracle(monkeypatch)
-    assert multi_exponents(R, force_kernel=True) == want == (3, 3)
+    assert multi_exponents(R) == want == (3, 3)
+    del skips[:]
+    assert _multi_dim(R, 3) == 2
     assert max(skips) >= 2
 
 
@@ -491,8 +503,9 @@ def test_wide_coefficients_certify_past_eight_primes(monkeypatch):
     assert len(wide) == 4
     skips = _count_primes_without_oracle(monkeypatch)
     for R in wide:
-        del skips[:]
         assert multi_exponents(R) == (4, 4)
+        del skips[:]
+        assert _multi_dim(R, 4) == 2
         assert max(skips) >= 8
 
 
@@ -600,7 +613,6 @@ def small_arrangements(draw):
 
 
 def _relation_answers(arr):
-    alg._SYZ_CACHE.clear()  # the cache treats a permutation as equal
     d = len(arr.lines)
     top = (d - 1) // 2
     return (mdr(arr), [syzygy_dimension(arr, r) for r in range(top + 1)])
@@ -617,7 +629,6 @@ def test_relation_answers_invariant_property(arr, data):
     for other in (shuffled, moved):
         assert _relation_answers(other) == want
         if want[0] is not None:
-            alg._SYZ_CACHE.clear()
             assert verify_mdr(other, want[0])
             if want[0] > 0:
                 assert not verify_mdr(other, want[0] - 1)

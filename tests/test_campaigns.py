@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import linarr.campaigns as campaigns
 from linarr.campaigns import CAMPAIGNS, run_campaign
 
 
@@ -84,6 +85,24 @@ def test_restriction_exponent_sweep_small():
     assert len(res.cases) > 0
     for c in res.cases:
         assert c.witness["exponents"] == c.witness["expected"]
+
+
+def test_kernel_answer_off_the_closed_form_fails_its_case(monkeypatch):
+    # The closed form (total - s + 1, s - 1) is an independent cross-check:
+    # a kernel answer that disagrees shows as a failed case, not a crash.
+    kernel = campaigns.multi_exponents
+
+    def off_by_one(R):
+        d1, d2 = kernel(R)
+        return (d1 + 1, d2 - 1)
+
+    monkeypatch.setattr(campaigns, "multi_exponents", off_by_one)
+    res = run_campaign("zmain-exponents", max_n=2, max_dprime=3)
+    checked = [c for c in res.cases if "easy_matches_kernel" in c.witness]
+    assert checked and not res.ok
+    for c in checked:
+        assert c.witness["easy_matches_kernel"] is False
+        assert c.verdict == "fail"
 
 
 def test_tjurina_sweep_small():

@@ -10,6 +10,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "linarr"
 EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
                 "_EXACT_COLS"}
 
+# Restriction exponents take one certified nullity (algebra.multi_exponents):
+# no uncertified guess to certify, no knob to bypass it, and no global cache
+# of relation answers.
+RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE"}
+
 
 def _names(tree):
     for node in ast.walk(tree):
@@ -24,15 +29,24 @@ def _names(tree):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            yield node.arg
 
 
-def test_no_exact_elimination_in_src():
+def _src_names_in(names):
     modules = sorted(SRC.glob("*.py"))
     assert any(path.name == "linalg.py" for path in modules)
-    found = {
+    return {
         (path.name, name)
         for path in modules
         for name in _names(ast.parse(path.read_text(), str(path)))
-        if name in EXACT_ENGINE
+        if name in names
     }
-    assert not found
+
+
+def test_no_exact_elimination_in_src():
+    assert not _src_names_in(EXACT_ENGINE)
+
+
+def test_no_guess_then_certify_in_src():
+    assert not _src_names_in(RETIRED)
