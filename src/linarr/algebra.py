@@ -3,17 +3,18 @@
 Defining polynomials, minimal degrees of Jacobian relations, restriction of
 an arrangement to one of its lines as a rank-two multiarrangement, exponent
 pairs of such restrictions, and the vanishing dimension at the nodes of a
-generic arrangement.  Everything is certified over the exact field; modular
-arithmetic only ever shortcuts a computation whose outcome it proves.
+generic arrangement.  Every answer is certified over the exact field.
 
-Every dimension is a certified nullity on split primes p = 1 (mod n)
-(linalg.certified_nullity): a zero kernel at one root of unity mod p
-proves a zero exact kernel, and a nonzero one is reported only for a kernel
-basis, lifted by interpolation, CRT and rational reconstruction, whose
-every vector passes an exact check.  Restriction exponents take one such
-nullity: a rank-two multiarrangement is free (Ziegler), so at degree
-p0 = ceil(total/2) - 1 its derivations have dimension max(0, p0 - d1 + 1),
-which pins d1; derivations are checked by exact divisibility.
+Every dimension is a certified nullity on split primes
+(linalg.certified_nullity), asked with the few inputs a system is built
+from, line coefficients or restricted forms, and a row builder generic over
+the element type (_gauged_rows, _restriction_rows).  linalg reduces the
+inputs and builds the rows mod p, so this module knows nothing of primes;
+exact rows are built only to check a lifted kernel vector.  Restriction
+exponents take one such nullity: a rank-two multiarrangement is free
+(Ziegler), so at degree p0 = ceil(total/2) - 1 its derivations have
+dimension max(0, p0 - d1 + 1), which pins d1; derivations are checked by
+exact divisibility.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .classify import is_supersolvable, modular_points, tjurina_census
 from .field import CertificationError, CycField, CycNumber, cyc_to_strings
-from .linalg import certified_nullity, nullity, reduce_at
+from .linalg import certified_nullity, nullity
 from .projgeo import Arrangement, build_lattice
 
 
@@ -233,21 +234,18 @@ def _conv(a: list, b: list, zero) -> list:
     return out
 
 
-def _ortho_pair(F: CycField, coeffs):
+def _ortho_pair(coeffs, zero):
     """Two independent points on the line with the given coefficients."""
     piv = next(i for i in range(3) if coeffs[i])
     pts = []
-    for o in range(3):
-        if o == piv:
-            continue
-        w = [F.zero] * 3
-        w[o] = coeffs[piv]
-        w[piv] = -coeffs[o]
-        pts.append(tuple(w))
-    return pts[0], pts[1]
+    for o in (i for i in range(3) if i != piv):
+        w = [zero] * 3
+        w[o], w[piv] = coeffs[piv], -coeffs[o]
+        pts.append(w)
+    return pts
 
 
-def _gauged_rows(arr: Arrangement, r: int):
+def _gauged_rows(lines, r: int, zero, one) -> list[list]:
     """Linear conditions whose kernel is the degree-r relation space.
 
     A relation a f_x + b f_y + c f_z = 0 of degree r is the same thing as a
@@ -259,19 +257,15 @@ def _gauged_rows(arr: Arrangement, r: int):
     dimension of the relation space on the nose.
 
     Unknowns are the coefficients of a and b on all degree-r monomials and of
-    c on the z-free ones.  For each line, theta(alpha) restricted to the line
-    must vanish; parametrizing the line by two points gives r+1 coefficient
-    rows per line.
+    c on the z-free ones, (r+1)(r+3) columns.  For each line (a coefficient
+    triple, of any element type) theta(alpha) restricted to the line must
+    vanish; two points on it give r+1 coefficient rows per line.
     """
-    F = arr.field
-    zero, one = F.zero, F.one
     mons = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
     zfree = [m for m in mons if m[2] == 0]
-    ncols = 2 * len(mons) + len(zfree)
     rows = []
-    for line in arr.lines:
-        cx, cy, cz = line.coords
-        P, Q = _ortho_pair(F, line.coords)
+    for coeffs in lines:
+        P, Q = _ortho_pair(coeffs, zero)
         pw = []
         for v in range(3):
             lin = [P[v], Q[v]]
@@ -285,15 +279,12 @@ def _gauged_rows(arr: Arrangement, r: int):
         }
         for t in range(r + 1):
             row = []
-            for c, group in ((cx, mons), (cy, mons), (cz, zfree)):
-                if c:
-                    for m in group:
-                        v = restr[m][t]
-                        row.append(c * v if v else zero)
-                else:
-                    row.extend([zero] * len(group))
+            for c, group in zip(coeffs, (mons, mons, zfree)):
+                for m in group:
+                    v = restr[m][t] if c else zero
+                    row.append(c * v if v else zero)
             rows.append(row)
-    return rows, ncols
+    return rows
 
 
 def _syz_nonzero_at(arr: Arrangement, r: int) -> bool:
@@ -307,12 +298,15 @@ def _syz_nonzero_at(arr: Arrangement, r: int) -> bool:
         # in every line's ideal, and never a multiple of E.  Relation spaces
         # only grow with degree, so existence at r follows.
         return True
-    return nullity(*_gauged_rows(arr, r)) > 0
+    return syzygy_dimension(arr, r) > 0
 
 
 def syzygy_dimension(arr: Arrangement, r: int) -> int:
     """Dimension of the degree-r relation space, certified."""
-    return nullity(*_gauged_rows(arr, r))
+    return certified_nullity(
+        arr.field, (r + 1) * (r + 3), [line.coords for line in arr.lines],
+        lambda lines, zero, one: _gauged_rows(lines, r, zero, one),
+    )
 
 
 def mdr(arr: Arrangement, bound: int | None = None) -> int | None:
@@ -466,19 +460,11 @@ def _restriction_rows(forms, mult, deg: int, zero, one) -> list[list]:
 
 def _multi_dim(R: MultiRestriction, deg: int) -> int:
     """dim of the degree-deg derivations of the multirestriction, certified."""
-    return certified_nullity(R.field, 2 * deg + 2,
-                             lambda root, p: _fp_rows(R, deg, root, p),
-                             lambda vec: _derives(R, deg, vec))
-
-
-def _fp_rows(R: MultiRestriction, deg: int, root: int, p: int):
-    """Image of the exact rows under zeta -> root.  W stays the exact
-    choice: a root where a nonzero cu vanishes raises ZeroDivisionError."""
-    red = reduce_at(R.forms, root, p)
-    if any(bool(x) != bool(cu) for (x, _), (cu, _) in zip(red, R.forms)):
-        raise ZeroDivisionError("a nonzero form coefficient vanishes mod p")
-    return [[x % p for x in row]
-            for row in _restriction_rows(red, R.mult, deg, 0, 1)]
+    return certified_nullity(
+        R.field, 2 * deg + 2, R.forms,
+        lambda forms, z, o: _restriction_rows(forms, R.mult, deg, z, o),
+        lambda vec: _derives(R, deg, vec),
+    )
 
 
 def _derives(R: MultiRestriction, deg: int, vec) -> bool:

@@ -3,7 +3,7 @@
 Subcommands construct arrangement files, analyze them, recover class data,
 run the algebra primitives, and drive verification campaigns.  Exit codes:
 0 on success, 1 when a verification campaign records a failure, 2 on usage
-or input errors.
+or input errors, among them a file too tall for its answers to certify.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .families import (
     near_pencil,
     pencil,
 )
+from .field import CertificationError
 from .projgeo import Arrangement
 from .wclass import enumerate_classes, recover_class
 
@@ -314,7 +315,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError,
+            CertificationError) as exc:
+        # campaigns build their own inputs: a certificate failing there is a bug
+        if isinstance(exc, CertificationError) and args.command == "verify":
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,18 +2,18 @@
 
 A split prime p = 1 (mod n) has Phi_n split into the phi(n) distinct roots
 omega^k mod p, k in (Z/n)*.  Sending zeta to one of them maps Q(zeta_n),
-away from denominators divisible by p, onto F_p as a ring map, so a matrix
-keeps its size and its rank can only drop.  Every dimension comes from
-certified_nullity: the nullity mod p bounds the exact one from above, and a
-kernel basis computed at every root, interpolated back to power-basis
-coefficients, combined by CRT across primes, lifted by rational
-reconstruction and checked exactly, bounds it from below.  There is no
-exact elimination: an answer is certified, or CertificationError is raised.
+away from denominators divisible by p, onto F_p as a ring map, under which
+a rank can only drop.  certified_nullity is the one place where a system
+meets F_p: it builds the rows mod p from the reduced inputs, for an upper
+bound, and checks exactly a kernel basis lifted by interpolation, CRT and
+rational reconstruction, for a lower one.  There is no exact elimination:
+an answer is certified, or CertificationError is raised.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 
 from .field import CertificationError, CycField, CycNumber
@@ -190,12 +190,6 @@ def fp_echelon(rows: list[list[int]], p: int) -> list[int]:
     return pivots
 
 
-def fp_nullity(rows: list[list[int]], ncols: int, p: int) -> int:
-    if not rows:
-        return ncols
-    return ncols - len(fp_echelon(rows, p))
-
-
 def fp_kernel_basis(rows: list[list[int]], ncols: int, p: int):
     """Kernel basis mod p and the pivot columns.  One vector per free
     column, with 1 on that column and 0 on the other free columns, so the
@@ -265,19 +259,27 @@ def _dot_is_zero(rows, vec) -> bool:
 _PRIME_CAP = 48
 
 
-def certified_nullity(F: CycField, ncols: int, rows_at, check) -> int:
+def certified_nullity(F: CycField, ncols: int, inputs, build,
+                      check=None) -> int:
     """The exact nullity of a system over F, certified on split primes.
 
-    rows_at(root, p) is the system's image under zeta -> root, or raises
-    ZeroDivisionError at a bad prime; check(vector) tests exactly that a
-    vector over F lies in the kernel.  At each prime, a zero kernel at any
-    root proves a zero exact kernel.  Otherwise, when every root gives the
-    same pivots, the k basis vectors of fp_kernel_basis are interpolated,
-    combined by CRT with every earlier prime of the same pivots, and
-    reconstructed.  Once all k pass check, the exact nullity is k: they are
-    independent (1 on their own free column, 0 on the others), and k is
-    also the nullity mod p.  Raises CertificationError after _PRIME_CAP
-    primes.
+    build(inputs, zero, one) returns the rows of the system from inputs,
+    rows of elements of F.  It must work for any element type: it may
+    branch only on whether an input entry is zero, and a zero test on a
+    computed value may only skip a term.  Then at a root of a split prime
+    where no nonzero input reduces to 0, build on the reduced inputs gives
+    the exact rows mod p; any other root, or a vanishing denominator, makes
+    the prime bad.  check(vector) tests exactly that a vector over F lies in
+    the kernel; by default it multiplies by the exact rows, built once, when
+    a basis first lifts.
+
+    A zero kernel at any root proves a zero exact kernel.  Otherwise, when
+    every root gives the same pivots, the k basis vectors of fp_kernel_basis
+    are interpolated, combined by CRT with every earlier prime of the same
+    pivots, and reconstructed.  Once all k pass check, the exact nullity is
+    k: they are independent (1 on their own free column, 0 on the others),
+    and k is also the nullity mod p.  Raises CertificationError after
+    _PRIME_CAP primes.
     """
     acc: dict[tuple[int, ...], tuple[int, list[list[int]]]] = {}
     for skip in range(_PRIME_CAP):
@@ -286,7 +288,12 @@ def certified_nullity(F: CycField, ncols: int, rows_at, check) -> int:
         bases, pivs = [], []
         try:
             for root in roots:
-                basis, piv = fp_kernel_basis(rows_at(root, p), ncols, p)
+                red = reduce_at(inputs, root, p)
+                if any(y and not x for xs, ys in zip(red, inputs)
+                       for x, y in zip(xs, ys)):
+                    raise ZeroDivisionError("a nonzero input vanishes mod p")
+                rows = [[x % p for x in row] for row in build(red, 0, 1)]
+                basis, piv = fp_kernel_basis(rows, ncols, p)
                 if not basis:
                     return 0
                 bases.append(basis)
@@ -302,8 +309,12 @@ def certified_nullity(F: CycField, ncols: int, rows_at, check) -> int:
                      for old, new in zip(prev, flats)]
         mod *= p
         acc[tuple(pivs[0])] = (mod, flats)
-        lifted = (lift_flat_vector(flat, F, mod) for flat in flats)
-        if all(vec is not None and check(vec) for vec in lifted):
+        lifted = [lift_flat_vector(flat, F, mod) for flat in flats]
+        if None in lifted:
+            continue
+        if check is None:
+            check = partial(_dot_is_zero, build(inputs, F.zero, F.one))
+        if all(map(check, lifted)):
             return len(flats)
     raise CertificationError(
         f"nullity of a {ncols}-column system over Q(zeta_{F.order}) not "
@@ -315,10 +326,8 @@ def nullity(rows: list[list[CycNumber]], ncols: int) -> int:
     """Certified nullity of a matrix with entries in one field Q(zeta_n)."""
     if not rows or not ncols:
         return ncols
-    return certified_nullity(
-        rows[0][0].field, ncols, lambda root, p: reduce_at(rows, root, p),
-        lambda vec: _dot_is_zero(rows, vec),
-    )
+    return certified_nullity(rows[0][0].field, ncols, rows,
+                             lambda rows, zero, one: rows)
 
 
 def rank(rows: list[list[CycNumber]], ncols: int) -> int:

@@ -185,7 +185,7 @@ class Arrangement:
                 if len(raw) != 3:
                     raise ValueError("each line needs three coefficients")
                 lines.append(ProjLine(F, [cyc_from_strings(F, c) for c in raw]))
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(
                 f"malformed arrangement JSON: {type(exc).__name__}: {exc}"
             ) from exc
@@ -219,9 +219,6 @@ class Lattice:
         if total != self.d * (self.d - 1) // 2:
             raise CertificationError("pair count identity violated")
         return dict(sorted(out.items()))
-
-    def point_index(self) -> dict[ProjPoint, int]:
-        return {p: i for i, p in enumerate(self.points)}
 
     def to_json(self) -> dict:
         return {

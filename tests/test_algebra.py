@@ -48,7 +48,7 @@ from linarr.families import (
     near_pencil,
     pencil,
 )
-from linarr.field import CertificationError, cyc_field
+from linarr.field import CertificationError, CycNumber, cyc_field
 from linarr.projgeo import (
     Arrangement,
     ProjLine,
@@ -545,8 +545,8 @@ def test_gauged_kernel_vector_gives_relation():
     arr = full_monomial(1)
     F = arr.field
     r = 2
-    rows, ncols = _gauged_rows(arr, r)
-    vec = kernel_vector(rows, ncols, F.one, F.zero)
+    rows = _gauged_rows([l.coords for l in arr.lines], r, F.zero, F.one)
+    vec = kernel_vector(rows, len(rows[0]), F.one, F.zero)
     assert vec is not None
     mons = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
     zfree = [m for m in mons if m[2] == 0]
@@ -585,10 +585,85 @@ def test_syzygy_dimension_free_resolution():
 def test_wide_syzygy_dimension_matches_exact_oracle():
     # 48 to 99 columns, past the old 40-column limit of exact elimination
     arr = full_monomial(6)
+    F = arr.field
     for r in range(5, 9):
-        rows, ncols = _gauged_rows(arr, r)
+        rows = _gauged_rows([l.coords for l in arr.lines], r, F.zero, F.one)
+        ncols = len(rows[0])
         assert ncols > 40
         assert syzygy_dimension(arr, r) == nullity(rows, ncols)
+
+
+def test_zero_kernel_relation_question_builds_no_exact_rows(monkeypatch):
+    # verify_mdr's r-1 side is a zero kernel mod p: rows built from the
+    # reduced line coordinates certify it, and exact rows are built only at
+    # r, once, to check the lifted vector
+    arr = full_monomial(3)
+    r = mdr(arr)
+    exact = []
+    real = alg._gauged_rows
+
+    def spy(lines, deg, zero, one):
+        if isinstance(zero, CycNumber):
+            exact.append(deg)
+        return real(lines, deg, zero, one)
+
+    monkeypatch.setattr(alg, "_gauged_rows", spy)
+    assert verify_mdr(arr, r)
+    assert exact == [r]
+
+
+def _primes_tried(monkeypatch):
+    seen = []
+    real = la.fp_kernel_basis
+
+    def spy(rows, ncols, p):
+        seen.append(p)
+        return real(rows, ncols, p)
+
+    monkeypatch.setattr(la, "fp_kernel_basis", spy)
+    return seen
+
+
+def test_restriction_input_vanishing_mod_p_skips_the_prime(monkeypatch):
+    # cu = p is nonzero but reduces to 0 mod p, where the rows would take
+    # the other W: that prime is bad, and the next ones certify
+    F = cyc_field(1)
+    p = la.split_prime(1)
+    R = MultiRestriction(
+        F,
+        ((F.scalar(p), F.one), (F.one, F.zero), (F.zero, F.one),
+         (F.one, F.one)),
+        (2, 2, 1, 1),
+    )
+    seen = _primes_tried(monkeypatch)
+    dims = [_multi_dim(R, deg) for deg in range(5)]
+    assert seen and p not in seen
+    assert dims == [
+        nullity(_restriction_rows(R.forms, R.mult, deg, F.zero, F.one),
+                2 * deg + 2)
+        for deg in range(5)
+    ]
+    assert max(dims) > 0
+
+
+def test_line_coefficient_vanishing_mod_p_skips_the_prime(monkeypatch):
+    F = cyc_field(1)
+    p = la.split_prime(1)
+    arr = Arrangement(F, [
+        ProjLine(F, [F.scalar(c) for c in coords])
+        for coords in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1),
+                       (1, p, 1), (1, -1, 2))
+    ])
+    assert any(c == F.scalar(p) for l in arr.lines for c in l.coords)
+    seen = _primes_tried(monkeypatch)
+    dims = [syzygy_dimension(arr, r) for r in range(5)]
+    assert seen and p not in seen
+    lines = [l.coords for l in arr.lines]
+    assert dims == [
+        nullity(_gauged_rows(lines, r, F.zero, F.one), (r + 1) * (r + 3))
+        for r in range(5)
+    ]
+    assert max(dims) > 0
 
 
 @st.composite
@@ -658,7 +733,8 @@ def test_kernel_nonzero_matches_exact_over_q_zeta_8():
         F, [ProjLine(F, [lift(c) for c in line.coords]) for line in base.lines]
     )
     for r in (4, 5):
-        rows, ncols = _gauged_rows(arr, r)
+        rows = _gauged_rows([l.coords for l in arr.lines], r, F.zero, F.one)
+        ncols = len(rows[0])
         exact = kernel_vector(rows, ncols, F.one, F.zero) is not None
         assert (la.nullity(rows, ncols) > 0) == exact == (r == 5)
         assert _syz_nonzero_at(arr, r) == exact

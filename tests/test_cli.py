@@ -1,14 +1,19 @@
 """CLI coverage: construction, analysis, campaigns, algebra ops, exit codes."""
 
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from linarr import campaigns
 from linarr.campaigns import CampaignResult, Case
 from linarr.cli import main
+from linarr.families import full_monomial, generic_arrangement, near_pencil
+from linarr.field import MAX_ORDER
 from linarr.projgeo import Arrangement, build_lattice
 
 
@@ -197,6 +202,8 @@ def test_bad_json_file_exits_two(tmp_path, capsys):
         '{"cyclotomic_order": 1, "lines": 5}',
         '{"cyclotomic_order": 1, "lines": [[["1/0"], ["0"], ["1"]]]}',
         '{"cyclotomic_order": 2.5, "lines": [[["1"], ["0"], ["0"]]]}',
+        # JSON reads 1e400 as an infinite float: OverflowError before
+        '{"cyclotomic_order": 1, "lines": [[[1e400], ["0"], ["1"]]]}',
         # orders past the supported maximum: MemoryError and OverflowError
         # before it was checked
         '{"cyclotomic_order": 1000000000000000, "lines": [[["1"], ["0"], ["0"]]]}',
@@ -209,3 +216,77 @@ def test_bad_json_file_exits_two(tmp_path, capsys):
     assert main(["make", "full-monomial", str(10 ** 15)]) == 2
     assert main(["enumerate-wclasses", str(10 ** 15), "2"]) == 2
     assert capsys.readouterr().err.count("exceeds the supported maximum") == 2
+
+
+def test_too_tall_coefficient_exits_two(tmp_path, capsys):
+    # a 400-digit coefficient is legal, but too tall for the kernel
+    # certificate on split primes: CertificationError, not a traceback
+    data = near_pencil(5).to_json()
+    data["lines"][4][1] = [str(10 ** 400)]
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(data))
+    assert main(["algebra", "mdr", str(path)]) == 2
+    assert main(["algebra", "ziegler", str(path), "--line", "0"]) == 2
+    assert capsys.readouterr().err.count("not certified") == 2
+
+
+_FUZZ_BASES = [
+    arr.to_json()
+    for arr in (full_monomial(1), near_pencil(5),
+                generic_arrangement(4, seed=1))
+]
+
+# Replacement values: every JSON type, floats with NaN and infinities,
+# "1/0", huge integers bare and as strings, and orders past MAX_ORDER.
+# Small integers stay small: a valid order near MAX_ORDER is a legal but
+# slow input, not a malformed one.
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(),
+    st.text(max_size=3), st.just("1/0"), st.just([]), st.just({}),
+    st.integers(20, 400).map(lambda k: 10 ** k),
+    st.integers(20, 400).map(lambda k: str(10 ** k)),
+    st.integers(MAX_ORDER + 1, 10 ** 30),
+)
+
+
+def _json_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid arrangement file with one to three keys or entries deleted
+    or swapped for junk."""
+    data = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(data))))
+        if not path:
+            data = draw(_JUNK)
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JUNK)
+    return json.dumps(data)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_files())
+def test_mutated_files_exit_zero_or_two(tmp_path, capsys, text):
+    path = tmp_path / "mutated.json"
+    path.write_text(text)
+    for argv in (["analyze"], ["recover"], ["algebra", "mdr"],
+                 ["algebra", "ziegler", "--line", "0"],
+                 ["algebra", "nodal-dim"]):
+        code = main([*argv, str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), (argv, text)
+        assert (code == 2) == err.startswith("error:"), (argv, text, err)

@@ -9,14 +9,15 @@ import linarr.linalg as la
 from exact_linalg import kernel_basis, kernel_vector, nullity, rank
 from linarr.field import (
     CertificationError,
+    CycNumber,
     cyc_field,
     cyclotomic_polynomial,
     euler_phi,
 )
 from linarr.linalg import (
     certified_nullity,
+    fp_echelon,
     fp_kernel_basis,
-    fp_nullity,
     interpolate,
     lift_flat_vector,
     rational_reconstruct,
@@ -103,7 +104,8 @@ def test_split_nullity_matches_exact():
             exact = nullity(rows, 5)
             assert exact == 2
             for w in split_roots(n, p):
-                assert fp_nullity(reduce_at(rows, w, p), 5, p) == exact
+                basis, _ = fp_kernel_basis(reduce_at(rows, w, p), 5, p)
+                assert len(basis) == exact
 
 
 def test_flat_nullity_matches_exact():
@@ -124,7 +126,8 @@ def test_flat_nullity_matches_exact():
             ]
             rows.append([a + b for a, b in zip(rows[0], rows[1])])
             exact = nullity([list(r) for r in rows], 5)
-            assert fp_nullity(reduce_at(rows, w, p), 5, p) == exact
+            basis, _ = fp_kernel_basis(reduce_at(rows, w, p), 5, p)
+            assert len(basis) == exact
 
 
 def test_rational_reconstruct_round_trip():
@@ -202,8 +205,8 @@ def test_fp_kernel_basis_has_one_vector_per_free_column():
                  for col in zip(*right)] for row in left]
         basis, pivots = fp_kernel_basis([list(r) for r in rows], 6, p)
         free = [c for c in range(6) if c not in pivots]
-        assert len(basis) == len(free) == fp_nullity(
-            [list(r) for r in rows], 6, p)
+        assert len(basis) == len(free) == 6 - len(
+            fp_echelon([list(r) for r in rows], p))
         for vec, fc in zip(basis, free):
             assert [vec[c] for c in free] == [int(c == fc) for c in free]
             for row in rows:
@@ -249,8 +252,7 @@ def test_certified_nullity_matches_exact_oracle(case):
 
 def _one_row_system(K, ncols):
     # one row (1, 0, ..., 0): the kernel basis is e_1, ..., e_(ncols-1)
-    row = [K.one] + [K.zero] * (ncols - 1)
-    return lambda root, p: reduce_at([row], root, p)
+    return [[K.one] + [K.zero] * (ncols - 1)], lambda rows, zero, one: rows
 
 
 def test_failing_check_raises_at_the_cap():
@@ -262,7 +264,7 @@ def test_failing_check_raises_at_the_cap():
         return False
 
     with pytest.raises(CertificationError):
-        certified_nullity(K, 3, _one_row_system(K, 3), never)
+        certified_nullity(K, 3, *_one_row_system(K, 3), never)
     assert len(calls) == la._PRIME_CAP
 
 
@@ -272,7 +274,31 @@ def test_every_basis_vector_is_checked(bad):
     # nullity of 2 would be certified by checking the other vector alone.
     K = cyc_field(3)
     with pytest.raises(CertificationError):
-        certified_nullity(K, 3, _one_row_system(K, 3),
+        certified_nullity(K, 3, *_one_row_system(K, 3),
                           lambda vec: not vec[bad])
-    assert certified_nullity(K, 3, _one_row_system(K, 3),
+    assert certified_nullity(K, 3, *_one_row_system(K, 3),
                              lambda vec: True) == 2
+
+
+def test_default_check_builds_exact_rows_once():
+    # From the inputs (1, z) over Q(zeta_3): the rows (1, z, 0) and
+    # (0, 1, z) have a one-dimensional kernel, so one lifted vector to
+    # check; the square rows (1, z) and (0, 1) have none.
+    K = cyc_field(3)
+    exact = []
+
+    def spy(rows_of):
+        def build(inputs, zero, one):
+            if isinstance(zero, CycNumber):
+                exact.append(inputs)
+            [(a, b)] = inputs
+            return rows_of(a, b, zero)
+        return build
+
+    wide = spy(lambda a, b, zero: [[a, b, zero], [zero, a, b]])
+    square = spy(lambda a, b, zero: [[a, b], [zero, a]])
+    assert certified_nullity(K, 3, [[K.one, K.zeta]], wide) == 1
+    assert len(exact) == 1
+    exact.clear()
+    assert certified_nullity(K, 2, [[K.one, K.zeta]], square) == 0
+    assert not exact

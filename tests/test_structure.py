@@ -15,6 +15,10 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
 # of relation answers.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE"}
 
+# A system meets F_p only inside linalg.certified_nullity, which reduces the
+# inputs a row builder reads; algebra builds rows and knows nothing of primes.
+MODULAR = {"reduce_at", "split_prime", "split_roots", "_fp_rows"}
+
 
 def _names(tree):
     for node in ast.walk(tree):
@@ -33,9 +37,9 @@ def _names(tree):
             yield node.arg
 
 
-def _src_names_in(names):
-    modules = sorted(SRC.glob("*.py"))
-    assert any(path.name == "linalg.py" for path in modules)
+def _src_names_in(names, pattern="*.py"):
+    modules = sorted(SRC.glob(pattern))
+    assert modules and (SRC / "linalg.py").is_file()
     return {
         (path.name, name)
         for path in modules
@@ -50,3 +54,7 @@ def test_no_exact_elimination_in_src():
 
 def test_no_guess_then_certify_in_src():
     assert not _src_names_in(RETIRED)
+
+
+def test_algebra_builds_no_modular_rows():
+    assert not _src_names_in(MODULAR, "algebra.py")
