@@ -7,23 +7,24 @@ generic arrangement.  Every answer is certified over the exact field.
 
 Every dimension is a certified nullity on split primes
 (linalg.certified_nullity), asked with the few inputs a system is built
-from, line coefficients or restricted forms, and a row builder generic over
-the element type (_gauged_rows, _restriction_rows).  linalg reduces the
-inputs and builds the rows mod p, so this module knows nothing of primes;
-exact rows are built only to check a lifted kernel vector.  Restriction
-exponents take one such nullity: a rank-two multiarrangement is free
-(Ziegler), so at degree p0 = ceil(total/2) - 1 its derivations have
-dimension max(0, p0 - d1 + 1), which pins d1; derivations are checked by
-exact divisibility.
+from, line coefficients, restricted forms or node coordinates, and a row
+builder generic over the element type (_gauged_rows, _restriction_rows,
+_node_rows).  linalg reduces the inputs and builds the rows mod p, so this
+module knows nothing of primes; exact rows are built only to check a
+lifted kernel vector.  Restriction exponents take one such nullity: a
+rank-two multiarrangement is free (Ziegler), so at degree
+p0 = ceil(total/2) - 1 its derivations have dimension
+max(0, p0 - d1 + 1), which pins d1; derivations are checked by exact
+divisibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import is_supersolvable, modular_points, tjurina_census
+from .classify import modular_points, tjurina_census, tjurina_free
 from .field import CertificationError, CycField, CycNumber, cyc_to_strings
-from .linalg import certified_nullity, nullity
+from .linalg import certified_nullity
 from .projgeo import Arrangement, build_lattice
 
 
@@ -356,7 +357,7 @@ def supersolvable_exponents(arr: Arrangement) -> tuple[int, int, int]:
     m = max(mult for _, mult in mods)
     d2, d3 = sorted((m - 1, d - m))
     tau = tjurina_census(lat)
-    if tau != (d - 1) ** 2 - d2 * d3:
+    if tau != tjurina_free(d, d2, d3):
         raise CertificationError(
             f"Tjurina census {tau} != (d-1)^2 - {d2}*{d3} at d={d}"
         )
@@ -530,19 +531,28 @@ def _nodal_lattice(arr: Arrangement):
     return lat
 
 
-def _node_dim(arr: Arrangement, lat, r: int) -> int:
-    F = arr.field
+def _node_rows(points, r: int, zero, one) -> list[list]:
+    """Every degree-r monomial evaluated at each point (a coordinate
+    triple, of any element type): the kernel is the space of degree-r forms
+    vanishing at all the points."""
     mons = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
     rows = []
-    for pt in lat.points:
+    for coords in points:
         pw = []
-        for x in pt.coords:
-            tab = [F.one]
+        for x in coords:
+            tab = [one]
             for _ in range(r):
                 tab.append(tab[-1] * x)
             pw.append(tab)
         rows.append([pw[0][i] * pw[1][j] * pw[2][l] for (i, j, l) in mons])
-    return nullity(rows, len(mons))
+    return rows
+
+
+def _node_dim(arr: Arrangement, lat, r: int) -> int:
+    return certified_nullity(
+        arr.field, (r + 1) * (r + 2) // 2, [p.coords for p in lat.points],
+        lambda points, zero, one: _node_rows(points, r, zero, one),
+    )
 
 
 def nodal_vanishing_dimension(arr: Arrangement) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (
     is_balanced,
@@ -21,12 +21,14 @@ from .algebra import (
     ziegler_restriction,
 )
 from .classify import (
+    _num,
     check_identities,
     homogeneity,
     is_pencil,
     is_supersolvable,
     modular_points,
     tjurina_census,
+    tjurina_free,
 )
 from .families import (
     ConeSpec,
@@ -102,43 +104,45 @@ def _derive(seed: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _jnum(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return v
+@lru_cache(maxsize=None)
+def _aw_roster(n: int) -> tuple:
+    out = []
+    for k in range(n + 1):
+        for cls in enumerate_classes(n, k):
+            w = cls.exponents
+            wtag = ".".join(map(str, w)) if w else "empty"
+            out.append((f"aw-n{n}-k{k}-w{wtag}", cls, a_of_w(n, w)))
+    return tuple(out)
 
 
 def _aw_keys(max_n):
+    """(label, class, arrangement) for every A(w) class with n <= max_n.
+    Each arrangement is built once per process, so every campaign reads
+    the lattice it keeps."""
     for n in range(1, max_n + 1):
-        for k in range(n + 1):
-            for cls in enumerate_classes(n, k):
-                w = cls.exponents
-                wtag = ".".join(map(str, w)) if w else "empty"
-                yield f"aw-n{n}-k{k}-w{wtag}", n, k, w
+        yield from _aw_roster(n)
 
 
-def _build_cone(dp: int, kind: str, e: int, seed: int, tag: str) -> Arrangement:
-    base = generic_arrangement(dp, seed=_derive(seed, f"{tag}:base"))
-    if kind == "generic":
-        v = generic_vertex(base, seed=_derive(seed, f"{tag}:vertex"))
-    else:
-        v = adversarial_vertex(base, seed=_derive(seed, f"{tag}:vertex"))
-    return cone(ConeSpec(base, v, extra=e, seed=_derive(seed, f"{tag}:extra")))
+@lru_cache(maxsize=None)
+def _build_cone(
+    dp: int, kind: str, e: int, seed: int, tag: str
+) -> Arrangement | None:
+    """The cone labelled tag, built once per process; None when it has no
+    adversarial vertex (over a triangle)."""
+    vertex = generic_vertex if kind == "generic" else adversarial_vertex
+    try:
+        base = generic_arrangement(dp, seed=_derive(seed, f"{tag}:base"))
+        v = vertex(base, seed=_derive(seed, f"{tag}:vertex"))
+        return cone(ConeSpec(base, v, extra=e, seed=_derive(seed, f"{tag}:extra")))
+    except ValueError:
+        return None
 
 
-_POOLS: dict = {}
-
-
-def _standard_pool(seed: int, max_n: int, max_dprime: int):
+@lru_cache(maxsize=None)
+def _standard_pool(seed: int, max_n: int, max_dprime: int) -> tuple:
     """Shared roster of generated arrangements: every A(w) class up to
     max_n, pencils, near-pencils, and a spread of cones."""
-    key = (seed, max_n, max_dprime)
-    pool = _POOLS.get(key)
-    if pool is not None:
-        return pool
-    pool = []
-    for label, n, k, w in _aw_keys(max_n):
-        pool.append((label, a_of_w(n, w)))
+    pool = [(label, arr) for label, _, arr in _aw_keys(max_n)]
     for d in range(3, 8):
         pool.append((f"pencil-d{d}", pencil(d)))
     for d in range(4, 9):
@@ -148,13 +152,10 @@ def _standard_pool(seed: int, max_n: int, max_dprime: int):
             for e in (0, 1, 2):
                 for s in (1, 2):
                     label = f"cone-d{dp}-{kind}-e{e}-s{s}"
-                    try:
-                        arr = _build_cone(dp, kind, e, _derive(seed, str(s)), label)
-                    except ValueError:
-                        continue  # no adversarial vertex over a triangle
-                    pool.append((label, arr))
-    _POOLS[key] = pool
-    return pool
+                    arr = _build_cone(dp, kind, e, _derive(seed, str(s)), label)
+                    if arr is not None:
+                        pool.append((label, arr))
+    return tuple(pool)
 
 
 def _max_modular(arr):
@@ -166,13 +167,13 @@ def _max_modular(arr):
 def thm1_bound(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
     """d <= 3m-3 on every A(w) class, equality exactly at k = n."""
     cases = []
-    for label, n, k, w in _aw_keys(max_n):
-        arr = a_of_w(n, w)
+    for label, cls, arr in _aw_keys(max_n):
+        n, k = cls.n, cls.k
         d = len(arr.lines)
         m, _ = _max_modular(arr)
         ok = d <= 3 * m - 3 and (d == 3 * m - 3) == (k == n)
         cases.append(Case(label, "pass" if ok else "fail", {
-            "n": n, "k": k, "w": list(w), "d": d, "m": m,
+            "n": n, "k": k, "w": list(cls.exponents), "d": d, "m": m,
             "bound": 3 * m - 3, "equality": d == 3 * m - 3,
         }))
     return CampaignResult("thm1-bound", seed, {"max_n": max_n}, tuple(cases))
@@ -181,11 +182,8 @@ def thm1_bound(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
 def thm1b_roundtrip(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
     """Class recovery survives random projective transforms."""
     cases = []
-    for label, n, k, w in _aw_keys(max_n):
-        arr = a_of_w(n, w)
-        cls = next(
-            c for c in enumerate_classes(n, k) if c.exponents == tuple(w)
-        )
+    for label, cls, arr in _aw_keys(max_n):
+        n, k = cls.n, cls.k
         for t in range(3):
             rng = random.Random(_derive(seed, f"{label}:t{t}"))
             mat = random_invertible_matrix(rng)
@@ -193,7 +191,7 @@ def thm1b_roundtrip(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
             rec = recover_class(moved)
             ok = rec.wclass == cls and rec.full_monomial == (k == n)
             cases.append(Case(f"{label}-t{t}", "pass" if ok else "fail", {
-                "n": n, "k": k, "w": list(w),
+                "n": n, "k": k, "w": list(cls.exponents),
                 "recovered_w": list(rec.wclass.exponents),
                 "recovered_full_monomial": rec.full_monomial,
             }))
@@ -205,13 +203,13 @@ def thm1b_roundtrip(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
 def thm1b_modular_counts(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
     """Modular point counts match the closed-form prediction; M <= 4."""
     cases = []
-    for label, n, k, w in _aw_keys(max_n):
-        arr = a_of_w(n, w)
+    for label, cls, arr in _aw_keys(max_n):
+        n, k = cls.n, cls.k
         M = len(modular_points(arr))
         want = predicted_modular_count(n, k)
         ok = M == want and M <= 4 and (M == 4) == ((n, k) == (1, 1))
         cases.append(Case(label, "pass" if ok else "fail", {
-            "n": n, "k": k, "w": list(w), "M": M, "predicted": want,
+            "n": n, "k": k, "w": list(cls.exponents), "M": M, "predicted": want,
         }))
     return CampaignResult(
         "thm1b-modular-counts", seed, {"max_n": max_n}, tuple(cases)
@@ -221,15 +219,14 @@ def thm1b_modular_counts(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
 def conj1_two_modular(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
     """n2 >= d/2 and n2 > 0 on every A(w) class."""
     cases = []
-    for label, n, k, w in _aw_keys(max_n):
-        arr = a_of_w(n, w)
+    for label, cls, arr in _aw_keys(max_n):
         report = check_identities(arr)
         c1, c2 = report.checks["conj1"], report.checks["conj2"]
         ok = c1.applicable and c1.passed and c2.applicable and c2.passed
         cases.append(Case(label, "pass" if ok else "fail", {
-            "n": n, "k": k, "w": list(w), "d": report.d,
+            "n": cls.n, "k": cls.k, "w": list(cls.exponents), "d": report.d,
             "n2": report.census.get(2, 0),
-            "equality": _jnum(c1.lhs) == _jnum(c1.rhs),
+            "equality": c1.lhs == c1.rhs,
         }))
     return CampaignResult(
         "conj1-two-modular", seed, {"max_n": max_n}, tuple(cases)
@@ -244,9 +241,8 @@ def conj1_cones(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
             for e in (0, 1, 2):
                 for s in range(1, 6):
                     label = f"cone-d{dp}-{kind}-e{e}-s{s}"
-                    try:
-                        arr = _build_cone(dp, kind, e, _derive(seed, str(s)), label)
-                    except ValueError:
+                    arr = _build_cone(dp, kind, e, _derive(seed, str(s)), label)
+                    if arr is None:
                         cases.append(Case(label, "not-applicable", {
                             "reason": "no connecting line off a triangle base",
                         }))
@@ -268,7 +264,7 @@ def conj1_cones(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
                         census_ok = report.census == want
                         eq_ok = (
                             eqss.applicable and eqss.passed
-                            and _jnum(eqss.lhs) == _jnum(eqss.rhs)
+                            and eqss.lhs == eqss.rhs
                         )
                         witness["census_matches"] = census_ok
                         witness["eqSS_equality"] = eq_ok
@@ -329,7 +325,7 @@ def tjurina_consistency(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
         m, _ = _max_modular(arr)
         exps = supersolvable_exponents(arr)
         tau = tjurina_census(lat)
-        tau_ok = tau == (d - 1) ** 2 - exps[1] * exps[2]
+        tau_ok = tau == tjurina_free(d, exps[1], exps[2])
         r_star = min(m - 1, d - m)
         mdr_ok = verify_mdr(arr, r_star)
         report = check_identities(arr)
@@ -368,7 +364,7 @@ def hirzebruch_sanity(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
             continue
         ok = eqsum.passed and hz.passed
         cases.append(Case(label, "pass" if ok else "fail", {
-            "d": report.d, "lhs": _jnum(hz.lhs), "rhs": _jnum(hz.rhs),
+            "d": report.d, "lhs": _num(hz.lhs), "rhs": _num(hz.rhs),
             "eqSum": eqsum.passed,
         }))
     return CampaignResult(

@@ -50,10 +50,6 @@ def _emit(data: dict, out: str | None) -> None:
         print(text)
 
 
-def _load(path: str) -> Arrangement:
-    return Arrangement.load(path)
-
-
 # --- make ----------------------------------------------------------------
 
 _BASE_FAMILIES = {
@@ -71,16 +67,10 @@ def _parse_w(text: str) -> tuple[int, ...]:
 
 
 def cmd_make(args) -> int:
-    if args.family == "full-monomial":
-        arr = full_monomial(args.n)
-    elif args.family == "aw":
+    if args.family == "aw":
         arr = a_of_w(args.n, _parse_w(args.w))
-    elif args.family == "pencil":
-        arr = pencil(args.n)
-    elif args.family == "near-pencil":
-        arr = near_pencil(args.n)
-    elif args.family == "generic":
-        arr = generic_arrangement(args.n, seed=args.seed)
+    elif args.family in _BASE_FAMILIES:
+        arr = _BASE_FAMILIES[args.family](args.n, args.seed)
     else:  # cone
         name, _, num = args.base.partition(":")
         if name not in _BASE_FAMILIES or not num.isdigit():
@@ -139,7 +129,7 @@ def _render_analysis(data: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    arr = _load(args.file)
+    arr = Arrangement.load(args.file)
     data = _analysis(arr)
     if args.json:
         _emit(data, None)
@@ -151,8 +141,6 @@ def cmd_analyze(args) -> int:
 # --- verify --------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    if args.campaign not in CAMPAIGNS:
-        raise ValueError(f"unknown campaign: {args.campaign}")
     result = run_campaign(
         args.campaign, seed=args.seed, max_n=args.max_n,
         max_dprime=args.max_dprime,
@@ -193,7 +181,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    arr = _load(args.file)
+    arr = Arrangement.load(args.file)
     rec = recover_class(arr)
     if args.json:
         _emit(rec.to_json(), None)
@@ -208,7 +196,7 @@ def cmd_recover(args) -> int:
 # --- algebra -------------------------------------------------------------
 
 def cmd_algebra(args) -> int:
-    arr = _load(args.file)
+    arr = Arrangement.load(args.file)
     if args.op == "mdr":
         value = mdr(arr, bound=args.bound)
         top = value if value is not None else (
@@ -258,13 +246,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = mksub.add_parser(fam, help=helptext)
         p.add_argument("n", type=int)
-        p.add_argument("--seed", type=int, default=0)
+        if fam == "generic":  # the only family a seed changes
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out")
-        p.set_defaults(func=cmd_make)
+        p.set_defaults(func=cmd_make, seed=0)
     p = mksub.add_parser("aw", help="two modular points of order n with tail exponents w")
     p.add_argument("n", type=int)
     p.add_argument("w", help="comma-separated exponents, or - for none")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_make)
     p = mksub.add_parser("cone", help="cone over a base arrangement")

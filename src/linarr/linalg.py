@@ -320,15 +320,3 @@ def certified_nullity(F: CycField, ncols: int, inputs, build,
         f"nullity of a {ncols}-column system over Q(zeta_{F.order}) not "
         f"certified within {_PRIME_CAP} split primes"
     )
-
-
-def nullity(rows: list[list[CycNumber]], ncols: int) -> int:
-    """Certified nullity of a matrix with entries in one field Q(zeta_n)."""
-    if not rows or not ncols:
-        return ncols
-    return certified_nullity(rows[0][0].field, ncols, rows,
-                             lambda rows, zero, one: rows)
-
-
-def rank(rows: list[list[CycNumber]], ncols: int) -> int:
-    return ncols - nullity(rows, ncols)

@@ -126,9 +126,13 @@ def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
 
 
 class Arrangement:
-    """Finite set of distinct lines in P^2 over one cyclotomic field."""
+    """Finite set of distinct lines in P^2 over one cyclotomic field.
 
-    __slots__ = ("field", "lines", "line_set", "_hash")
+    The line order is fixed, and with it the indices of the intersection
+    lattice, which build_lattice computes once and keeps in _lattice.
+    """
+
+    __slots__ = ("field", "lines", "line_set", "_hash", "_lattice")
 
     def __init__(self, field: CycField, lines):
         self.field = field
@@ -145,6 +149,7 @@ class Arrangement:
             raise ValueError("duplicate lines in arrangement")
         self.lines = lines
         self._hash = None
+        self._lattice = None
 
     def __len__(self):
         return len(self.lines)
@@ -231,18 +236,12 @@ class Lattice:
         }
 
 
-# Keyed by the line tuple, not by the Arrangement: arrangements compare as
-# sets of lines, but incidence indices depend on the order of the lines.
-_LATTICE_CACHE: dict[tuple[int, tuple[ProjLine, ...]], Lattice] = {}
-
-
 def build_lattice(arr: Arrangement) -> Lattice:
     """All pairwise intersection points, grouped at a split prime and
-    certified exactly one point at a time (see the module docstring)."""
-    key = (arr.field.order, arr.lines)
-    cached = _LATTICE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    certified exactly one point at a time (see the module docstring).
+    Computed once per arrangement and kept on it."""
+    if arr._lattice is not None:
+        return arr._lattice
     d = len(arr.lines)
     if d < 2:
         raise ValueError("need at least two lines to intersect")
@@ -269,7 +268,7 @@ def build_lattice(arr: Arrangement) -> Lattice:
         incidence=tuple(inc for _, inc in points),
     )
     lattice.census()  # certifies the pair count identity
-    _LATTICE_CACHE[key] = lattice
+    arr._lattice = lattice
     return lattice
 
 

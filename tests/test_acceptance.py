@@ -25,7 +25,7 @@ from linarr.classify import (
     tjurina_census,
 )
 from linarr.families import a_of_w, full_monomial, generic_arrangement
-from linarr.linalg import rank
+from linarr.linalg import certified_nullity
 from linarr.projgeo import build_lattice, census, lattice_isomorphic
 from linarr.wclass import enumerate_classes
 
@@ -189,7 +189,9 @@ def test_criterion_09_node_vanishing():
             mons = sorted({m for g in polys for m in g.terms})
             rows = [[g.terms.get(m, arr.field.zero) for m in mons]
                     for g in polys]
-            ok = ok and rank(rows, len(mons)) == dp
+            null = certified_nullity(arr.field, len(mons), rows,
+                                     lambda rows, zero, one: rows)
+            ok = ok and len(mons) - null == dp
     verdict(9, ok, f"vanishing dimension d' and an explicit product basis on "
                    f"{checked} nodal arrangements")
     assert ok

@@ -525,6 +525,31 @@ def test_nodal_vanishing_dimensions():
         nodal_vanishing_dimension(full_monomial(1))
 
 
+def test_node_rows_match_monomials_evaluated_exactly():
+    # Nodes of a generic arrangement impose independent conditions, so the
+    # nodal answers alone cannot tell a wrong monomial table from the right
+    # one.  Points in special position can: four on the line z = 0 impose
+    # min(4, r + 1) conditions on degree-r forms, and two more off it tell
+    # the coordinates apart.
+    F = cyc_field(3)
+    line = [(F.one, c, F.zero) for c in (F.zero, F.scalar(2), F.zeta)]
+    line.append((F.zero, F.one, F.zero))
+    more = line + [(F.one, F.zero, F.one), (F.one, F.scalar(2), F.scalar(3))]
+    for r in range(5):
+        mons = [(i, j, r - i - j) for i in range(r + 1)
+                for j in range(r + 1 - i)]
+        nulls = []
+        for points in (line, more):
+            null = la.certified_nullity(
+                F, len(mons), points,
+                lambda pts, zero, one: alg._node_rows(pts, r, zero, one))
+            exact = [[Poly(F, {m: F.one}).eval3(p) for m in mons]
+                     for p in points]
+            assert null == nullity(exact, len(mons))
+            nulls.append(null)
+        assert nulls[0] == len(mons) - min(4, r + 1)
+
+
 def test_partial_products_form_basis():
     arr = generic_arrangement(5, seed=1)
     F = arr.field
@@ -736,7 +761,8 @@ def test_kernel_nonzero_matches_exact_over_q_zeta_8():
         rows = _gauged_rows([l.coords for l in arr.lines], r, F.zero, F.one)
         ncols = len(rows[0])
         exact = kernel_vector(rows, ncols, F.one, F.zero) is not None
-        assert (la.nullity(rows, ncols) > 0) == exact == (r == 5)
+        null = la.certified_nullity(F, ncols, rows, lambda rows, z, o: rows)
+        assert (null > 0) == exact == (r == 5)
         assert _syz_nonzero_at(arr, r) == exact
 
 

@@ -79,6 +79,23 @@ def test_cone_campaign_small():
     assert plain["census"] == {"2": 12, "3": 6, "6": 1}
 
 
+def test_campaigns_share_one_instance_per_arrangement():
+    # Each grid arrangement is built once per process, so every campaign
+    # reads the one lattice it keeps.
+    first, second = list(campaigns._aw_keys(3)), list(campaigns._aw_keys(3))
+    assert [label for label, _, _ in first] == [label for label, _, _ in second]
+    assert all(a is b for (_, _, a), (_, _, b) in zip(first, second))
+    pool = dict(campaigns._standard_pool(0, 3, 4))
+    assert all(pool[label] is arr for label, _, arr in first)
+    label = "cone-d4-generic-e0-s1"
+    cone = campaigns._build_cone(4, "generic", 0, campaigns._derive(0, "1"), label)
+    assert pool[label] is cone
+    label = "cone-d3-adversarial-e0-s1"
+    assert campaigns._build_cone(
+        3, "adversarial", 0, campaigns._derive(0, "1"), label) is None
+    assert label not in pool
+
+
 def test_restriction_exponent_sweep_small():
     res = run_campaign("zmain-exponents", max_n=2, max_dprime=3)
     assert res.ok

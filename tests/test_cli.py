@@ -191,6 +191,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert err.count("error:") == 6
 
 
+@pytest.mark.parametrize("family", (
+    ["pencil", "4"], ["near-pencil", "5"], ["full-monomial", "1"],
+    ["aw", "2", "0"],
+))
+def test_make_rejects_a_seed_it_would_ignore(family, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["make", *family, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_unknown_campaign_exits_two():
     code, _, _ = run_cli("verify", "nosuch")
     assert code == 2

@@ -4,7 +4,6 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +156,22 @@ def test_incidence_is_consistent():
         assert len(inc) == lat.mult[pi]
         for li in inc:
             assert FULL_TRIANGLE.lines[li].contains(lat.points[pi])
+
+
+def test_lattice_is_built_once_per_arrangement(monkeypatch):
+    # The lattice lives on its instance: a second call groups nothing, and
+    # an equal arrangement built anew groups afresh (fresh_lattice relies
+    # on that).
+    arr = a_of_w(2, (0,))
+    lat = build_lattice(arr)
+    grouped = []
+    real = projgeo._certified_points
+    monkeypatch.setattr(projgeo, "_certified_points",
+                        lambda a, skip: grouped.append(a) or real(a, skip))
+    assert build_lattice(arr) is lat and not grouped
+    again = Arrangement(arr.field, arr.lines)
+    assert as_tuple(build_lattice(again)) == as_tuple(lat)
+    assert len(grouped) == 1 and grouped[0] is again
 
 
 def test_lattice_cache_respects_line_order():
@@ -355,9 +370,9 @@ def pairwise_lattice(arr):
 
 
 def fresh_lattice(arr):
-    """build_lattice without the lattice cache, so the grouping really runs."""
-    with mock.patch.dict(projgeo._LATTICE_CACHE, clear=True):
-        return build_lattice(arr)
+    """build_lattice on a fresh Arrangement of the same lines, which keeps
+    no lattice yet, so the grouping really runs."""
+    return build_lattice(Arrangement(arr.field, arr.lines))
 
 
 def as_tuple(lat):

@@ -6,14 +6,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "linarr"
 
 # Exact Gaussian elimination lives in tests/exact_linalg.py as the oracle;
-# linarr answers every dimension on split primes (linalg.certified_nullity).
+# linarr answers every dimension on split primes (linalg.certified_nullity),
+# from the inputs of a system, never from its ready-made rows.
 EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
-                "_EXACT_COLS"}
+                "_EXACT_COLS", "nullity", "rank"}
 
 # Restriction exponents take one certified nullity (algebra.multi_exponents):
 # no uncertified guess to certify, no knob to bypass it, and no global cache
-# of relation answers.
-RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE"}
+# of relation answers.  A lattice is kept on its Arrangement, and campaigns
+# build each arrangement once, so no global dict caches either.
+RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
+           "_LATTICE_CACHE", "_POOLS"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
