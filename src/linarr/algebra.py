@@ -11,20 +11,35 @@ from, line coefficients, restricted forms or node coordinates, and a row
 builder generic over the element type (_gauged_rows, _restriction_rows,
 _node_rows).  linalg reduces the inputs and builds the rows mod p, so this
 module knows nothing of primes; exact rows are built only to check a
-lifted kernel vector.  Restriction exponents take one such nullity: a
-rank-two multiarrangement is free (Ziegler), so at degree
-p0 = ceil(total/2) - 1 its derivations have dimension
-max(0, p0 - d1 + 1), which pins d1; derivations are checked by exact
-divisibility.
+lifted kernel vector.
+
+A minimal degree, of a relation (mdr, verify_mdr) or of a derivation of a
+restriction (d1 of multi_exponents: rank-two multiarrangements are free,
+Ziegler), is one search, _min_degree.  A closed-form candidate is an
+explicit derivation whose exact vector passes an exact check: division by
+every line's form, or _derives.  At the lowest such degree c, a zero
+kernel at c - 1 at one root of a split prime (linalg.certified_zero)
+certifies c, since the spaces only grow with degree; otherwise the
+certified upward scan decides.  The candidates come from G. Ziegler,
+"Multiarrangements of hyperplanes and their freeness" (1989), and A.
+Wakamiko, "On the exponents of 2-multiarrangements" (2007).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from functools import partial
 
 from .classify import modular_points, tjurina_census, tjurina_free
-from .field import CertificationError, CycField, CycNumber, cyc_to_strings
-from .linalg import certified_nullity
+from .field import (
+    CertificationError,
+    CycField,
+    CycNumber,
+    cyc_to_strings,
+    divisors,
+)
+from .linalg import certified_nullity, certified_zero
 from .projgeo import Arrangement, build_lattice
 
 
@@ -288,26 +303,97 @@ def _gauged_rows(lines, r: int, zero, one) -> list[list]:
     return rows
 
 
-def _syz_nonzero_at(arr: Arrangement, r: int) -> bool:
-    """Whether a nonzero degree-r relation exists.  Exact answer."""
-    d = len(arr.lines)
-    if not 0 <= r <= d - 2:
-        raise ValueError("relation degree out of range")
-    if build_lattice(arr).mult[0] >= d - r:
-        # A point on m >= d - r lines carries the derivation g d_P with
-        # g the product of the forms missing the point: degree d - m <= r,
-        # in every line's ideal, and never a multiple of E.  Relation spaces
-        # only grow with degree, so existence at r follows.
-        return True
-    return syzygy_dimension(arr, r) > 0
+def _relation_system(arr: Arrangement, r: int):
+    return (arr.field, (r + 1) * (r + 3), [line.coords for line in arr.lines],
+            lambda lines, zero, one: _gauged_rows(lines, r, zero, one))
 
 
 def syzygy_dimension(arr: Arrangement, r: int) -> int:
     """Dimension of the degree-r relation space, certified."""
-    return certified_nullity(
-        arr.field, (r + 1) * (r + 3), [line.coords for line in arr.lines],
-        lambda lines, zero, one: _gauged_rows(lines, r, zero, one),
-    )
+    return certified_nullity(*_relation_system(arr, r))
+
+
+def _upward(dim, top: int) -> list[int]:
+    """dim(0), dim(1), ... up to the first nonzero one, or to top."""
+    dims = []
+    for deg in range(top + 1):
+        dims.append(dim(deg))
+        if dims[-1]:
+            break
+    return dims
+
+
+def _min_degree(candidates, dim, zero, top: int) -> int | None:
+    """Least degree <= top with a nonzero space, certified; None if none.
+
+    candidates are (degree, check) pairs, check() an exact test that an
+    explicit element of that degree lies in the space.  The lowest degree c
+    whose check passes has a nonzero space, and if zero(c - 1) certifies a
+    zero space at c - 1 then c is the minimum: the spaces only grow with
+    degree.  Otherwise, or with no candidate, the certified upward scan of
+    dim below c (or up to top) decides.
+    """
+    c = next((deg for deg, check in sorted(candidates, key=lambda dc: dc[0])
+              if deg <= top and check()), None)
+    if c == 0 or (c is not None and zero(c - 1)):
+        return c
+    dims = _upward(dim, top if c is None else c - 1)
+    return len(dims) - 1 if dims and dims[-1] else c
+
+
+def _relation_top(arr: Arrangement, bound: int | None) -> int:
+    d = len(arr.lines)
+    top = (d - 1) // 2 if bound is None else bound
+    if top >= d - 1:
+        raise ValueError("bound must be at most d-2")
+    return top
+
+
+def _is_derivation(arr: Arrangement, theta) -> bool:
+    """Exact check that theta = (A, B, C), the derivation A d_x + B d_y +
+    C d_z, sends every line's form into its ideal: one division each."""
+    for line in arr.lines:
+        image = Poly.zero(arr.field)
+        for coeff, poly in zip(line.coords, theta):
+            if coeff:
+                image = image + poly * coeff
+        try:
+            image.div_linear(line.coords)
+        except ValueError:
+            return False
+    return True
+
+
+def _pencil_derivation(arr: Arrangement) -> list[Poly]:
+    """g d_P for P a point of maximal multiplicity m and g the product of
+    the forms missing it, of degree d - m: theta(alpha) = alpha(P) g."""
+    lat = build_lattice(arr)
+    g = Poly.constant(arr.field, 1)
+    for j, line in enumerate(arr.lines):
+        if j not in lat.incidence[0]:
+            g = g * Poly.from_linear(arr.field, line.coords)
+    return [g * c for c in lat.points[0].coords]
+
+
+def _power_derivation(F: CycField, r: int) -> list[Poly]:
+    """x^r d_x + y^r d_y + z^r d_z: a form with coefficients in mu_(r-1)
+    divides its image."""
+    return [Poly(F, {tuple(r if i == v else 0 for i in range(3)): F.one})
+            for v in range(3)]
+
+
+def _relation_candidates(arr: Arrangement) -> list:
+    """(degree, exact check) of the explicit derivations: the pencil one,
+    and the power ones with r = k + 1 for k dividing the field order.  None
+    is a multiple of the Euler derivation, so each is a nonzero relation of
+    its degree once it passes _is_derivation."""
+    F = arr.field
+    return [
+        (len(arr.lines) - build_lattice(arr).mult[0],
+         lambda: _is_derivation(arr, _pencil_derivation(arr))),
+        *((k + 1, lambda r=k + 1: _is_derivation(arr, _power_derivation(F, r)))
+          for k in divisors(F.order)),
+    ]
 
 
 def mdr(arr: Arrangement, bound: int | None = None) -> int | None:
@@ -315,32 +401,25 @@ def mdr(arr: Arrangement, bound: int | None = None) -> int | None:
 
     The default bound (d-1)//2 covers every free arrangement.  Bounds at or
     above d-1 are rejected: from there the Koszul relations between the
-    partials make the kernel nonzero for trivial reasons.
+    partials make the kernel nonzero for trivial reasons.  The answer is
+    the lowest explicit derivation that passes its exact check, with a zero
+    kernel certified one degree below, else the certified upward scan
+    (_min_degree).
     """
-    d = len(arr.lines)
-    if bound is None:
-        bound = (d - 1) // 2
-    if bound >= d - 1:
-        raise ValueError("bound must be at most d-2")
-    for r in range(bound + 1):
-        if _syz_nonzero_at(arr, r):
-            return r
-    return None
+    return _min_degree(
+        _relation_candidates(arr), partial(syzygy_dimension, arr),
+        lambda r: certified_zero(*_relation_system(arr, r)),
+        _relation_top(arr, bound),
+    )
 
 
 def verify_mdr(arr: Arrangement, r_star: int) -> bool:
-    """Two-sided certificate that the minimal relation degree is r_star.
-
-    Relation spaces only grow with degree, so an empty space at r_star - 1
-    rules out everything below, and a nonzero space at r_star pins the
-    minimum.  Both sides are exact.
-    """
-    d = len(arr.lines)
-    if not 0 <= r_star <= d - 2:
+    """Two-sided certificate that the minimal relation degree is r_star:
+    a nonzero relation at r_star, explicit or lifted, and a certified zero
+    relation space below it (mdr searched up to r_star)."""
+    if not 0 <= r_star <= len(arr.lines) - 2:
         raise ValueError("r_star out of range")
-    if r_star > 0 and _syz_nonzero_at(arr, r_star - 1):
-        return False
-    return _syz_nonzero_at(arr, r_star)
+    return mdr(arr, r_star) == r_star
 
 
 def supersolvable_exponents(arr: Arrangement) -> tuple[int, int, int]:
@@ -378,6 +457,10 @@ class MultiRestriction:
     field: CycField
     forms: tuple[tuple[CycNumber, CycNumber], ...]
     mult: tuple[int, ...]
+    # (degree, P and Q coefficients) of derivations restricted from the
+    # parent arrangement, candidates for multi_exponents; not part of the
+    # restriction's identity
+    lifts: tuple = dataclasses.field(default=(), compare=False, repr=False)
 
     @property
     def total(self) -> int:
@@ -432,7 +515,32 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
     mult = tuple(entry[1] for _, entry in ordered)
     if sum(mult) != d - 1:
         raise ValueError("restriction multiplicities do not sum to d - 1")
-    return MultiRestriction(F, forms, mult)
+    lifts = []
+    for k in divisors(F.order):
+        vec = 2 * k + 2 <= d - 1 and _power_image(F, c[o1], c[o2], k + 1)
+        if vec:
+            lifts.append((k + 1, vec))
+    return MultiRestriction(F, forms, mult, tuple(lifts))
+
+
+def _power_image(F: CycField, c1, c2, r: int) -> list | None:
+    """Ziegler image on the line x_piv = w, w = -(c1 u + c2 v), of
+    theta = x^r d_x + y^r d_y + z^r d_z: theta' = theta - (theta(a)/a) E
+    with a the line's form kills a, and restricts to (P, Q) in the layout
+    of _restriction_rows.  theta(a) = x_piv^r + c1 u^r + c2 v^r vanishes on
+    the line exactly when c1 c2 = 0 and (-c)^(r-1) = 1 for c = c1, c2
+    nonzero; then theta(a)/a restricts to its x_piv-derivative r w^(r-1).
+    None when theta(a) does not vanish there."""
+    if c1 and c2 or any(c and (-c) ** (r - 1) != F.one for c in (c1, c2)):
+        return None
+    g = [F.scalar(r)]
+    for _ in range(r - 1):
+        g = _conv(g, [-c1, -c2], F.zero)
+    P = [-x for x in g] + [F.zero]
+    Q = [F.zero] + [-x for x in g]
+    P[0] = P[0] + F.one
+    Q[r] = Q[r] + F.one
+    return P + Q
 
 
 def _restriction_rows(forms, mult, deg: int, zero, one) -> list[list]:
@@ -459,13 +567,15 @@ def _restriction_rows(forms, mult, deg: int, zero, one) -> list[list]:
     return rows
 
 
+def _multi_system(R: MultiRestriction, deg: int):
+    return (R.field, 2 * deg + 2, R.forms,
+            lambda forms, z, o: _restriction_rows(forms, R.mult, deg, z, o))
+
+
 def _multi_dim(R: MultiRestriction, deg: int) -> int:
     """dim of the degree-deg derivations of the multirestriction, certified."""
-    return certified_nullity(
-        R.field, 2 * deg + 2, R.forms,
-        lambda forms, z, o: _restriction_rows(forms, R.mult, deg, z, o),
-        lambda vec: _derives(R, deg, vec),
-    )
+    return certified_nullity(*_multi_system(R, deg),
+                             lambda vec: _derives(R, deg, vec))
 
 
 def _derives(R: MultiRestriction, deg: int, vec) -> bool:
@@ -490,29 +600,53 @@ def _derives(R: MultiRestriction, deg: int, vec) -> bool:
     return True
 
 
-def _hilbert_d1(total: int, null: int) -> int | None:
-    """d1 from null = dim D_p0 = max(0, p0 - d1 + 1), the d2 term being 0
-    at p0 = ceil(total/2) - 1 < d2; None when no d1 fits."""
-    p0 = (total + 1) // 2 - 1
-    if null:
-        return p0 + 1 - null if null <= p0 + 1 else None
-    return None if total % 2 else total // 2
+def _product(R: MultiRestriction, exps) -> list:
+    """prod alpha_i^exps[i], on the monomials u^(deg-j) v^j."""
+    out = [R.field.one]
+    for form, e in zip(R.forms, exps):
+        for _ in range(e):
+            out = _conv(out, list(form), R.field.zero)
+    return out
+
+
+def _restriction_candidates(R: MultiRestriction) -> list:
+    """(degree, P and Q coefficients) of explicit derivations of degree at
+    most total/2, where d1 lies:
+    - prod_{i>1} alpha_i^m_i (-cv_1 d_u + cu_1 d_v), alpha_1 of the
+      largest multiplicity, of degree total - m_1;
+    - prod alpha_i^(m_i - 1) (u d_u + v d_v), of degree total - s + 1;
+    - the restrictions R.lifts from the parent arrangement."""
+    zero, total = R.field.zero, R.total
+    top = R.mult.index(max(R.mult))
+    out = list(R.lifts)
+    if 2 * R.mult[top] >= total:
+        h = _product(R, [m * (i != top) for i, m in enumerate(R.mult)])
+        cu, cv = R.forms[top]
+        out.append((len(h) - 1, [-cv * x for x in h] + [cu * x for x in h]))
+    if 2 * len(R.forms) >= total + 2:
+        h = _product(R, [m - 1 for m in R.mult])
+        out.append((len(h), h + [zero, zero] + h))
+    return out
 
 
 def multi_exponents(R: MultiRestriction) -> tuple[int, int]:
     """Exponent pair (d1, d2) of the restriction, d1 <= d2, summing to total.
 
-    One certified nullity at p0 = ceil(total/2) - 1 pins d1 through the
-    Hilbert function of the free rank-two module (_hilbert_d1);
-    CertificationError if no d1 fits it.
+    A rank-two multiarrangement is free (Ziegler), so d1 is the least
+    degree with a nonzero derivation, and d1 <= total/2.  _min_degree finds
+    it: the lowest explicit derivation (_restriction_candidates) that
+    passes _derives, with a zero space certified one degree below, else
+    the certified upward scan; CertificationError if that finds none.
     """
-    p0 = (R.total + 1) // 2 - 1
-    null = _multi_dim(R, p0)
-    d1 = _hilbert_d1(R.total, null)
+    d1 = _min_degree(
+        [(deg, partial(_derives, R, deg, vec))
+         for deg, vec in _restriction_candidates(R) if any(vec)],
+        partial(_multi_dim, R),
+        lambda deg: certified_zero(*_multi_system(R, deg)), R.total // 2,
+    )
     if d1 is None:
         raise CertificationError(
-            f"derivation dim {null} at degree {p0} of total {R.total} "
-            f"fits no d1"
+            f"no derivation of degree <= {R.total // 2} of total {R.total}"
         )
     return (d1, R.total - d1)
 

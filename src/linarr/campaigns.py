@@ -378,7 +378,7 @@ def m3_classification(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
     lattice of the 6-line full monomial arrangement or of its 5-line
     deletion."""
     ref_full = full_monomial(1)
-    ref_deleted = a_of_w(1, ())
+    [ref_deleted] = [a for _, cls, a in _aw_roster(1) if not cls.exponents]
     cases = []
     for label, arr in _standard_pool(seed, max_n, max_dprime):
         if is_pencil(arr) or not is_supersolvable(arr):

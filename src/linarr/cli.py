@@ -11,9 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .algebra import (
     _multi_dim,
+    _relation_top,
+    _upward,
     is_balanced,
     mdr,
     multi_exponents,
@@ -198,13 +201,12 @@ def cmd_recover(args) -> int:
 def cmd_algebra(args) -> int:
     arr = Arrangement.load(args.file)
     if args.op == "mdr":
-        value = mdr(arr, bound=args.bound)
-        top = value if value is not None else (
-            args.bound if args.bound is not None else (len(arr.lines) - 1) // 2
-        )
+        # one certified upward pass gives both the value and the profile
+        dims = _upward(partial(syzygy_dimension, arr),
+                       _relation_top(arr, args.bound))
         data = {
-            "value": value,
-            "degree_dims": [syzygy_dimension(arr, r) for r in range(top + 1)],
+            "value": len(dims) - 1 if dims and dims[-1] else None,
+            "degree_dims": dims,
         }
     elif args.op == "ziegler":
         if args.line is None:

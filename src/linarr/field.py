@@ -100,7 +100,7 @@ class CycField:
     """Q(zeta_n).  `zero` and `one` are built once and shared."""
 
     __slots__ = ("order", "modulus", "degree", "_tail", "zero", "one",
-                 "_zeta_powers")
+                 "_zeta_powers", "_split")
 
     def __init__(self, n: int):
         self.order = n
@@ -111,6 +111,9 @@ class CycField:
         self.zero = self.scalar(0)
         self.one = self.scalar(1)
         self._zeta_powers: list[CycNumber] | None = None
+        # (p, roots of Phi_n mod p) for the split primes above 2^30 found so
+        # far, in increasing p; linalg.split_prime extends it on demand
+        self._split: list[tuple[int, tuple[int, ...]]] = []
 
     def element(self, coeffs) -> "CycNumber":
         cs = [Fraction(c) for c in coeffs]

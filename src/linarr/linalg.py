@@ -6,8 +6,9 @@ away from denominators divisible by p, onto F_p as a ring map, under which
 a rank can only drop.  certified_nullity is the one place where a system
 meets F_p: it builds the rows mod p from the reduced inputs, for an upper
 bound, and checks exactly a kernel basis lifted by interpolation, CRT and
-rational reconstruction, for a lower one.  There is no exact elimination:
-an answer is certified, or CertificationError is raised.
+rational reconstruction, for a lower one.  certified_zero asks only the
+upper bound, at one root, on the same rows.  There is no exact
+elimination: an answer is certified, or CertificationError is raised.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
 
-from .field import CertificationError, CycField, CycNumber
+from .field import CertificationError, CycField, CycNumber, cyc_field
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -48,31 +49,40 @@ def _is_prime(n: int) -> bool:
 def split_prime(n: int, skip: int = 0) -> int:
     """A prime p = 1 (mod n) above 2^30, skipping the first `skip` of them.
 
-    Phi_n splits into phi(n) distinct linear factors mod such a prime.
+    Phi_n splits into phi(n) distinct linear factors mod such a prime.  The
+    primes found so far, with their roots, are kept on cyc_field(n), and a
+    later question extends the list from its last prime.
     """
-    found = 0
-    p = ((1 << 30) // n + 1) * n + 1
-    while True:
-        if _is_prime(p):
-            if found == skip:
-                return p
-            found += 1
-        p += n
+    table = cyc_field(n)._split
+    while len(table) <= skip:
+        p = table[-1][0] + n if table else ((1 << 30) // n + 1) * n + 1
+        while not _is_prime(p):
+            p += n
+        table.append((p, _cyclotomic_roots(n, p)))
+    return table[skip][0]
 
 
-def split_roots(n: int, p: int) -> list[int]:
+def split_roots(n: int, p: int) -> tuple[int, ...]:
     """The roots of Phi_n mod a prime p = 1 (mod n).
 
     They are omega^k for k in (Z/n)*, in increasing k, where omega, the
     first, is a primitive n-th root of unity mod p.
     """
+    for q, roots in cyc_field(n)._split:
+        if q == p:
+            return roots
+    return _cyclotomic_roots(n, p)
+
+
+def _cyclotomic_roots(n: int, p: int) -> tuple[int, ...]:
     if (p - 1) % n:
         raise ValueError(f"{p} is not 1 mod {n}")
     factors = [q for q in range(2, n + 1) if n % q == 0 and _is_prime(q)]
     for g in range(2, p):
         omega = pow(g, (p - 1) // n, p)
         if all(pow(omega, n // q, p) != 1 for q in factors):
-            return [pow(omega, k, p) for k in range(1, n + 1) if gcd(k, n) == 1]
+            return tuple(pow(omega, k, p) for k in range(1, n + 1)
+                         if gcd(k, n) == 1)
 
 
 def reduce_at(rows, root: int, p: int) -> list[list[int]]:
@@ -252,6 +262,16 @@ def _dot_is_zero(rows, vec) -> bool:
     return True
 
 
+def _rows_at(inputs, build, root: int, p: int) -> list[list[int]]:
+    """The rows of build mod p at zeta -> root, built from the reduced
+    inputs.  Raises ZeroDivisionError when the root is bad for the inputs:
+    a denominator or a nonzero input vanishes mod p."""
+    red = reduce_at(inputs, root, p)
+    if any(y and not x for xs, ys in zip(red, inputs) for x, y in zip(xs, ys)):
+        raise ZeroDivisionError("a nonzero input vanishes mod p")
+    return [[x % p for x in row] for row in build(red, 0, 1)]
+
+
 # Split primes tried per dimension question.  Only finitely many primes are
 # unlucky for a given system, so a true answer certifies once the CRT
 # modulus outgrows its kernel basis's coefficients (48 primes give about
@@ -288,12 +308,8 @@ def certified_nullity(F: CycField, ncols: int, inputs, build,
         bases, pivs = [], []
         try:
             for root in roots:
-                red = reduce_at(inputs, root, p)
-                if any(y and not x for xs, ys in zip(red, inputs)
-                       for x, y in zip(xs, ys)):
-                    raise ZeroDivisionError("a nonzero input vanishes mod p")
-                rows = [[x % p for x in row] for row in build(red, 0, 1)]
-                basis, piv = fp_kernel_basis(rows, ncols, p)
+                basis, piv = fp_kernel_basis(_rows_at(inputs, build, root, p),
+                                             ncols, p)
                 if not basis:
                     return 0
                 bases.append(basis)
@@ -320,3 +336,20 @@ def certified_nullity(F: CycField, ncols: int, inputs, build,
         f"nullity of a {ncols}-column system over Q(zeta_{F.order}) not "
         f"certified within {_PRIME_CAP} split primes"
     )
+
+
+def certified_zero(F: CycField, ncols: int, inputs, build) -> bool:
+    """True when the system's kernel is zero at the first root of the first
+    split prime that is good for the inputs, which certifies a zero exact
+    kernel (a rank only drops mod p); False means unknown.
+
+    The cheap side of certified_nullity, on the same rows: no lift.
+    """
+    for skip in range(_PRIME_CAP):
+        p = split_prime(F.order, skip)
+        try:
+            rows = _rows_at(inputs, build, split_roots(F.order, p)[0], p)
+        except ZeroDivisionError:
+            continue
+        return len(fp_echelon(rows, p)) == ncols
+    return False

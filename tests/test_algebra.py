@@ -17,9 +17,12 @@ from linarr.algebra import (
     Poly,
     _derives,
     _gauged_rows,
+    _is_derivation,
     _multi_dim,
+    _pencil_derivation,
+    _power_derivation,
+    _restriction_candidates,
     _restriction_rows,
-    _syz_nonzero_at,
     defining_polynomial,
     is_balanced,
     mdr,
@@ -413,26 +416,194 @@ def test_multi_exponents_property(case):
     assert multi_exponents(shuffled) == want
 
 
-def test_multi_exponents_asks_one_dimension_at_p0(monkeypatch):
+def _route_log(monkeypatch):
+    """Record in order the exact derivation checks, the zero-kernel probes
+    and the certified dimensions that algebra asks."""
+    log = []
+    derives, zero, dim = alg._derives, alg.certified_zero, alg._multi_dim
+
+    def spy_derives(R, deg, vec):
+        ok = derives(R, deg, vec)
+        log.append(("check", deg, ok))
+        return ok
+
+    def spy_zero(F, ncols, inputs, build):
+        ok = zero(F, ncols, inputs, build)
+        log.append(("zero", ncols, ok))
+        return ok
+
+    def spy_dim(R, deg):
+        log.append(("dim", deg))
+        return dim(R, deg)
+
+    monkeypatch.setattr(alg, "_derives", spy_derives)
+    monkeypatch.setattr(alg, "certified_zero", spy_zero)
+    monkeypatch.setattr(alg, "_multi_dim", spy_dim)
+    return log
+
+
+def test_multi_exponents_certifies_a_candidate_by_one_zero_kernel(monkeypatch):
+    # A candidate is accepted only after its exact check passes and the
+    # derivations one degree below are certified zero; no kernel is lifted.
+    log = _route_log(monkeypatch)
+    settled = 0
+    for R in _scan_restrictions():
+        del log[:]
+        d1, _ = multi_exponents(R)
+        if any(event[0] == "dim" for event in log):
+            continue
+        tail = [("check", d1, True)]
+        if d1:
+            tail.append(("zero", 2 * d1, True))
+        assert log[-len(tail):] == tail
+        assert all(event[0] == "check" and not event[2]
+                   for event in log[:-len(tail)])
+        settled += 1
+    assert settled > 100
+
+
+def test_multi_exponents_raises_when_no_degree_certifies(monkeypatch):
+    # With no candidate passing and every certified dimension zero up to
+    # total/2, no d1 is certified: the scan asks each degree once, then
+    # CertificationError.
     asked = []
-
-    def spy(R, deg):
-        asked.append(deg)
-        return _multi_dim(R, deg)
-
-    monkeypatch.setattr(alg, "_multi_dim", spy)
-    for R in _scan_restrictions():
+    monkeypatch.setattr(alg, "_derives", lambda R, deg, vec: False)
+    monkeypatch.setattr(alg, "_multi_dim",
+                        lambda R, deg: asked.append(deg) or 0)
+    for R in _scan_restrictions()[:20]:
         del asked[:]
-        multi_exponents(R)
-        assert asked == [(R.total + 1) // 2 - 1]
-
-
-def test_multi_exponents_raises_when_no_d1_fits(monkeypatch):
-    # dim D_p0 is at most p0 + 1 (reached at d1 = 0); p0 + 2 fits no d1
-    monkeypatch.setattr(alg, "_multi_dim", lambda R, deg: deg + 2)
-    for R in _scan_restrictions():
         with pytest.raises(CertificationError):
             multi_exponents(R)
+        assert asked == list(range(R.total // 2 + 1))
+
+
+def _in_exact_kernel(R, deg, vec):
+    F = R.field
+    rows = _restriction_rows(R.forms, R.mult, deg, F.zero, F.one)
+    return all(not sum((a * b for a, b in zip(row, vec)), F.zero)
+               for row in rows)
+
+
+def _low_restriction_candidates(R):
+    """Both closed forms, at any degree, with one exponent lowered: one
+    degree too low."""
+    zero = R.field.zero
+    top = R.mult.index(max(R.mult))
+    cu, cv = R.forms[top]
+    c1 = [m * (i != top) for i, m in enumerate(R.mult)]
+    c2 = [m - 1 for m in R.mult]
+    out = []
+    for j in range(len(R.mult)):
+        if c1[j]:
+            h = alg._product(R, c1[:j] + [c1[j] - 1] + c1[j + 1:])
+            out.append((len(h) - 1, [-cv * x for x in h] + [cu * x for x in h]))
+        if c2[j]:
+            h = alg._product(R, c2[:j] + [c2[j] - 1] + c2[j + 1:])
+            out.append((len(h), h + [zero, zero] + h))
+    return out
+
+
+def test_candidate_one_degree_too_low_is_rejected(monkeypatch):
+    # relations: the power derivation needs r = 1 (mod n) (r = 1 is the
+    # Euler derivation), and the pencil derivation every form missing its
+    # point
+    for n in (2, 3, 4):
+        for arr in (full_monomial(n), a_of_w(n, (0,))):
+            F = arr.field
+            assert not _is_derivation(arr, _power_derivation(F, n))
+            assert _is_derivation(arr, _power_derivation(F, n + 1))
+    for arr in (near_pencil(6), _cone_over_q(4, 1, 1)):
+        theta = _pencil_derivation(arr)
+        assert _is_derivation(arr, theta)
+        lat = build_lattice(arr)
+        off = next(l for j, l in enumerate(arr.lines)
+                   if j not in lat.incidence[0])
+        low = [t.div_linear(off.coords) for t in theta]
+        assert not _is_derivation(arr, low)
+    # restrictions: both closed forms with one exponent lowered fail
+    # _derives, and offered first they leave every answer unchanged
+    real = alg._restriction_candidates
+    monkeypatch.setattr(alg, "_restriction_candidates",
+                        lambda R: _low_restriction_candidates(R) + real(R))
+    rejected = 0
+    for R in _scan_restrictions():
+        for deg, vec in _low_restriction_candidates(R):
+            assert not _derives(R, deg, vec)
+            rejected += 1
+        assert multi_exponents(R) == _scan_exponents(R)
+    assert rejected > 100
+
+
+def test_perturbed_candidate_is_rejected(monkeypatch):
+    # One coefficient + 1: _derives agrees with the exact rows on it, and
+    # the answer still equals the exact scan.
+    def perturbed(R):
+        out = []
+        for deg, vec in real(R):
+            bad = list(vec)
+            j = next(j for j, x in enumerate(vec) if x)
+            bad[j] = bad[j] + R.field.one
+            out.append((deg, bad))
+        return out
+
+    real = alg._restriction_candidates
+    monkeypatch.setattr(alg, "_restriction_candidates", perturbed)
+    rejected = 0
+    for R in _scan_restrictions():
+        for deg, bad in perturbed(R):
+            ok = _derives(R, deg, bad)
+            assert ok == _in_exact_kernel(R, deg, bad)
+            rejected += not ok
+        assert multi_exponents(R) == _scan_exponents(R)
+    assert rejected > 100
+
+
+def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
+    # u times a derivation of degree d1 is an exact derivation of degree
+    # d1 + 1.  Offered alone, it passes its check, but the derivations at
+    # d1 are not zero, so the scan finds d1: skipping that question would
+    # answer d1 + 1.
+    log = _route_log(monkeypatch)
+    real = alg._restriction_candidates
+    cases = 0
+    for R in _scan_restrictions():
+        d1, d2 = _scan_exponents(R)
+        good = [vec for deg, vec in real(R)
+                if deg == d1 and any(vec) and _derives(R, deg, vec)]
+        if not good or 2 * (d1 + 1) > R.total:
+            continue
+        P, Q = good[0][:d1 + 1], good[0][d1 + 1:]
+        zero = R.field.zero
+        shifted = (d1 + 1, P + [zero] + Q + [zero])
+        monkeypatch.setattr(alg, "_restriction_candidates",
+                            lambda R, c=shifted: [c])
+        del log[:]
+        assert multi_exponents(R) == (d1, d2)
+        assert ("check", d1 + 1, True) in log
+        assert ("zero", 2 * d1 + 2, False) in log
+        assert ("dim", d1) in log
+        cases += 1
+    assert cases > 20
+    # relations: on this cone the pencil derivation has degree 3 but the
+    # minimal relation degree is 2
+    [arr] = [a for label, a in _standard_pool(0, 1, 3)
+             if label == "cone-d3-generic-e0-s1"]
+    assert _is_derivation(arr, _pencil_derivation(arr))
+    assert len(arr.lines) - build_lattice(arr).mult[0] == 3
+    assert mdr(arr, bound=3) == 2 and verify_mdr(arr, 2)
+    assert not verify_mdr(arr, 3)
+
+
+def test_mdr_certifies_a_candidate_by_one_zero_kernel(monkeypatch):
+    log = _route_log(monkeypatch)
+    dims = []
+    real = alg.syzygy_dimension
+    monkeypatch.setattr(alg, "syzygy_dimension",
+                        lambda arr, r: dims.append(r) or real(arr, r))
+    for n in (2, 3, 4):
+        del log[:]
+        assert mdr(full_monomial(n)) == n + 1
+        assert log == [("zero", (n + 1) * (n + 3), True)] and not dims
 
 
 def test_derivation_check_rejects_perturbed_vector(monkeypatch):
@@ -511,8 +682,11 @@ def test_wide_coefficients_certify_past_eight_primes(monkeypatch):
 
 def test_relation_degree_out_of_range_raises():
     braid = full_monomial(1)
+    for r in (-1, len(braid.lines) - 1):
+        with pytest.raises(ValueError):
+            verify_mdr(braid, r)
     with pytest.raises(ValueError):
-        _syz_nonzero_at(braid, len(braid.lines) - 1)
+        mdr(braid, bound=len(braid.lines) - 1)
 
 
 def test_nodal_vanishing_dimensions():
@@ -620,8 +794,10 @@ def test_wide_syzygy_dimension_matches_exact_oracle():
 
 def test_zero_kernel_relation_question_builds_no_exact_rows(monkeypatch):
     # verify_mdr's r-1 side is a zero kernel mod p: rows built from the
-    # reduced line coordinates certify it, and exact rows are built only at
-    # r, once, to check the lifted vector
+    # reduced line coordinates certify it.  Its r side is the power
+    # derivation, checked by division, so it builds no exact rows at all;
+    # a certified dimension builds them only at r, once, to check the
+    # lifted vector
     arr = full_monomial(3)
     r = mdr(arr)
     exact = []
@@ -634,6 +810,9 @@ def test_zero_kernel_relation_question_builds_no_exact_rows(monkeypatch):
 
     monkeypatch.setattr(alg, "_gauged_rows", spy)
     assert verify_mdr(arr, r)
+    assert exact == []
+    assert syzygy_dimension(arr, r - 1) == 0 and exact == []
+    assert syzygy_dimension(arr, r) == 1
     assert exact == [r]
 
 
@@ -763,7 +942,12 @@ def test_kernel_nonzero_matches_exact_over_q_zeta_8():
         exact = kernel_vector(rows, ncols, F.one, F.zero) is not None
         null = la.certified_nullity(F, ncols, rows, lambda rows, z, o: rows)
         assert (null > 0) == exact == (r == 5)
-        assert _syz_nonzero_at(arr, r) == exact
+        assert (syzygy_dimension(arr, r) > 0) == exact
+    # the power derivation with r = k + 1 for k = 4, a divisor of 8
+    assert not any(_is_derivation(arr, _power_derivation(F, k + 1))
+                   for k in (1, 2))
+    assert _is_derivation(arr, _power_derivation(F, 5))
+    assert mdr(arr, bound=5) == 5 and verify_mdr(arr, 5)
 
 
 def test_certificates_survive_optimize_flag():

@@ -1,11 +1,17 @@
 """Campaign runner checks: structure, determinism, and frozen small sweeps."""
 
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 import linarr.campaigns as campaigns
 from linarr.campaigns import CAMPAIGNS, run_campaign
+from linarr.projgeo import build_lattice
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def by_key(result):
@@ -152,6 +158,52 @@ def test_m3_pass_set_is_the_two_lattices():
         "cone-d3-generic-e0-s2",
     ]
     assert all(c.verdict != "fail" for c in res.cases)
+
+
+def test_m3_reference_deletion_is_the_roster_instance(monkeypatch):
+    # a_of_w(1, ()) comes from the A(w) roster, so its lattice is grouped
+    # once per process
+    [roster] = [a for _, cls, a in campaigns._aw_roster(1)
+                if not cls.exponents]
+    refs = []
+    real = campaigns.lattice_isomorphic
+
+    def spy(lat, ref):
+        refs.append(ref)
+        return real(lat, ref)
+
+    monkeypatch.setattr(campaigns, "lattice_isomorphic", spy)
+    assert run_campaign("m3-classification", max_n=2, max_dprime=3).ok
+    assert any(ref is build_lattice(roster) for ref in refs)
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_campaign_digests_match_the_recorded_ones():
+    # The benchmark's recorded sha256 of each campaign's JSON: all nine at
+    # the tiny grid, and the two kernel campaigns at the full grid, seed 0.
+    workloads = _bench_module("workloads")
+    recorded = json.loads((BENCH / "digests.json").read_text())
+    runs = [("tiny", workloads.TINY_SEED, grid)
+            for grid in workloads.GRIDS["tiny"].values()]
+    runs += [("full", 0, workloads.GRIDS["full"][w])
+             for w in ("restriction-exponents", "jacobian-certify")]
+    checked = set()
+    for label, seed, grid in runs:
+        for name in grid["campaigns"]:
+            result = run_campaign(name, seed=seed, max_n=grid["max_n"],
+                                  max_dprime=grid["max_dprime"])
+            text = json.dumps(result.to_json(), indent=2)
+            key = workloads.digest_key(label, seed, name)
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == recorded[key], key
+            checked.add(key)
+    assert len(checked) == len(CAMPAIGNS) + 2
 
 
 def test_json_shape_and_determinism():

@@ -156,6 +156,32 @@ def test_algebra_mdr(tmp_path, capsys):
     assert data == {"value": 2, "degree_dims": [0, 0, 1]}
 
 
+def test_algebra_mdr_asks_each_degree_once(tmp_path, capsys, monkeypatch):
+    # value and degree_dims come from one upward pass; the output is the
+    # same as when mdr and every degree were asked apart
+    import linarr.algebra as alg
+
+    asked = []
+    real = alg.certified_nullity
+
+    def spy(F, ncols, *args):
+        asked.append(ncols)
+        return real(F, ncols, *args)
+
+    monkeypatch.setattr(alg, "certified_nullity", spy)
+    for arr, want in (
+        (full_monomial(3), {"value": 4, "degree_dims": [0, 0, 0, 0, 1]}),
+        (full_monomial(1), {"value": 2, "degree_dims": [0, 0, 1]}),
+        (near_pencil(6), {"value": 1, "degree_dims": [0, 1]}),
+    ):
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps(arr.to_json()))
+        del asked[:]
+        assert main(["algebra", "mdr", str(path)]) == 0
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+        assert len(asked) == len(set(asked)) == len(want["degree_dims"])
+
+
 def test_algebra_ziegler(tmp_path, capsys):
     path = tmp_path / "braid.json"
     main(["make", "full-monomial", "1", "--out", str(path)])

@@ -89,6 +89,42 @@ def test_split_prime_orders():
         assert [e for e in range(1, n + 1) if pow(roots[0], e, p) == 1] == [n]
 
 
+def _scanned_split_prime(n, skip):
+    """The split prime by a scan from 2^30, as it was found before the
+    primes were kept on the field."""
+    found, p = 0, ((1 << 30) // n + 1) * n + 1
+    while True:
+        if la._is_prime(p):
+            if found == skip:
+                return p
+            found += 1
+        p += n
+
+
+def test_split_primes_are_kept_on_the_field(monkeypatch):
+    for n in (1, 3, 4, 5, 8, 12):
+        for skip in range(6):
+            p = split_prime(n, skip)
+            assert p == _scanned_split_prime(n, skip)
+            assert split_roots(n, p) == la._cyclotomic_roots(n, p)
+        assert [q for q, _ in cyc_field(n)._split][:6] == [
+            split_prime(n, skip) for skip in range(6)]
+    calls = []
+    real = la._is_prime
+    monkeypatch.setattr(la, "_is_prime", lambda m: calls.append(m) or real(m))
+    for n in (1, 3, 4, 5, 8, 12):
+        for skip in range(6):
+            split_roots(n, split_prime(n, skip))
+    assert calls == []
+    # a prime past the kept ones extends the list from its last prime
+    n = 12
+    kept = len(cyc_field(n)._split)
+    p = split_prime(n, kept)
+    scanned = [m for m in calls if m > n]  # the rest test factors of n
+    assert min(scanned) > cyc_field(n)._split[kept - 1][0]
+    assert p == max(scanned) == _scanned_split_prime(n, kept)
+
+
 def test_split_nullity_matches_exact():
     # (Z/8)* and (Z/12)* are not cyclic: no prime keeps Phi_8 or Phi_12
     # irreducible, but split primes exist for every order.

@@ -11,12 +11,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "linarr"
 EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
                 "_EXACT_COLS", "nullity", "rank"}
 
-# Restriction exponents take one certified nullity (algebra.multi_exponents):
-# no uncertified guess to certify, no knob to bypass it, and no global cache
-# of relation answers.  A lattice is kept on its Arrangement, and campaigns
-# build each arrangement once, so no global dict caches either.
+# Minimal degrees take one search (algebra._min_degree): an explicit
+# derivation checked exactly and a certified zero kernel below it, else the
+# certified scan.  No uncertified guess to certify, no knob to bypass it, no
+# Hilbert-function read of one dimension, and no global cache of relation
+# answers.  A lattice is kept on its Arrangement, and campaigns build each
+# arrangement once, so no global dict caches either.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
-           "_LATTICE_CACHE", "_POOLS"}
+           "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
