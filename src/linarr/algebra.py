@@ -5,8 +5,8 @@ an arrangement to one of its lines as a rank-two multiarrangement, exponent
 pairs of such restrictions, and the vanishing dimension at the nodes of a
 generic arrangement.  Every answer is certified over the exact field.
 
-Every dimension is a certified nullity on split primes
-(linalg.certified_nullity), asked with the few inputs a system is built
+Every dimension is one question to linalg.certified_nullity, the one
+entry point to split primes, asked with the few inputs a system is built
 from, line coefficients, restricted forms or node coordinates, and a row
 builder generic over the element type (_gauged_rows, _restriction_rows,
 _node_rows).  linalg reduces the inputs and builds the rows mod p, so this
@@ -17,10 +17,10 @@ A minimal degree, of a relation (mdr, verify_mdr) or of a derivation of a
 restriction (d1 of multi_exponents: rank-two multiarrangements are free,
 Ziegler), is one search, _min_degree.  A closed-form candidate is an
 explicit derivation whose exact vector passes an exact check: division by
-every line's form, or _derives.  At the lowest such degree c, a zero
-kernel at c - 1 at one root of a split prime (linalg.certified_zero)
-certifies c, since the spaces only grow with degree; otherwise the
-certified upward scan decides.  The candidates come from G. Ziegler,
+every line's form, or _derives.  At the lowest such degree c, a certified
+dimension 0 at c - 1 (a zero kernel at the first good root, with no lift)
+certifies c, since the spaces only grow with degree; a nonzero one sends
+the search below c - 1.  The candidates come from G. Ziegler,
 "Multiarrangements of hyperplanes and their freeness" (1989), and A.
 Wakamiko, "On the exponents of 2-multiarrangements" (2007).
 """
@@ -39,7 +39,7 @@ from .field import (
     cyc_to_strings,
     divisors,
 )
-from .linalg import certified_nullity, certified_zero
+from .linalg import certified_nullity
 from .projgeo import Arrangement, build_lattice
 
 
@@ -140,18 +140,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
-
-    def deriv(self, var: int) -> "Poly":
-        terms = {}
-        for mono, c in self.terms.items():
-            e = mono[var]
-            if e:
-                m = list(mono)
-                m[var] = e - 1
-                terms[tuple(m)] = c * e
-        out = Poly(self.field)
-        out.terms = terms
-        return out
 
     def eval3(self, coords) -> CycNumber:
         F = self.field
@@ -303,42 +291,34 @@ def _gauged_rows(lines, r: int, zero, one) -> list[list]:
     return rows
 
 
-def _relation_system(arr: Arrangement, r: int):
-    return (arr.field, (r + 1) * (r + 3), [line.coords for line in arr.lines],
-            lambda lines, zero, one: _gauged_rows(lines, r, zero, one))
-
-
 def syzygy_dimension(arr: Arrangement, r: int) -> int:
     """Dimension of the degree-r relation space, certified."""
-    return certified_nullity(*_relation_system(arr, r))
+    return certified_nullity(
+        arr.field, (r + 1) * (r + 3), [line.coords for line in arr.lines],
+        lambda lines, zero, one: _gauged_rows(lines, r, zero, one),
+    )
 
 
-def _upward(dim, top: int) -> list[int]:
-    """dim(0), dim(1), ... up to the first nonzero one, or to top."""
-    dims = []
-    for deg in range(top + 1):
-        dims.append(dim(deg))
-        if dims[-1]:
-            break
-    return dims
-
-
-def _min_degree(candidates, dim, zero, top: int) -> int | None:
+def _min_degree(candidates, dim, top: int) -> int | None:
     """Least degree <= top with a nonzero space, certified; None if none.
 
     candidates are (degree, check) pairs, check() an exact test that an
-    explicit element of that degree lies in the space.  The lowest degree c
-    whose check passes has a nonzero space, and if zero(c - 1) certifies a
-    zero space at c - 1 then c is the minimum: the spaces only grow with
-    degree.  Otherwise, or with no candidate, the certified upward scan of
-    dim below c (or up to top) decides.
+    explicit element of that degree lies in the space; dim(deg) is the
+    certified dimension at deg, asked at most once per degree.  The spaces
+    only grow with degree.  The lowest degree c whose check passes has a
+    nonzero space, so c is the minimum when c = 0 or dim(c - 1) = 0.
+    Otherwise the space at c - 1 is nonzero, and the minimum is the first
+    nonzero degree below c - 1, else c - 1.  With no candidate it is the
+    first nonzero degree up to top.
     """
     c = next((deg for deg, check in sorted(candidates, key=lambda dc: dc[0])
               if deg <= top and check()), None)
-    if c == 0 or (c is not None and zero(c - 1)):
+    if c == 0 or (c is not None and not dim(c - 1)):
         return c
-    dims = _upward(dim, top if c is None else c - 1)
-    return len(dims) - 1 if dims and dims[-1] else c
+    for deg in range(top + 1 if c is None else c - 1):
+        if dim(deg):
+            return deg
+    return None if c is None else c - 1
 
 
 def _relation_top(arr: Arrangement, bound: int | None) -> int:
@@ -403,14 +383,11 @@ def mdr(arr: Arrangement, bound: int | None = None) -> int | None:
     above d-1 are rejected: from there the Koszul relations between the
     partials make the kernel nonzero for trivial reasons.  The answer is
     the lowest explicit derivation that passes its exact check, with a zero
-    kernel certified one degree below, else the certified upward scan
-    (_min_degree).
+    relation space certified one degree below, else the first certified
+    nonzero degree below it (_min_degree).
     """
-    return _min_degree(
-        _relation_candidates(arr), partial(syzygy_dimension, arr),
-        lambda r: certified_zero(*_relation_system(arr, r)),
-        _relation_top(arr, bound),
-    )
+    return _min_degree(_relation_candidates(arr),
+                       partial(syzygy_dimension, arr), _relation_top(arr, bound))
 
 
 def verify_mdr(arr: Arrangement, r_star: int) -> bool:
@@ -567,15 +544,13 @@ def _restriction_rows(forms, mult, deg: int, zero, one) -> list[list]:
     return rows
 
 
-def _multi_system(R: MultiRestriction, deg: int):
-    return (R.field, 2 * deg + 2, R.forms,
-            lambda forms, z, o: _restriction_rows(forms, R.mult, deg, z, o))
-
-
 def _multi_dim(R: MultiRestriction, deg: int) -> int:
     """dim of the degree-deg derivations of the multirestriction, certified."""
-    return certified_nullity(*_multi_system(R, deg),
-                             lambda vec: _derives(R, deg, vec))
+    return certified_nullity(
+        R.field, 2 * deg + 2, R.forms,
+        lambda forms, z, o: _restriction_rows(forms, R.mult, deg, z, o),
+        lambda vec: _derives(R, deg, vec),
+    )
 
 
 def _derives(R: MultiRestriction, deg: int, vec) -> bool:
@@ -633,22 +608,27 @@ def multi_exponents(R: MultiRestriction) -> tuple[int, int]:
     """Exponent pair (d1, d2) of the restriction, d1 <= d2, summing to total.
 
     A rank-two multiarrangement is free (Ziegler), so d1 is the least
-    degree with a nonzero derivation, and d1 <= total/2.  _min_degree finds
-    it: the lowest explicit derivation (_restriction_candidates) that
-    passes _derives, with a zero space certified one degree below, else
-    the certified upward scan; CertificationError if that finds none.
+    degree with a nonzero derivation, and d1 <= total/2.
     """
+    d1 = _least_derivation_degree(R, partial(_multi_dim, R))
+    return (d1, R.total - d1)
+
+
+def _least_derivation_degree(R: MultiRestriction, dim) -> int:
+    """d1 of R by _min_degree over dim: the lowest explicit derivation
+    (_restriction_candidates) that passes _derives, with a zero space
+    certified one degree below, else the first certified nonzero degree
+    below it; CertificationError if no degree up to total/2 has one."""
     d1 = _min_degree(
         [(deg, partial(_derives, R, deg, vec))
          for deg, vec in _restriction_candidates(R) if any(vec)],
-        partial(_multi_dim, R),
-        lambda deg: certified_zero(*_multi_system(R, deg)), R.total // 2,
+        dim, R.total // 2,
     )
     if d1 is None:
         raise CertificationError(
             f"no derivation of degree <= {R.total // 2} of total {R.total}"
         )
-    return (d1, R.total - d1)
+    return d1
 
 
 def is_balanced(R: MultiRestriction) -> bool:

@@ -123,22 +123,34 @@ def _aw_keys(max_n):
         yield from _aw_roster(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
+def _seed_cones(seed: int) -> dict:
+    """The cones built so far for one campaign seed, by label.  Asking for
+    another seed drops them, so a process holds one seed's cones."""
+    return {}
+
+
 def _build_cone(
-    dp: int, kind: str, e: int, seed: int, tag: str
-) -> Arrangement | None:
-    """The cone labelled tag, built once per process; None when it has no
-    adversarial vertex (over a triangle)."""
-    vertex = generic_vertex if kind == "generic" else adversarial_vertex
-    try:
-        base = generic_arrangement(dp, seed=_derive(seed, f"{tag}:base"))
-        v = vertex(base, seed=_derive(seed, f"{tag}:vertex"))
-        return cone(ConeSpec(base, v, extra=e, seed=_derive(seed, f"{tag}:extra")))
-    except ValueError:
-        return None
+    seed: int, dp: int, kind: str, e: int, s: int
+) -> tuple[str, Arrangement | None]:
+    """The label and cone of sample s, built once per campaign seed; the
+    cone is None when it has no adversarial vertex (over a triangle)."""
+    tag = f"cone-d{dp}-{kind}-e{e}-s{s}"
+    cones = _seed_cones(seed)
+    if tag not in cones:
+        vertex = generic_vertex if kind == "generic" else adversarial_vertex
+        sseed = _derive(seed, str(s))
+        try:
+            base = generic_arrangement(dp, seed=_derive(sseed, f"{tag}:base"))
+            v = vertex(base, seed=_derive(sseed, f"{tag}:vertex"))
+            cones[tag] = cone(ConeSpec(base, v, extra=e,
+                                       seed=_derive(sseed, f"{tag}:extra")))
+        except ValueError:
+            cones[tag] = None
+    return tag, cones[tag]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _standard_pool(seed: int, max_n: int, max_dprime: int) -> tuple:
     """Shared roster of generated arrangements: every A(w) class up to
     max_n, pencils, near-pencils, and a spread of cones."""
@@ -151,8 +163,7 @@ def _standard_pool(seed: int, max_n: int, max_dprime: int) -> tuple:
         for kind in ("generic", "adversarial"):
             for e in (0, 1, 2):
                 for s in (1, 2):
-                    label = f"cone-d{dp}-{kind}-e{e}-s{s}"
-                    arr = _build_cone(dp, kind, e, _derive(seed, str(s)), label)
+                    label, arr = _build_cone(seed, dp, kind, e, s)
                     if arr is not None:
                         pool.append((label, arr))
     return tuple(pool)
@@ -240,8 +251,7 @@ def conj1_cones(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
         for kind in ("generic", "adversarial"):
             for e in (0, 1, 2):
                 for s in range(1, 6):
-                    label = f"cone-d{dp}-{kind}-e{e}-s{s}"
-                    arr = _build_cone(dp, kind, e, _derive(seed, str(s)), label)
+                    label, arr = _build_cone(seed, dp, kind, e, s)
                     if arr is None:
                         cases.append(Case(label, "not-applicable", {
                             "reason": "no connecting line off a triangle base",

@@ -146,13 +146,8 @@ def check_identities(arr: Arrangement) -> ClassifyReport:
     mods = modular_points(arr, lat)
     mod_mults = sorted({m for _, m in mods})
     supersolvable = bool(mods)
-    pencil = len(lat.points) == 1
-    near = (
-        not pencil
-        and d >= 3
-        and lat.mult[0] == d - 1
-        and all(m == 2 for m in lat.mult[1:])
-    )
+    pencil = is_pencil(arr)
+    near = is_near_pencil(arr)
     m_homog = mod_mults[0] if len(mod_mults) == 1 else None
     checks: dict[str, CheckResult] = {}
 

@@ -11,17 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .algebra import (
+    _least_derivation_degree,
+    _min_degree,
     _multi_dim,
+    _relation_candidates,
     _relation_top,
-    _upward,
     is_balanced,
     mdr,
-    multi_exponents,
     nodal_dimension_profile,
-    nodal_vanishing_dimension,
     supersolvable_exponents,
     syzygy_dimension,
     ziegler_restriction,
@@ -200,31 +200,33 @@ def cmd_recover(args) -> int:
 
 def cmd_algebra(args) -> int:
     arr = Arrangement.load(args.file)
+    # The search certifies every degree below the minimum zero (the spaces
+    # only grow with degree); a cache keeps it from asking any degree twice.
     if args.op == "mdr":
-        # one certified upward pass gives both the value and the profile
-        dims = _upward(partial(syzygy_dimension, arr),
-                       _relation_top(arr, args.bound))
+        top = _relation_top(arr, args.bound)
+        dim = cache(partial(syzygy_dimension, arr))
+        value = _min_degree(_relation_candidates(arr), dim, top)
         data = {
-            "value": len(dims) - 1 if dims and dims[-1] else None,
-            "degree_dims": dims,
+            "value": value,
+            "degree_dims": ([0] * (top + 1) if value is None
+                            else [0] * value + [dim(value)]),
         }
     elif args.op == "ziegler":
         if args.line is None:
             raise ValueError("ziegler needs --line")
         R = ziegler_restriction(arr, args.line)
-        d1, d2 = multi_exponents(R)
+        dim = cache(partial(_multi_dim, R))
+        d1 = _least_derivation_degree(R, dim)
         data = {
-            "value": [d1, d2],
-            "degree_dims": [_multi_dim(R, p) for p in range(d1 + 1)],
+            "value": [d1, R.total - d1],
+            "degree_dims": [0] * d1 + [dim(d1)],
             "mult": list(R.mult),
             "total": R.total,
             "balanced": is_balanced(R),
         }
     else:  # nodal-dim
-        data = {
-            "value": nodal_vanishing_dimension(arr),
-            "degree_dims": nodal_dimension_profile(arr),
-        }
+        dims = nodal_dimension_profile(arr)
+        data = {"value": dims[-1], "degree_dims": dims}
     _emit(data, None)
     return 0
 

@@ -31,15 +31,6 @@ def divisors(n: int) -> list[int]:
     return out
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _poly_divmod_exact(num, den):
     # den is monic; division must be exact over Z
     num = list(num)

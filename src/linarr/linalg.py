@@ -3,12 +3,12 @@
 A split prime p = 1 (mod n) has Phi_n split into the phi(n) distinct roots
 omega^k mod p, k in (Z/n)*.  Sending zeta to one of them maps Q(zeta_n),
 away from denominators divisible by p, onto F_p as a ring map, under which
-a rank can only drop.  certified_nullity is the one place where a system
+a rank can only drop.  certified_nullity is the one entry point where a system
 meets F_p: it builds the rows mod p from the reduced inputs, for an upper
 bound, and checks exactly a kernel basis lifted by interpolation, CRT and
-rational reconstruction, for a lower one.  certified_zero asks only the
-upper bound, at one root, on the same rows.  There is no exact
-elimination: an answer is certified, or CertificationError is raised.
+rational reconstruction, for a lower one.  A zero kernel needs no lift: it
+is certified at the first good root, by one elimination.  There is no
+exact elimination: an answer is certified, or CertificationError is raised.
 """
 
 from __future__ import annotations
@@ -206,6 +206,8 @@ def fp_kernel_basis(rows: list[list[int]], ncols: int, p: int):
     basis is determined by the matrix and bases from different primes with
     the same pivots are CRT-compatible."""
     pivots = fp_echelon(rows, p)
+    if len(pivots) == ncols:
+        return [], pivots
     # the nonzero entries of each pivot row on the later pivot columns
     tails = [
         [(pc, rows[r][pc]) for pc in pivots[r + 1:] if rows[r][pc]]
@@ -262,16 +264,6 @@ def _dot_is_zero(rows, vec) -> bool:
     return True
 
 
-def _rows_at(inputs, build, root: int, p: int) -> list[list[int]]:
-    """The rows of build mod p at zeta -> root, built from the reduced
-    inputs.  Raises ZeroDivisionError when the root is bad for the inputs:
-    a denominator or a nonzero input vanishes mod p."""
-    red = reduce_at(inputs, root, p)
-    if any(y and not x for xs, ys in zip(red, inputs) for x, y in zip(xs, ys)):
-        raise ZeroDivisionError("a nonzero input vanishes mod p")
-    return [[x % p for x in row] for row in build(red, 0, 1)]
-
-
 # Split primes tried per dimension question.  Only finitely many primes are
 # unlucky for a given system, so a true answer certifies once the CRT
 # modulus outgrows its kernel basis's coefficients (48 primes give about
@@ -308,8 +300,12 @@ def certified_nullity(F: CycField, ncols: int, inputs, build,
         bases, pivs = [], []
         try:
             for root in roots:
-                basis, piv = fp_kernel_basis(_rows_at(inputs, build, root, p),
-                                             ncols, p)
+                red = reduce_at(inputs, root, p)
+                if any(y and not x for xs, ys in zip(red, inputs)
+                       for x, y in zip(xs, ys)):
+                    raise ZeroDivisionError("a nonzero input vanishes mod p")
+                rows = [[x % p for x in row] for row in build(red, 0, 1)]
+                basis, piv = fp_kernel_basis(rows, ncols, p)
                 if not basis:
                     return 0
                 bases.append(basis)
@@ -337,19 +333,3 @@ def certified_nullity(F: CycField, ncols: int, inputs, build,
         f"certified within {_PRIME_CAP} split primes"
     )
 
-
-def certified_zero(F: CycField, ncols: int, inputs, build) -> bool:
-    """True when the system's kernel is zero at the first root of the first
-    split prime that is good for the inputs, which certifies a zero exact
-    kernel (a rank only drops mod p); False means unknown.
-
-    The cheap side of certified_nullity, on the same rows: no lift.
-    """
-    for skip in range(_PRIME_CAP):
-        p = split_prime(F.order, skip)
-        try:
-            rows = _rows_at(inputs, build, split_roots(F.order, p)[0], p)
-        except ZeroDivisionError:
-            continue
-        return len(fp_echelon(rows, p)) == ncols
-    return False

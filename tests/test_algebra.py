@@ -19,6 +19,7 @@ from linarr.algebra import (
     _gauged_rows,
     _is_derivation,
     _multi_dim,
+    _node_rows,
     _pencil_derivation,
     _power_derivation,
     _restriction_candidates,
@@ -84,6 +85,17 @@ def expand_factors(F, factors):
     return terms
 
 
+def deriv(poly, var):
+    """Partial derivative of a Poly in variable var."""
+    terms = {}
+    for mono, c in poly.terms.items():
+        if mono[var]:
+            m = list(mono)
+            m[var] -= 1
+            terms[tuple(m)] = c * mono[var]
+    return Poly(poly.field, terms)
+
+
 def eval_factors(factors, coords):
     total = None
     for cs in factors:
@@ -99,7 +111,7 @@ def test_poly_arithmetic():
     prod = (x + y) * (x - y)
     assert prod.terms == {(2, 0, 0): F.one, (0, 2, 0): -F.one}
     assert prod.degree() == 2
-    assert prod.deriv(0).terms == {(1, 0, 0): F.scalar(2)}
+    assert deriv(prod, 0).terms == {(1, 0, 0): F.scalar(2)}
     q = prod.div_linear((F.one, F.one, F.zero))
     assert q == x - y
     with pytest.raises(ValueError):
@@ -417,44 +429,51 @@ def test_multi_exponents_property(case):
 
 
 def _route_log(monkeypatch):
-    """Record in order the exact derivation checks, the zero-kernel probes
-    and the certified dimensions that algebra asks."""
+    """Record in order the exact derivation checks, the certified nullities
+    (by column count, with their answer) and the kernel vectors lifted that
+    algebra asks."""
     log = []
-    derives, zero, dim = alg._derives, alg.certified_zero, alg._multi_dim
+    derives, nullity, lift = alg._derives, alg.certified_nullity, la.lift_flat_vector
 
     def spy_derives(R, deg, vec):
         ok = derives(R, deg, vec)
         log.append(("check", deg, ok))
         return ok
 
-    def spy_zero(F, ncols, inputs, build):
-        ok = zero(F, ncols, inputs, build)
-        log.append(("zero", ncols, ok))
-        return ok
+    def spy_nullity(F, ncols, *args):
+        k = nullity(F, ncols, *args)
+        log.append(("nullity", ncols, k))
+        return k
 
-    def spy_dim(R, deg):
-        log.append(("dim", deg))
-        return dim(R, deg)
+    def spy_lift(*args):
+        log.append(("lift",))
+        return lift(*args)
 
     monkeypatch.setattr(alg, "_derives", spy_derives)
-    monkeypatch.setattr(alg, "certified_zero", spy_zero)
-    monkeypatch.setattr(alg, "_multi_dim", spy_dim)
+    monkeypatch.setattr(alg, "certified_nullity", spy_nullity)
+    monkeypatch.setattr(la, "lift_flat_vector", spy_lift)
     return log
 
 
 def test_multi_exponents_certifies_a_candidate_by_one_zero_kernel(monkeypatch):
     # A candidate is accepted only after its exact check passes and the
-    # derivations one degree below are certified zero; no kernel is lifted.
+    # derivations one degree below are certified zero: one certified
+    # nullity, answering 0 with no kernel vector lifted.  A restriction
+    # with no passing candidate (a cone's) asks each degree once, up to
+    # the first nonzero one, d1, where a kernel vector is lifted.
     log = _route_log(monkeypatch)
     settled = 0
     for R in _scan_restrictions():
         del log[:]
         d1, _ = multi_exponents(R)
-        if any(event[0] == "dim" for event in log):
+        if ("lift",) in log:
+            asked = [event[1:] for event in log if event[0] == "nullity"]
+            assert asked[:-1] == [(2 * deg + 2, 0) for deg in range(d1)]
+            assert asked[-1][0] == 2 * d1 + 2 and asked[-1][1] > 0
             continue
         tail = [("check", d1, True)]
         if d1:
-            tail.append(("zero", 2 * d1, True))
+            tail.append(("nullity", 2 * d1, 0))
         assert log[-len(tail):] == tail
         assert all(event[0] == "check" and not event[2]
                    for event in log[:-len(tail)])
@@ -560,9 +579,10 @@ def test_perturbed_candidate_is_rejected(monkeypatch):
 
 def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
     # u times a derivation of degree d1 is an exact derivation of degree
-    # d1 + 1.  Offered alone, it passes its check, but the derivations at
-    # d1 are not zero, so the scan finds d1: skipping that question would
-    # answer d1 + 1.
+    # d1 + 1.  Offered alone, it passes its check, but the certified
+    # dimension at d1 is not zero: skipping that question would answer
+    # d1 + 1.  It is asked once, and the answer is d1 after the degrees
+    # below it, each asked once, are certified zero.
     log = _route_log(monkeypatch)
     real = alg._restriction_candidates
     cases = 0
@@ -579,9 +599,10 @@ def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
                             lambda R, c=shifted: [c])
         del log[:]
         assert multi_exponents(R) == (d1, d2)
-        assert ("check", d1 + 1, True) in log
-        assert ("zero", 2 * d1 + 2, False) in log
-        assert ("dim", d1) in log
+        asked = [event[1:] for event in log if event[0] == "nullity"]
+        assert log[0] == ("check", d1 + 1, True)
+        assert asked[0][0] == 2 * d1 + 2 and asked[0][1] > 0
+        assert asked[1:] == [(2 * deg + 2, 0) for deg in range(d1)]
         cases += 1
     assert cases > 20
     # relations: on this cone the pencil derivation has degree 3 but the
@@ -595,15 +616,18 @@ def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
 
 
 def test_mdr_certifies_a_candidate_by_one_zero_kernel(monkeypatch):
+    # The power derivation at r = n + 1 passes its division check, and the
+    # one question below it is a certified relation dimension at r = n:
+    # zero, with no kernel vector lifted.
     log = _route_log(monkeypatch)
     dims = []
     real = alg.syzygy_dimension
     monkeypatch.setattr(alg, "syzygy_dimension",
                         lambda arr, r: dims.append(r) or real(arr, r))
     for n in (2, 3, 4):
-        del log[:]
+        del log[:], dims[:]
         assert mdr(full_monomial(n)) == n + 1
-        assert log == [("zero", (n + 1) * (n + 3), True)] and not dims
+        assert log == [("nullity", (n + 1) * (n + 3), 0)] and dims == [n]
 
 
 def test_derivation_check_rejects_perturbed_vector(monkeypatch):
@@ -699,6 +723,67 @@ def test_nodal_vanishing_dimensions():
         nodal_vanishing_dimension(full_monomial(1))
 
 
+@st.composite
+def builder_cases(draw):
+    """(F, inputs, build): one of the three row builders at a degree up to
+    3, on inputs with zero entries and triples that are not normalized.
+    Over Q most rows also hold two distinct entries that are equal mod one
+    of the two split primes the property uses: x and x +- p, x nonzero."""
+    order = draw(st.sampled_from((1, 1, 1, 3, 4, 5)))
+    F = cyc_field(order)
+    primes = [la.split_prime(order, skip) for skip in range(2)]
+
+    def entries(width, nonzero):
+        row = [F.element([Fraction(c, draw(st.sampled_from((1, 2, 3))))
+                          for c in draw(st.lists(
+                              st.sampled_from((0, 0, 0, 1, -1, 2, 3)),
+                              min_size=F.degree, max_size=F.degree))])
+               for _ in range(width)]
+        if nonzero and not any(row):
+            row[draw(st.integers(0, width - 1))] = F.one
+        if order == 1 and draw(st.integers(0, 3)):
+            i, j = draw(st.permutations(range(width)))[:2]
+            row[i] = row[i] or F.one
+            row[j] = row[i] + F.scalar(draw(st.sampled_from((1, -1)))
+                                       * draw(st.sampled_from(primes)))
+        return row
+
+    deg = draw(st.integers(0, 3))
+    count = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("relation", "restriction", "node")))
+    if kind == "relation":
+        lines = [entries(3, True) for _ in range(count)]
+        return F, lines, lambda ins, z, o: _gauged_rows(ins, deg, z, o)
+    if kind == "restriction":
+        forms = [entries(2, True) for _ in range(count)]
+        mult = draw(st.lists(st.integers(1, 3), min_size=count,
+                             max_size=count))
+        return F, forms, lambda ins, z, o: _restriction_rows(ins, mult, deg,
+                                                             z, o)
+    points = [entries(3, False) for _ in range(count)]
+    return F, points, lambda ins, z, o: _node_rows(ins, deg, z, o)
+
+
+@settings(max_examples=150, deadline=None)
+@given(builder_cases())
+def test_builders_on_reduced_inputs_give_the_reduced_exact_rows(case):
+    # The premise of every certificate: at a root of a split prime where no
+    # nonzero input reduces to 0, a builder run on the reduced inputs gives
+    # the exact rows reduced entry by entry.  certified_nullity skips every
+    # other root's prime.
+    F, inputs, build = case
+    exact = build(inputs, F.zero, F.one)
+    for skip in range(2):
+        p = la.split_prime(F.order, skip)
+        for root in la.split_roots(F.order, p):
+            red = la.reduce_at(inputs, root, p)
+            if any(y and not x for xs, ys in zip(red, inputs)
+                   for x, y in zip(xs, ys)):
+                continue
+            built = [[x % p for x in row] for row in build(red, 0, 1)]
+            assert built == la.reduce_at(exact, root, p)
+
+
 def test_node_rows_match_monomials_evaluated_exactly():
     # Nodes of a generic arrangement impose independent conditions, so the
     # nodal answers alone cannot tell a wrong monomial table from the right
@@ -768,7 +853,7 @@ def test_gauged_kernel_vector_gives_relation():
     sb = b - h * y * inv_d
     sc = c - h * z * inv_d
     assert sa or sb or sc
-    combo = sa * f.deriv(0) + sb * f.deriv(1) + sc * f.deriv(2)
+    combo = sa * deriv(f, 0) + sb * deriv(f, 1) + sc * deriv(f, 2)
     assert not combo
 
 

@@ -93,13 +93,36 @@ def test_campaigns_share_one_instance_per_arrangement():
     assert all(a is b for (_, _, a), (_, _, b) in zip(first, second))
     pool = dict(campaigns._standard_pool(0, 3, 4))
     assert all(pool[label] is arr for label, _, arr in first)
-    label = "cone-d4-generic-e0-s1"
-    cone = campaigns._build_cone(4, "generic", 0, campaigns._derive(0, "1"), label)
-    assert pool[label] is cone
-    label = "cone-d3-adversarial-e0-s1"
-    assert campaigns._build_cone(
-        3, "adversarial", 0, campaigns._derive(0, "1"), label) is None
+    label, cone = campaigns._build_cone(0, 4, "generic", 0, 1)
+    assert label == "cone-d4-generic-e0-s1" and pool[label] is cone
+    label, cone = campaigns._build_cone(0, 3, "adversarial", 0, 1)
+    assert label == "cone-d3-adversarial-e0-s1" and cone is None
     assert label not in pool
+
+
+def test_campaign_caches_hold_only_the_last_seed():
+    # Cones and the pool are kept for one campaign seed: asking for another
+    # drops them, so a process that runs many seeds holds only the last
+    # seed's, and every campaign still matches its recorded digest.
+    workloads = _bench_module("workloads")
+    recorded = json.loads((BENCH / "digests.json").read_text())
+    grid = workloads.GRIDS["full"]["combinatorics"]
+    for seed in range(6):
+        for name in ("conj1-cones", "hirzebruch-sanity"):
+            result = run_campaign(name, seed=seed, max_n=grid["max_n"],
+                                  max_dprime=grid["max_dprime"])
+            key = workloads.digest_key("full", seed, name)
+            assert _digest(result) == recorded[key], key
+    assert campaigns._standard_pool.cache_info().currsize == 1
+    info = campaigns._seed_cones.cache_info()
+    assert info.currsize == 1
+    held = campaigns._seed_cones(5)
+    assert campaigns._seed_cones.cache_info().hits == info.hits + 1
+    # d' = 3..5, two vertex kinds, e = 0..2, five samples: each built once
+    assert len(held) == 3 * 2 * 3 * 5
+    pool = dict(campaigns._standard_pool(5, grid["max_n"], grid["max_dprime"]))
+    assert all(pool[label] is held[label] for label in pool if label in held)
+    assert campaigns._seed_cones(0) == {}
 
 
 def test_restriction_exponent_sweep_small():
@@ -177,6 +200,12 @@ def test_m3_reference_deletion_is_the_roster_instance(monkeypatch):
     assert any(ref is build_lattice(roster) for ref in refs)
 
 
+def _digest(result):
+    """sha256 of a campaign's JSON as the benchmark records it."""
+    return hashlib.sha256(
+        json.dumps(result.to_json(), indent=2).encode()).hexdigest()
+
+
 def _bench_module(name):
     spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -198,10 +227,8 @@ def test_campaign_digests_match_the_recorded_ones():
         for name in grid["campaigns"]:
             result = run_campaign(name, seed=seed, max_n=grid["max_n"],
                                   max_dprime=grid["max_dprime"])
-            text = json.dumps(result.to_json(), indent=2)
             key = workloads.digest_key(label, seed, name)
-            digest = hashlib.sha256(text.encode()).hexdigest()
-            assert digest == recorded[key], key
+            assert _digest(result) == recorded[key], key
             checked.add(key)
     assert len(checked) == len(CAMPAIGNS) + 2
 

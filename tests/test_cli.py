@@ -156,9 +156,10 @@ def test_algebra_mdr(tmp_path, capsys):
     assert data == {"value": 2, "degree_dims": [0, 0, 1]}
 
 
-def test_algebra_mdr_asks_each_degree_once(tmp_path, capsys, monkeypatch):
-    # value and degree_dims come from one upward pass; the output is the
-    # same as when mdr and every degree were asked apart
+def _nullity_columns(monkeypatch):
+    """Record the column count of every certified nullity algebra asks:
+    (r + 1)(r + 3) for relations of degree r, 2 deg + 2 for derivations of
+    a restriction, one per monomial for node conditions."""
     import linarr.algebra as alg
 
     asked = []
@@ -169,17 +170,106 @@ def test_algebra_mdr_asks_each_degree_once(tmp_path, capsys, monkeypatch):
         return real(F, ncols, *args)
 
     monkeypatch.setattr(alg, "certified_nullity", spy)
+    return asked
+
+
+def _generic_cone():
+    # the pencil derivation of this cone has degree 3, but its minimal
+    # relation degree is 2, and its line 0 restricts to mult (2, 2, 1)
+    # with no explicit derivation: both searches scan upward
+    [arr] = [a for label, a in campaigns._standard_pool(0, 1, 3)
+             if label == "cone-d3-generic-e0-s1"]
+    return arr
+
+
+def test_algebra_mdr_asks_each_degree_once(tmp_path, capsys, monkeypatch):
+    # The search certifies every degree below value - 1 zero without asking
+    # it: an explicit derivation certifies value, and only value - 1 (a
+    # zero kernel, no lift) and value (for its dimension) are asked.  The
+    # output is the same as when every degree up to value was asked.
+    from linarr.algebra import syzygy_dimension
+
+    cone = _generic_cone()
+    want_cone = {"value": 2, "degree_dims": [
+        syzygy_dimension(cone, r) for r in range(3)]}
+    asked = _nullity_columns(monkeypatch)
+    path = tmp_path / "arr.json"
     for arr, want in (
         (full_monomial(3), {"value": 4, "degree_dims": [0, 0, 0, 0, 1]}),
         (full_monomial(1), {"value": 2, "degree_dims": [0, 0, 1]}),
         (near_pencil(6), {"value": 1, "degree_dims": [0, 1]}),
     ):
-        path = tmp_path / "arr.json"
         path.write_text(json.dumps(arr.to_json()))
         del asked[:]
         assert main(["algebra", "mdr", str(path)]) == 0
         assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
-        assert len(asked) == len(set(asked)) == len(want["degree_dims"])
+        value = want["value"]
+        assert asked == [(r + 1) * (r + 3) for r in (value - 1, value)]
+    # the candidate at degree 3 meets a nonzero space at 2, so the search
+    # asks 2, then 0 and 1; the profile reads the answer at 2 it has
+    path.write_text(json.dumps(cone.to_json()))
+    del asked[:]
+    assert main(["algebra", "mdr", str(path), "--bound", "3"]) == 0
+    assert capsys.readouterr().out == json.dumps(want_cone, indent=2) + "\n"
+    assert asked == [(r + 1) * (r + 3) for r in (2, 0, 1)]
+
+
+def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
+                                                         monkeypatch):
+    # The output equals the exponents with every dimension up to d1 asked
+    # apart.  An explicit derivation certifies d1, and only d1 - 1 and d1
+    # are asked; where none applies (the cone's line 0) the search asks
+    # each degree up to d1 once, and the profile reads d1 from it.
+    from linarr.algebra import (
+        _multi_dim,
+        is_balanced,
+        multi_exponents,
+        ziegler_restriction,
+    )
+
+    cases = []
+    for arr, line, scan in ((full_monomial(1), 0, False),
+                            (full_monomial(3), 0, False),
+                            (near_pencil(6), 0, False),
+                            (near_pencil(6), 1, False),
+                            (_generic_cone(), 0, True)):
+        R = ziegler_restriction(arr, line)
+        d1, d2 = multi_exponents(R)
+        cases.append((arr, line, scan, {
+            "value": [d1, d2],
+            "degree_dims": [_multi_dim(R, p) for p in range(d1 + 1)],
+            "mult": list(R.mult),
+            "total": R.total,
+            "balanced": is_balanced(R),
+        }))
+    asked = _nullity_columns(monkeypatch)
+    path = tmp_path / "arr.json"
+    for arr, line, scan, want in cases:
+        path.write_text(json.dumps(arr.to_json()))
+        del asked[:]
+        assert main(["algebra", "ziegler", str(path), "--line", str(line)]) == 0
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+        d1 = want["value"][0]
+        degrees = range(d1 + 1) if scan else range(max(d1 - 1, 0), d1 + 1)
+        assert asked == [2 * deg + 2 for deg in degrees]
+
+
+def test_algebra_nodal_dim_asks_each_degree_once(tmp_path, capsys,
+                                                  monkeypatch):
+    from linarr.algebra import nodal_vanishing_dimension
+
+    arrs = [generic_arrangement(4, seed=1), generic_arrangement(5, seed=2)]
+    wants = [nodal_vanishing_dimension(arr) for arr in arrs]
+    asked = _nullity_columns(monkeypatch)
+    path = tmp_path / "arr.json"
+    for arr, want in zip(arrs, wants):
+        path.write_text(json.dumps(arr.to_json()))
+        del asked[:]
+        assert main(["algebra", "nodal-dim", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["value"] == data["degree_dims"][-1] == want
+        d = len(arr.lines)
+        assert asked == [(r + 1) * (r + 2) // 2 for r in range(d)]
 
 
 def test_algebra_ziegler(tmp_path, capsys):

@@ -11,18 +11,24 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "linarr"
 EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
                 "_EXACT_COLS", "nullity", "rank"}
 
-# Minimal degrees take one search (algebra._min_degree): an explicit
-# derivation checked exactly and a certified zero kernel below it, else the
-# certified scan.  No uncertified guess to certify, no knob to bypass it, no
-# Hilbert-function read of one dimension, and no global cache of relation
-# answers.  A lattice is kept on its Arrangement, and campaigns build each
-# arrangement once, so no global dict caches either.
+# Minimal degrees take one search (algebra._min_degree), the CLI's too: an
+# explicit derivation checked exactly and a certified dimension below it,
+# each degree asked once.  No uncertified guess to certify, no knob to
+# bypass it, no Hilbert-function read of one dimension, no second probe of
+# F_p beside certified_nullity, and no global cache of relation answers.  A
+# lattice is kept on its Arrangement, and campaigns build each arrangement
+# once, so no global dict caches either.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
-           "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at"}
+           "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
+           "certified_zero", "_upward", "_rows_at"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
 MODULAR = {"reduce_at", "split_prime", "split_roots", "_fp_rows"}
+
+# Elimination mod p is linalg's own: no other module reaches past
+# certified_nullity to the engine behind it.
+FP_ENGINE = {"fp_echelon", "fp_kernel_basis"}
 
 
 def _names(tree):
@@ -63,3 +69,7 @@ def test_no_guess_then_certify_in_src():
 
 def test_algebra_builds_no_modular_rows():
     assert not _src_names_in(MODULAR, "algebra.py")
+
+
+def test_only_linalg_names_the_fp_engine():
+    assert {module for module, _ in _src_names_in(FP_ENGINE)} == {"linalg.py"}
