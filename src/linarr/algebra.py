@@ -36,11 +36,10 @@ from .field import (
     CertificationError,
     CycField,
     CycNumber,
-    cyc_to_strings,
     divisors,
 )
 from .linalg import certified_nullity
-from .projgeo import Arrangement, build_lattice
+from .projgeo import Arrangement, _normalize, build_lattice
 
 
 class Poly:
@@ -406,7 +405,7 @@ def supersolvable_exponents(arr: Arrangement) -> tuple[int, int, int]:
     (k-1)^2 must equal (d-1)^2 - (m-1)(d-m), else CertificationError.
     """
     lat = build_lattice(arr)
-    mods = modular_points(arr, lat)
+    mods = modular_points(arr)
     if not mods:
         raise ValueError("arrangement is not supersolvable")
     d = len(arr.lines)
@@ -443,16 +442,6 @@ class MultiRestriction:
     def total(self) -> int:
         return sum(self.mult)
 
-    def to_json(self) -> dict:
-        return {
-            "cyclotomic_order": self.field.order,
-            "forms": [
-                [cyc_to_strings(c) for c in form] for form in self.forms
-            ],
-            "mult": list(self.mult),
-            "total": self.total,
-        }
-
 
 def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
     """Restriction onto line h, with point multiplicities.
@@ -473,14 +462,7 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
         if j == h:
             continue
         l = line.coords
-        a = l[o1] - l[piv] * c[o1]
-        b = l[o2] - l[piv] * c[o2]
-        if a:
-            a, b = F.one, b / a
-        elif b:
-            a, b = F.zero, F.one
-        else:
-            raise ValueError("distinct lines cannot restrict to the zero form")
+        a, b = _normalize(F, (l[o1] - l[piv] * c[o1], l[o2] - l[piv] * c[o2]))
         key = (a.sort_key(), b.sort_key())
         entry = groups.get(key)
         if entry is None:

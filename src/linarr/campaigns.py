@@ -124,9 +124,10 @@ def _aw_keys(max_n):
 
 
 @lru_cache(maxsize=1)
-def _seed_cones(seed: int) -> dict:
-    """The cones built so far for one campaign seed, by label.  Asking for
-    another seed drops them, so a process holds one seed's cones."""
+def _seed_memo(seed: int) -> dict:
+    """The cones, by label, and the pools, by grid, built so far for one
+    campaign seed.  Asking for another seed drops them together, so a
+    process holds one seed's, and no pool outlives the cones it holds."""
     return {}
 
 
@@ -136,24 +137,28 @@ def _build_cone(
     """The label and cone of sample s, built once per campaign seed; the
     cone is None when it has no adversarial vertex (over a triangle)."""
     tag = f"cone-d{dp}-{kind}-e{e}-s{s}"
-    cones = _seed_cones(seed)
-    if tag not in cones:
+    memo = _seed_memo(seed)
+    if tag not in memo:
         vertex = generic_vertex if kind == "generic" else adversarial_vertex
         sseed = _derive(seed, str(s))
         try:
             base = generic_arrangement(dp, seed=_derive(sseed, f"{tag}:base"))
             v = vertex(base, seed=_derive(sseed, f"{tag}:vertex"))
-            cones[tag] = cone(ConeSpec(base, v, extra=e,
-                                       seed=_derive(sseed, f"{tag}:extra")))
+            memo[tag] = cone(ConeSpec(base, v, extra=e,
+                                      seed=_derive(sseed, f"{tag}:extra")))
         except ValueError:
-            cones[tag] = None
-    return tag, cones[tag]
+            memo[tag] = None
+    return tag, memo[tag]
 
 
-@lru_cache(maxsize=1)
 def _standard_pool(seed: int, max_n: int, max_dprime: int) -> tuple:
     """Shared roster of generated arrangements: every A(w) class up to
-    max_n, pencils, near-pencils, and a spread of cones."""
+    max_n, pencils, near-pencils, and a spread of cones.  Built once per
+    campaign seed and grid."""
+    memo = _seed_memo(seed)
+    key = ("pool", max_n, max_dprime)
+    if key in memo:
+        return memo[key]
     pool = [(label, arr) for label, _, arr in _aw_keys(max_n)]
     for d in range(3, 8):
         pool.append((f"pencil-d{d}", pencil(d)))
@@ -166,7 +171,8 @@ def _standard_pool(seed: int, max_n: int, max_dprime: int) -> tuple:
                     label, arr = _build_cone(seed, dp, kind, e, s)
                     if arr is not None:
                         pool.append((label, arr))
-    return tuple(pool)
+    memo[key] = tuple(pool)
+    return memo[key]
 
 
 def _max_modular(arr):

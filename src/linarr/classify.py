@@ -15,11 +15,8 @@ from .field import cyc_to_strings
 from .projgeo import Arrangement, Lattice, ProjPoint, build_lattice
 
 
-def modular_points(
-    arr: Arrangement, lat: Lattice | None = None
-) -> list[tuple[ProjPoint, int]]:
-    if lat is None:
-        lat = build_lattice(arr)
+def modular_points(arr: Arrangement) -> list[tuple[ProjPoint, int]]:
+    lat = build_lattice(arr)
     masks = [0] * len(lat.points)
     for i, inc in enumerate(lat.incidence):
         m = 0
@@ -143,7 +140,7 @@ def check_identities(arr: Arrangement) -> ClassifyReport:
     n2 = cen.get(2, 0)
     n3 = cen.get(3, 0)
     total_points = sum(cen.values())
-    mods = modular_points(arr, lat)
+    mods = modular_points(arr)
     mod_mults = sorted({m for _, m in mods})
     supersolvable = bool(mods)
     pencil = is_pencil(arr)

@@ -4,9 +4,10 @@ Elements are residue classes in Q[t]/(Phi_n), stored as phi(n) = deg Phi_n
 integer numerators over one common denominator, kept canonical (denominator
 positive and coprime to the numerators, zero as 0/1), so equality and
 hashing compare integers.  Products are integer convolutions reduced mod
-Phi_n, which is monic and integral; inverses come from fraction-free
-elimination over Z.  Fractions appear only at the edges: building elements,
-the `coeffs` view and `as_fraction`.  The rationals are the case n = 1.
+Phi_n, which is monic and integral; a rational element's inverse is
+closed form, any other comes from fraction-free elimination over Z.
+Fractions appear only at the edges: building elements, the `coeffs` view
+and `as_fraction`.  The rationals are the case n = 1.
 """
 
 from __future__ import annotations
@@ -360,11 +361,11 @@ class CycNumber:
         return f"Cyc({self.field.order}; {body})"
 
 
-@lru_cache(maxsize=8192)
 def _inverse(x: CycNumber) -> CycNumber:
     """1/x, by solving num * y = 1 in Z[t]/(Phi_n) without fractions.
 
-    Column j of the integer matrix M is num * t^j mod Phi_n, so M y = e0.
+    A rational x = a/den has the inverse den/a in any degree.  Otherwise
+    column j of the integer matrix M is num * t^j mod Phi_n, so M y = e0.
     Fraction-free Gauss-Jordan elimination divides exactly at every step
     (Bareiss, "Sylvester's identity and multistep integer-preserving
     Gaussian elimination", Math. Comp. 22, 1968) and ends with det(M) * y
@@ -373,10 +374,12 @@ def _inverse(x: CycNumber) -> CycNumber:
     if not x:
         raise ZeroDivisionError("division by zero in cyclotomic field")
     F = x.field
+    if x.is_rational():
+        a, den = x.num[0], x.den
+        if a < 0:
+            a, den = -a, -den
+        return CycNumber(F, F._padded(den), a)
     deg = F.degree
-    if deg == 1:
-        a = x.num[0]
-        return CycNumber(F, (x.den,), a) if a > 0 else CycNumber(F, (-x.den,), -a)
     cols = [list(x.num)]
     tail = F._tail
     for _ in range(deg - 1):

@@ -46,12 +46,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def split_prime(n: int, skip: int = 0) -> int:
-    """A prime p = 1 (mod n) above 2^30, skipping the first `skip` of them.
+def split_prime(n: int, skip: int = 0) -> tuple[int, tuple[int, ...]]:
+    """A prime p = 1 (mod n) above 2^30, skipping the first `skip` of them,
+    and the roots of Phi_n mod p.
 
     Phi_n splits into phi(n) distinct linear factors mod such a prime.  The
-    primes found so far, with their roots, are kept on cyc_field(n), and a
-    later question extends the list from its last prime.
+    roots are omega^k for k in (Z/n)*, in increasing k, where omega, the
+    first, is a primitive n-th root of unity mod p.  The primes found so
+    far, with their roots, are kept on cyc_field(n), and a later question
+    extends the list from its last prime.
     """
     table = cyc_field(n)._split
     while len(table) <= skip:
@@ -59,19 +62,7 @@ def split_prime(n: int, skip: int = 0) -> int:
         while not _is_prime(p):
             p += n
         table.append((p, _cyclotomic_roots(n, p)))
-    return table[skip][0]
-
-
-def split_roots(n: int, p: int) -> tuple[int, ...]:
-    """The roots of Phi_n mod a prime p = 1 (mod n).
-
-    They are omega^k for k in (Z/n)*, in increasing k, where omega, the
-    first, is a primitive n-th root of unity mod p.
-    """
-    for q, roots in cyc_field(n)._split:
-        if q == p:
-            return roots
-    return _cyclotomic_roots(n, p)
+    return table[skip]
 
 
 def _cyclotomic_roots(n: int, p: int) -> tuple[int, ...]:
@@ -295,8 +286,7 @@ def certified_nullity(F: CycField, ncols: int, inputs, build,
     """
     acc: dict[tuple[int, ...], tuple[int, list[list[int]]]] = {}
     for skip in range(_PRIME_CAP):
-        p = split_prime(F.order, skip)
-        roots = split_roots(F.order, p)
+        p, roots = split_prime(F.order, skip)
         bases, pivs = [], []
         try:
             for root in roots:

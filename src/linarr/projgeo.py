@@ -31,7 +31,7 @@ from .field import (
     cyc_from_strings,
     cyc_to_strings,
 )
-from .linalg import reduce_at, split_prime, split_roots
+from .linalg import reduce_at, split_prime
 
 
 def _normalize(field: CycField, triple) -> tuple[CycNumber, ...]:
@@ -49,10 +49,11 @@ def _normalize(field: CycField, triple) -> tuple[CycNumber, ...]:
     lead = coords[k]
     if lead == field.one:
         return tuple(coords)
-    inv = _inverse(lead)
     coords[k] = field.one
-    for i in range(k + 1, len(coords)):
-        if coords[i]:
+    rest = [i for i in range(k + 1, len(coords)) if coords[i]]
+    if rest:  # with nothing left to scale, no inverse is needed
+        inv = _inverse(lead)
+        for i in rest:
             coords[i] = coords[i] * inv
     return tuple(coords)
 
@@ -225,16 +226,6 @@ class Lattice:
             raise CertificationError("pair count identity violated")
         return dict(sorted(out.items()))
 
-    def to_json(self) -> dict:
-        return {
-            "points": [
-                [cyc_to_strings(c) for c in p.coords] for p in self.points
-            ],
-            "multiplicities": list(self.mult),
-            "incidence": [list(inc) for inc in self.incidence],
-            "census": {str(k): v for k, v in self.census().items()},
-        }
-
 
 def build_lattice(arr: Arrangement) -> Lattice:
     """All pairwise intersection points, grouped at a split prime and
@@ -275,11 +266,10 @@ def build_lattice(arr: Arrangement) -> Lattice:
 def _certified_points(arr: Arrangement, skip: int):
     """(point, incident line indices) for every intersection point, from the
     grouping at split_prime(n, skip); None when that prime does not serve."""
-    n = arr.field.order
-    p = split_prime(n, skip)
+    p, roots = split_prime(arr.field.order, skip)
     lines = arr.lines
     try:
-        red = reduce_at([l.coords for l in lines], split_roots(n, p)[0], p)
+        red = reduce_at([l.coords for l in lines], roots[0], p)
     except ZeroDivisionError:
         return None
     groups: dict[tuple[int, int, int], set[int]] = {}
@@ -315,10 +305,8 @@ def _certified_points(arr: Arrangement, skip: int):
     return out
 
 
-def census(arr_or_lattice) -> dict[int, int]:
-    if isinstance(arr_or_lattice, Arrangement):
-        return build_lattice(arr_or_lattice).census()
-    return arr_or_lattice.census()
+def census(arr: Arrangement) -> dict[int, int]:
+    return build_lattice(arr).census()
 
 
 def _line_tables(lat: Lattice):
@@ -335,14 +323,14 @@ def _line_tables(lat: Lattice):
     return on_line, pair_point
 
 
-def _line_colors(lat: Lattice, rounds: int = 2):
+def _line_colors(lat: Lattice):
     """Refined line invariants: start from the multiplicity profile and
-    fold in neighbour colors through shared points."""
+    fold in neighbour colors through shared points, twice."""
     on_line, _ = _line_tables(lat)
     colors = [
         tuple(sorted(lat.mult[pi] for pi in on_line[li])) for li in range(lat.d)
     ]
-    for _ in range(rounds):
+    for _ in range(2):
         canon = {}
         new_colors = []
         for li in range(lat.d):
@@ -506,11 +494,11 @@ def apply_transform(arr: Arrangement, matrix) -> Arrangement:
     return Arrangement(F, new_lines)
 
 
-def random_invertible_matrix(rng, lo: int = -5, hi: int = 5):
-    """Small integer 3x3 matrix with nonzero determinant."""
+def random_invertible_matrix(rng):
+    """3x3 matrix of integers in [-5, 5] with nonzero determinant."""
     while True:
         rows = tuple(
-            tuple(Fraction(rng.randint(lo, hi)) for _ in range(3))
+            tuple(Fraction(rng.randint(-5, 5)) for _ in range(3))
             for _ in range(3)
         )
         if det3(rows):

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .classify import modular_points
 from .field import MAX_ORDER, CertificationError, exponent_in_mu
-from .projgeo import Arrangement, build_lattice, line_intersect, line_through
+from .projgeo import Arrangement, line_intersect, line_through
 
 
 @dataclass(frozen=True, order=True)
@@ -84,8 +84,7 @@ def recover_class(arr: Arrangement) -> Recovery:
     normalized to make one of them 1, are the roots of unity defining the
     class.  Ratios survive projective transforms, so recovery round-trips.
     """
-    lat = build_lattice(arr)
-    mods = modular_points(arr, lat)
+    mods = modular_points(arr)
     if len(mods) < 2:
         raise ValueError("need at least two modular points")
     mults = {m for _, m in mods}

@@ -113,16 +113,32 @@ def test_campaign_caches_hold_only_the_last_seed():
                                   max_dprime=grid["max_dprime"])
             key = workloads.digest_key("full", seed, name)
             assert _digest(result) == recorded[key], key
-    assert campaigns._standard_pool.cache_info().currsize == 1
-    info = campaigns._seed_cones.cache_info()
+    info = campaigns._seed_memo.cache_info()
     assert info.currsize == 1
-    held = campaigns._seed_cones(5)
-    assert campaigns._seed_cones.cache_info().hits == info.hits + 1
-    # d' = 3..5, two vertex kinds, e = 0..2, five samples: each built once
-    assert len(held) == 3 * 2 * 3 * 5
+    held = campaigns._seed_memo(5)
+    assert campaigns._seed_memo.cache_info().hits == info.hits + 1
+    # d' = 3..5, two vertex kinds, e = 0..2, five samples: each built once;
+    # and the one pool hirzebruch-sanity asked for, by its grid
+    pool_key = ("pool", grid["max_n"], grid["max_dprime"])
+    cones = {label for label in held if label != pool_key}
+    assert len(cones) == 3 * 2 * 3 * 5 and pool_key in held
     pool = dict(campaigns._standard_pool(5, grid["max_n"], grid["max_dprime"]))
+    assert pool == dict(held[pool_key])
     assert all(pool[label] is held[label] for label in pool if label in held)
-    assert campaigns._seed_cones(0) == {}
+    assert campaigns._seed_memo(0) == {}
+
+
+def test_pool_is_dropped_with_the_cones_of_its_seed():
+    # A pool is kept in the same per-seed memo as its cones, so running
+    # another seed drops both: back on the first seed, the pool and the
+    # cones are built again together, and the pool holds the very cone
+    # instances every campaign reads.
+    campaigns._standard_pool(0, 2, 4)
+    run_campaign("conj1-cones", seed=1, max_dprime=4)
+    run_campaign("zmain-exponents", seed=0, max_n=2, max_dprime=4)
+    run_campaign("conj1-cones", seed=0, max_dprime=4)
+    label, cone = campaigns._build_cone(0, 4, "generic", 0, 1)
+    assert dict(campaigns._standard_pool(0, 2, 4))[label] is cone
 
 
 def test_restriction_exponent_sweep_small():

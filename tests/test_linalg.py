@@ -23,7 +23,6 @@ from linarr.linalg import (
     rational_reconstruct,
     reduce_at,
     split_prime,
-    split_roots,
 )
 
 
@@ -77,10 +76,9 @@ def test_cyclotomic_rank():
 
 def test_split_prime_orders():
     for n in (1, 2, 3, 4, 5, 6, 8, 12):
-        p = split_prime(n)
+        p, roots = split_prime(n)
         assert p > 2 ** 30 and (p - 1) % n == 0
-        assert split_prime(n, skip=1) > p
-        roots = split_roots(n, p)
+        assert split_prime(n, skip=1)[0] > p
         assert len(set(roots)) == len(roots) == euler_phi(n)
         for w in roots:
             phi_n = cyclotomic_polynomial(n)
@@ -104,22 +102,22 @@ def _scanned_split_prime(n, skip):
 def test_split_primes_are_kept_on_the_field(monkeypatch):
     for n in (1, 3, 4, 5, 8, 12):
         for skip in range(6):
-            p = split_prime(n, skip)
+            p, roots = split_prime(n, skip)
             assert p == _scanned_split_prime(n, skip)
-            assert split_roots(n, p) == la._cyclotomic_roots(n, p)
-        assert [q for q, _ in cyc_field(n)._split][:6] == [
+            assert roots == la._cyclotomic_roots(n, p)
+        assert cyc_field(n)._split[:6] == [
             split_prime(n, skip) for skip in range(6)]
     calls = []
     real = la._is_prime
     monkeypatch.setattr(la, "_is_prime", lambda m: calls.append(m) or real(m))
     for n in (1, 3, 4, 5, 8, 12):
         for skip in range(6):
-            split_roots(n, split_prime(n, skip))
+            split_prime(n, skip)
     assert calls == []
     # a prime past the kept ones extends the list from its last prime
     n = 12
     kept = len(cyc_field(n)._split)
-    p = split_prime(n, kept)
+    p, _ = split_prime(n, kept)
     scanned = [m for m in calls if m > n]  # the rest test factors of n
     assert min(scanned) > cyc_field(n)._split[kept - 1][0]
     assert p == max(scanned) == _scanned_split_prime(n, kept)
@@ -131,7 +129,7 @@ def test_split_nullity_matches_exact():
     rng = random.Random(5)
     for n in (5, 8, 12):
         K = cyc_field(n)
-        p = split_prime(n)
+        p, roots = split_prime(n)
         for _ in range(4):
             rows = [
                 [
@@ -144,7 +142,7 @@ def test_split_nullity_matches_exact():
             rows.append([a + b for a, b in zip(rows[0], rows[1])])
             exact = nullity(rows, 5)
             assert exact == 2
-            for w in split_roots(n, p):
+            for w in roots:
                 basis, _ = fp_kernel_basis(reduce_at(rows, w, p), 5, p)
                 assert len(basis) == exact
 
@@ -155,8 +153,8 @@ def test_flat_nullity_matches_exact():
     rng = random.Random(5)
     K = cyc_field(5)
     for skip in (0, 1):
-        p = split_prime(5, skip)
-        w = split_roots(5, p)[0]
+        p, roots = split_prime(5, skip)
+        w = roots[0]
         for _ in range(4):
             rows = [
                 [
@@ -172,7 +170,7 @@ def test_flat_nullity_matches_exact():
 
 
 def test_rational_reconstruct_round_trip():
-    p = split_prime(8)
+    p, _ = split_prime(8)
     for q in (F(0), F(3, 7), F(-22, 5), F(1000), F(-1, 999)):
         residue = q.numerator * pow(q.denominator, -1, p) % p
         assert rational_reconstruct(residue, p) == q
@@ -187,8 +185,7 @@ def test_flat_kernel_vector_lifts_and_verifies():
         [K.one, z, z ** 3 * half],
         [K.zero, K.one, -(z ** 2)],
     ]
-    p = split_prime(8)
-    roots = split_roots(8, p)
+    p, roots = split_prime(8)
     vecs = []
     for w in roots:
         [vec], pivots = fp_kernel_basis(reduce_at(rows, w, p), 3, p)
@@ -207,8 +204,7 @@ def test_split_kernel_lift():
     K = cyc_field(3)
     z = K.zeta
     rows = [[K.one, z, K.zero], [K.zero, K.one, z]]
-    p = split_prime(3)
-    roots = split_roots(3, p)
+    p, roots = split_prime(3)
     vecs = [fp_kernel_basis(reduce_at(rows, w, p), 3, p)[0][0] for w in roots]
     lifted = lift_flat_vector(interpolate(vecs, roots, K, p), K, p)
     assert lifted is not None and any(lifted)
@@ -221,10 +217,10 @@ def test_split_kernel_lift():
 
 def test_reduce_at_rejects_bad_denominator():
     K = cyc_field(4)
-    p = split_prime(4)
+    p, roots = split_prime(4)
     bad = K.element([F(1, p), F(0)])
     with pytest.raises(ZeroDivisionError):
-        reduce_at([[K.one, bad]], split_roots(4, p)[0], p)
+        reduce_at([[K.one, bad]], roots[0], p)
 
 
 def test_crt_pair():
@@ -237,7 +233,7 @@ def test_crt_pair():
 
 
 def test_fp_kernel_basis_has_one_vector_per_free_column():
-    p = split_prime(1)
+    p, _ = split_prime(1)
     rng = random.Random(3)
     for _ in range(10):
         left = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(5)]

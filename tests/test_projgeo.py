@@ -20,8 +20,8 @@ from linarr.families import (
     generic_arrangement,
     generic_vertex,
 )
-from linarr.field import cyc_field
-from linarr.linalg import split_prime
+from linarr.field import cyc_field, cyc_to_strings
+from linarr.linalg import _cyclotomic_roots, split_prime
 from linarr.projgeo import (
     Arrangement,
     ProjLine,
@@ -193,9 +193,20 @@ def _frozen_cone():
     return cone(ConeSpec(base, vertex, 1, 3))
 
 
-# sha256 of the sorted-key JSON of each lattice, recorded before the field
-# moved to integer numerators; point order and every coordinate string must
-# not change with the representation.
+def _lattice_text(lat):
+    """Sorted-key JSON of a lattice's points, multiplicities, incidences and
+    census, with every coordinate written as its fraction strings."""
+    return json.dumps({
+        "points": [[cyc_to_strings(c) for c in p.coords] for p in lat.points],
+        "multiplicities": list(lat.mult),
+        "incidence": [list(inc) for inc in lat.incidence],
+        "census": {str(k): v for k, v in lat.census().items()},
+    }, sort_keys=True)
+
+
+# sha256 of _lattice_text of each lattice, recorded before the field moved
+# to integer numerators; point order and every coordinate string must not
+# change with the representation.
 FROZEN_LATTICES = {
     "a_of_w(5, (0, 1, 3))": (
         lambda: a_of_w(5, (0, 1, 3)),
@@ -217,7 +228,7 @@ FROZEN_LATTICES = {
 @pytest.mark.parametrize("name", sorted(FROZEN_LATTICES))
 def test_lattice_json_is_byte_identical(name):
     make, want = FROZEN_LATTICES[name]
-    text = json.dumps(build_lattice(make()).to_json(), sort_keys=True)
+    text = _lattice_text(build_lattice(make()))
     assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
@@ -412,29 +423,33 @@ def arrangements(draw):
 @settings(max_examples=40, deadline=None)
 @given(arrangements(), st.data())
 def test_lattice_matches_pairwise_oracle_property(arr, data):
-    lat = fresh_lattice(arr)
+    # Every arrangement here is a fresh instance that keeps no lattice yet,
+    # so each grouping really runs, and modular_points reads the lattice
+    # that its arrangement keeps.
+    arr = Arrangement(arr.field, arr.lines)
+    lat = build_lattice(arr)
     assert as_tuple(lat) == pairwise_lattice(arr)
-    mods = set(modular_points(arr, lat))
+    mods = set(modular_points(arr))
 
     # Permuted lines: the same points, incidences relabelled, same answers.
     perm = data.draw(st.permutations(range(len(arr))))
     shuffled = Arrangement(arr.field, [arr.lines[k] for k in perm])
-    lat_s = fresh_lattice(shuffled)
+    lat_s = build_lattice(shuffled)
     assert {
         p: tuple(sorted(perm[k] for k in inc))
         for p, inc in zip(lat_s.points, lat_s.incidence)
     } == dict(zip(lat.points, lat.incidence))
     assert lat_s.census() == lat.census()
-    assert set(modular_points(shuffled, lat_s)) == mods
+    assert set(modular_points(shuffled)) == mods
 
     # Moved by a projective transform: the oracle again, and the modular
     # points are the images of the old ones.
     M = random_invertible_matrix(random.Random(data.draw(st.integers(0, 10**6))))
     moved = apply_transform(arr, M)
-    lat_m = fresh_lattice(moved)
+    lat_m = build_lattice(moved)
     assert as_tuple(lat_m) == pairwise_lattice(moved)
     assert lat_m.census() == lat.census()
-    assert set(modular_points(moved, lat_m)) == {(image(M, p), m) for p, m in mods}
+    assert set(modular_points(moved)) == {(image(M, p), m) for p, m in mods}
 
 
 # Primes 7 and 13 are 1 mod 3.  For the first two arrangements, 7 divides a
@@ -461,7 +476,9 @@ def test_lattice_survives_bad_primes(name, monkeypatch):
 
     def primes(n, skip=0):
         tried.append(skip)
-        return tiny[skip] if skip < len(tiny) else split_prime(n, skip - len(tiny))
+        if skip < len(tiny):
+            return tiny[skip], _cyclotomic_roots(n, tiny[skip])
+        return split_prime(n, skip - len(tiny))
 
     arr = BAD_PRIME_CASES[name]()
     monkeypatch.setattr(projgeo, "split_prime", primes)

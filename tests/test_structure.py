@@ -17,14 +17,22 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
 # bypass it, no Hilbert-function read of one dimension, no second probe of
 # F_p beside certified_nullity, and no global cache of relation answers.  A
 # lattice is kept on its Arrangement, and campaigns build each arrangement
-# once, so no global dict caches either.
+# once, so no global dict caches either.  split_prime hands out the roots
+# it keeps with each prime, so nothing computes them again.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
-           "certified_zero", "_upward", "_rows_at"}
+           "certified_zero", "_upward", "_rows_at", "split_roots"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
-MODULAR = {"reduce_at", "split_prime", "split_roots", "_fp_rows"}
+MODULAR = {"reduce_at", "split_prime", "_fp_rows"}
+
+# Caches live on the objects they describe: a lattice on its Arrangement,
+# split primes on their CycField.  The only memo decorators left are on
+# Phi_n, on the A(w) roster, which no seed changes, and on the one memo that
+# holds a campaign seed's cones and pools, so they are dropped together.
+MEMOIZED = {"cyclotomic_polynomial", "_aw_roster", "_seed_memo"}
+MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
 
 # Elimination mod p is linalg's own: no other module reaches past
 # certified_nullity to the engine behind it.
@@ -69,6 +77,25 @@ def test_no_guess_then_certify_in_src():
 
 def test_algebra_builds_no_modular_rows():
     assert not _src_names_in(MODULAR, "algebra.py")
+
+
+def _memoized_in_src():
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                if isinstance(dec, ast.Call):
+                    dec = dec.func
+                name = dec.attr if isinstance(dec, ast.Attribute) else dec.id
+                if name in MEMO_DECORATORS:
+                    out.add(node.name)
+    return out
+
+
+def test_memos_only_where_allowed():
+    assert _memoized_in_src() == MEMOIZED
 
 
 def test_only_linalg_names_the_fp_engine():
