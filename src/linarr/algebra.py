@@ -15,14 +15,14 @@ lifted kernel vector.
 
 A minimal degree, of a relation (mdr, verify_mdr) or of a derivation of a
 restriction (d1 of multi_exponents: rank-two multiarrangements are free,
-Ziegler), is one search, _min_degree.  A closed-form candidate is an
-explicit derivation whose exact vector passes an exact check: division by
-every line's form, or _derives.  At the lowest such degree c, a certified
-dimension 0 at c - 1 (a zero kernel at the first good root, with no lift)
-certifies c, since the spaces only grow with degree; a nonzero one sends
-the search below c - 1.  The candidates come from G. Ziegler,
-"Multiarrangements of hyperplanes and their freeness" (1989), and A.
-Wakamiko, "On the exponents of 2-multiarrangements" (2007).
+Ziegler), is one search, _min_degree.  A closed-form candidate is a
+(degree, explicit derivation) pair that passes an exact check binding that
+degree: division by every line's form, or _derives.  At the lowest such
+degree c, a certified dimension 0 at c - 1 (a zero kernel at the first
+good root, with no lift) certifies c, since the spaces only grow with
+degree; a nonzero one sends the search below c - 1.  The candidates come
+from G. Ziegler, "Multiarrangements of hyperplanes and their freeness"
+(1989), and A. Wakamiko, "On the exponents of 2-multiarrangements" (2007).
 """
 
 from __future__ import annotations
@@ -298,20 +298,21 @@ def syzygy_dimension(arr: Arrangement, r: int) -> int:
     )
 
 
-def _min_degree(candidates, dim, top: int) -> int | None:
+def _min_degree(candidates, check, dim, top: int) -> int | None:
     """Least degree <= top with a nonzero space, certified; None if none.
 
-    candidates are (degree, check) pairs, check() an exact test that an
-    explicit element of that degree lies in the space; dim(deg) is the
-    certified dimension at deg, asked at most once per degree.  The spaces
-    only grow with degree.  The lowest degree c whose check passes has a
-    nonzero space, so c is the minimum when c = 0 or dim(c - 1) = 0.
-    Otherwise the space at c - 1 is nonzero, and the minimum is the first
-    nonzero degree below c - 1, else c - 1.  With no candidate it is the
-    first nonzero degree up to top.
+    candidates are (degree, element) pairs of explicit elements, and
+    check(degree, element) the exact test that the element is a nonzero
+    member of the space of that degree; dim(deg) is the certified
+    dimension at deg, asked at most once per degree.  The spaces only grow
+    with degree.  The lowest degree c whose check passes has a nonzero
+    space, so c is the minimum when c = 0 or dim(c - 1) = 0.  Otherwise the
+    space at c - 1 is nonzero, and the minimum is the first nonzero degree
+    below c - 1, else c - 1.  With no candidate it is the first nonzero
+    degree up to top.
     """
-    c = next((deg for deg, check in sorted(candidates, key=lambda dc: dc[0])
-              if deg <= top and check()), None)
+    c = next((deg for deg, elem in sorted(candidates, key=lambda de: de[0])
+              if deg <= top and check(deg, elem)), None)
     if c == 0 or (c is not None and not dim(c - 1)):
         return c
     for deg in range(top + 1 if c is None else c - 1):
@@ -328,9 +329,13 @@ def _relation_top(arr: Arrangement, bound: int | None) -> int:
     return top
 
 
-def _is_derivation(arr: Arrangement, theta) -> bool:
+def _is_derivation(arr: Arrangement, deg: int, theta) -> bool:
     """Exact check that theta = (A, B, C), the derivation A d_x + B d_y +
-    C d_z, sends every line's form into its ideal: one division each."""
+    C d_z, is nonzero, homogeneous of degree deg, and sends every line's
+    form into its ideal: one division each."""
+    if not any(theta) or any(sum(mono) != deg
+                             for poly in theta for mono in poly.terms):
+        return False
     for line in arr.lines:
         image = Poly.zero(arr.field)
         for coeff, poly in zip(line.coords, theta):
@@ -362,16 +367,14 @@ def _power_derivation(F: CycField, r: int) -> list[Poly]:
 
 
 def _relation_candidates(arr: Arrangement) -> list:
-    """(degree, exact check) of the explicit derivations: the pencil one,
+    """(degree, derivation) of the explicit derivations: the pencil one,
     and the power ones with r = k + 1 for k dividing the field order.  None
     is a multiple of the Euler derivation, so each is a nonzero relation of
     its degree once it passes _is_derivation."""
     F = arr.field
     return [
-        (len(arr.lines) - build_lattice(arr).mult[0],
-         lambda: _is_derivation(arr, _pencil_derivation(arr))),
-        *((k + 1, lambda r=k + 1: _is_derivation(arr, _power_derivation(F, r)))
-          for k in divisors(F.order)),
+        (len(arr.lines) - build_lattice(arr).mult[0], _pencil_derivation(arr)),
+        *((k + 1, _power_derivation(F, k + 1)) for k in divisors(F.order)),
     ]
 
 
@@ -385,7 +388,7 @@ def mdr(arr: Arrangement, bound: int | None = None) -> int | None:
     relation space certified one degree below, else the first certified
     nonzero degree below it (_min_degree).
     """
-    return _min_degree(_relation_candidates(arr),
+    return _min_degree(_relation_candidates(arr), partial(_is_derivation, arr),
                        partial(syzygy_dimension, arr), _relation_top(arr, bound))
 
 
@@ -425,9 +428,10 @@ def supersolvable_exponents(arr: Arrangement) -> tuple[int, int, int]:
 class MultiRestriction:
     """Points of an arrangement on one of its lines, with multiplicities.
 
-    Forms live in coordinates (u, v) on the line, are pairwise independent
-    and normalized with leading coefficient one.  The multiplicity of a
-    point counts the other lines through it.
+    One form per lattice point on the line, in coordinates (u, v) on it:
+    the forms are pairwise independent and normalized with leading
+    coefficient one.  The multiplicity of a point counts the other lines
+    through it.
     """
 
     field: CycField
@@ -444,11 +448,13 @@ class MultiRestriction:
 
 
 def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
-    """Restriction onto line h, with point multiplicities.
+    """Restriction onto line h, read off the certified lattice.
 
-    Coordinates on the line are the two variables other than the pivot of
-    its normalized form.  Every other line cuts out a binary linear form;
-    proportional forms are the same point and stack multiplicity.
+    Coordinates (u, v) on the line are the two variables other than the
+    pivot of its normalized form.  A lattice point X on h sits at (u, v) =
+    (X[o1], X[o2]), so it is cut out by the form (X[o2], -X[o1]), with
+    multiplicity the number of other lines through X.  The forms come by
+    decreasing multiplicity, then by their coefficients.
     """
     F = arr.field
     d = len(arr.lines)
@@ -457,21 +463,14 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
     c = arr.lines[h].coords
     piv = next(i for i in range(3) if c[i])
     o1, o2 = (i for i in range(3) if i != piv)
-    groups: dict = {}
-    for j, line in enumerate(arr.lines):
-        if j == h:
-            continue
-        l = line.coords
-        a, b = _normalize(F, (l[o1] - l[piv] * c[o1], l[o2] - l[piv] * c[o2]))
-        key = (a.sort_key(), b.sort_key())
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = [(a, b), 1]
-        else:
-            entry[1] += 1
-    ordered = sorted(groups.items(), key=lambda kv: (-kv[1][1], kv[0]))
-    forms = tuple(entry[0] for _, entry in ordered)
-    mult = tuple(entry[1] for _, entry in ordered)
+    lat = build_lattice(arr)
+    points = sorted(
+        ((len(inc) - 1, _normalize(F, (X.coords[o2], -X.coords[o1])))
+         for X, inc in zip(lat.points, lat.incidence) if h in inc),
+        key=lambda mf: (-mf[0], tuple(x.sort_key() for x in mf[1])),
+    )
+    forms = tuple(form for _, form in points)
+    mult = tuple(m for m, _ in points)
     if sum(mult) != d - 1:
         raise ValueError("restriction multiplicities do not sum to d - 1")
     lifts = []
@@ -536,9 +535,12 @@ def _multi_dim(R: MultiRestriction, deg: int) -> int:
 
 
 def _derives(R: MultiRestriction, deg: int, vec) -> bool:
-    """Exact check that vec = (P, Q) is a derivation of degree deg: each
-    cu P + cv Q divisible by alpha^min(mult, deg + 1), tested by synthetic
-    division at v = 1, or on the leading coefficients when cu = 0."""
+    """Exact check that vec = (P, Q) is a nonzero derivation of degree deg:
+    2 deg + 2 coefficients, not all zero, and each cu P + cv Q divisible by
+    alpha^min(mult, deg + 1), tested by synthetic division at v = 1, or on
+    the leading coefficients when cu = 0."""
+    if len(vec) != 2 * deg + 2 or not any(vec):
+        return False
     for (cu, cv), m in zip(R.forms, R.mult):
         g = [cu * a + cv * b for a, b in zip(vec[:deg + 1], vec[deg + 1:])]
         k = min(m, deg + 1)
@@ -601,11 +603,8 @@ def _least_derivation_degree(R: MultiRestriction, dim) -> int:
     (_restriction_candidates) that passes _derives, with a zero space
     certified one degree below, else the first certified nonzero degree
     below it; CertificationError if no degree up to total/2 has one."""
-    d1 = _min_degree(
-        [(deg, partial(_derives, R, deg, vec))
-         for deg, vec in _restriction_candidates(R) if any(vec)],
-        dim, R.total // 2,
-    )
+    d1 = _min_degree(_restriction_candidates(R), partial(_derives, R), dim,
+                     R.total // 2)
     if d1 is None:
         raise CertificationError(
             f"no derivation of degree <= {R.total // 2} of total {R.total}"

@@ -304,9 +304,9 @@ def zmain_exponents(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
         d = len(arr.lines)
         m, points = _max_modular(arr)
         want = tuple(sorted((m - 1, d - m)))
+        lat = build_lattice(arr)
         idxs = sorted({
-            i for p in points
-            for i, line in enumerate(arr.lines) if line.contains(p)
+            i for p in points for i in lat.incidence[lat.points.index(p)]
         })
         for i in idxs:
             R = ziegler_restriction(arr, i)

@@ -14,6 +14,7 @@ import sys
 from functools import cache, partial
 
 from .algebra import (
+    _is_derivation,
     _least_derivation_degree,
     _min_degree,
     _multi_dim,
@@ -205,7 +206,8 @@ def cmd_algebra(args) -> int:
     if args.op == "mdr":
         top = _relation_top(arr, args.bound)
         dim = cache(partial(syzygy_dimension, arr))
-        value = _min_degree(_relation_candidates(arr), dim, top)
+        value = _min_degree(_relation_candidates(arr),
+                            partial(_is_derivation, arr), dim, top)
         data = {
             "value": value,
             "degree_dims": ([0] * (top + 1) if value is None

@@ -141,17 +141,11 @@ def generic_arrangement(d_prime: int, seed: int) -> Arrangement:
 
 def _connecting_lines(base: Arrangement) -> list[ProjLine]:
     """Lines through two intersection points of the base, base lines included."""
-    lat = build_lattice(base)
-    out: list[ProjLine] = []
-    seen: set[ProjLine] = set()
-    pts = lat.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            l = line_through(pts[i], pts[j])
-            if l not in seen:
-                seen.add(l)
-                out.append(l)
-    return out
+    pts = build_lattice(base).points
+    return list(dict.fromkeys(
+        line_through(pts[i], pts[j])
+        for i in range(len(pts)) for j in range(i + 1, len(pts))
+    ))
 
 
 def generic_vertex(base: Arrangement, seed: int) -> ProjPoint:
@@ -229,15 +223,9 @@ class ConeSpec:
 
 def joining_lines(base: Arrangement, vertex: ProjPoint) -> list[ProjLine]:
     """Deduplicated lines from the vertex to each base intersection point."""
-    lat = build_lattice(base)
-    out: list[ProjLine] = []
-    seen: set[ProjLine] = set()
-    for q in lat.points:
-        l = line_through(vertex, q)
-        if l not in seen:
-            seen.add(l)
-            out.append(l)
-    return out
+    return list(dict.fromkeys(
+        line_through(vertex, q) for q in build_lattice(base).points
+    ))
 
 
 def cone(spec: ConeSpec) -> Arrangement:

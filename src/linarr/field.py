@@ -463,4 +463,10 @@ def cyc_to_strings(x: CycNumber) -> list[str]:
 
 
 def cyc_from_strings(F: CycField, items) -> CycNumber:
+    """Inverse of cyc_to_strings.  A coefficient is an integer, a fraction
+    p/q or a decimal; an exponent such as 1e5 is refused, since Fraction
+    would build 10**exponent exactly, however large."""
+    for s in items:
+        if isinstance(s, str) and "e" in s.lower():
+            raise ValueError(f"coefficient {s!r} has an exponent")
     return F.element([Fraction(s) for s in items])

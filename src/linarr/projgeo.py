@@ -102,7 +102,7 @@ class ProjLine(_ProjTriple):
         return not acc
 
 
-def _cross(field: CycField, a, b) -> tuple[CycNumber, CycNumber, CycNumber]:
+def _cross(a, b) -> tuple[CycNumber, CycNumber, CycNumber]:
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -115,7 +115,7 @@ def line_intersect(l1: ProjLine, l2: ProjLine) -> ProjPoint:
         raise ValueError("lines from different fields")
     if l1 == l2:
         raise ValueError("coincident lines have no unique intersection")
-    return ProjPoint(l1.field, _cross(l1.field, l1.coords, l2.coords))
+    return ProjPoint(l1.field, _cross(l1.coords, l2.coords))
 
 
 def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
@@ -123,7 +123,7 @@ def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
         raise ValueError("points from different fields")
     if p1 == p2:
         raise ValueError("coincident points have no unique connecting line")
-    return ProjLine(p1.field, _cross(p1.field, p1.coords, p2.coords))
+    return ProjLine(p1.field, _cross(p1.coords, p2.coords))
 
 
 class Arrangement:

@@ -22,6 +22,7 @@ from linarr.algebra import (
     _node_rows,
     _pencil_derivation,
     _power_derivation,
+    _relation_candidates,
     _restriction_candidates,
     _restriction_rows,
     defining_polynomial,
@@ -45,6 +46,7 @@ from linarr.classify import (
 from linarr.families import (
     ConeSpec,
     a_of_w,
+    adversarial_vertex,
     cone,
     full_monomial,
     generic_arrangement,
@@ -56,6 +58,7 @@ from linarr.field import CertificationError, CycNumber, cyc_field
 from linarr.projgeo import (
     Arrangement,
     ProjLine,
+    _normalize,
     apply_transform,
     build_lattice,
     random_invertible_matrix,
@@ -252,6 +255,75 @@ def test_ziegler_braid_line():
     assert R.forms == ((F.zero, F.one), (F.one, F.zero), (F.one, -F.one))
     assert R.mult == (2, 2, 1)
     assert R.total == 5
+
+
+def _over_q_zeta_8(arr):
+    """An arrangement over Q(i) = Q(zeta_4) written over Q(zeta_8), with
+    i = zeta_8^2."""
+    F = cyc_field(8)
+    i = F.zeta_pow(2)
+
+    def lift(x):
+        return F.scalar(x.coeffs[0]) + i * x.coeffs[1]
+
+    return Arrangement(
+        F, [ProjLine(F, [lift(c) for c in line.coords]) for line in arr.lines]
+    )
+
+
+def _grouped_restriction(arr, h):
+    """Oracle for ziegler_restriction's forms and multiplicities: restrict
+    every other line to h, normalize, and group equal forms, by decreasing
+    multiplicity, then by coefficients."""
+    F = arr.field
+    c = arr.lines[h].coords
+    piv = next(i for i in range(3) if c[i])
+    o1, o2 = (i for i in range(3) if i != piv)
+    groups = {}
+    for j, line in enumerate(arr.lines):
+        if j != h:
+            l = line.coords
+            form = _normalize(
+                F, (l[o1] - l[piv] * c[o1], l[o2] - l[piv] * c[o2]))
+            groups[form] = groups.get(form, 0) + 1
+    ordered = sorted(groups.items(), key=lambda fm: (
+        -fm[1], tuple(x.sort_key() for x in fm[0])))
+    return tuple(f for f, _ in ordered), tuple(m for _, m in ordered)
+
+
+def test_ziegler_restriction_matches_per_line_grouping():
+    # Read off the lattice, every restriction has the forms, multiplicities
+    # and order of grouping the restricted lines one by one.
+    arrs = [full_monomial(3), full_monomial(6), pencil(5), near_pencil(6),
+            a_of_w(4, (0, 1)), a_of_w(5, (0, 2, 3)),
+            generic_arrangement(5, seed=1), _over_q_zeta_8(full_monomial(4))]
+    for seed in (1, 2):
+        base = generic_arrangement(5, seed=seed)
+        for vertex in (generic_vertex, adversarial_vertex):
+            arrs.append(cone(ConeSpec(base, vertex(base, seed=seed), 1, seed)))
+    checked = 0
+    for arr in arrs:
+        for h in range(len(arr.lines)):
+            R = ziegler_restriction(arr, h)
+            assert (R.forms, R.mult) == _grouped_restriction(arr, h)
+            checked += 1
+    assert len(arrs) == 12 and checked > 150
+
+
+def test_ziegler_restriction_normalizes_one_form_per_point(monkeypatch):
+    # One normalized form per lattice point on the line, not one per other
+    # line: on full_monomial(3) each line meets the other 11 in fewer points.
+    arr = full_monomial(3)
+    lat = build_lattice(arr)
+    calls = []
+    normalize = alg._normalize
+    monkeypatch.setattr(alg, "_normalize", lambda F, pair: (
+        calls.append(pair) or normalize(F, pair)))
+    for h in range(len(arr.lines)):
+        del calls[:]
+        R = ziegler_restriction(arr, h)
+        on_h = sum(h in inc for inc in lat.incidence)
+        assert len(calls) == on_h == len(R.forms) < len(arr.lines) - 1
 
 
 def test_multi_exponents_boundary_cases():
@@ -528,16 +600,17 @@ def test_candidate_one_degree_too_low_is_rejected(monkeypatch):
     for n in (2, 3, 4):
         for arr in (full_monomial(n), a_of_w(n, (0,))):
             F = arr.field
-            assert not _is_derivation(arr, _power_derivation(F, n))
-            assert _is_derivation(arr, _power_derivation(F, n + 1))
+            assert not _is_derivation(arr, n, _power_derivation(F, n))
+            assert _is_derivation(arr, n + 1, _power_derivation(F, n + 1))
     for arr in (near_pencil(6), _cone_over_q(4, 1, 1)):
         theta = _pencil_derivation(arr)
-        assert _is_derivation(arr, theta)
         lat = build_lattice(arr)
+        deg = len(arr.lines) - lat.mult[0]
+        assert _is_derivation(arr, deg, theta)
         off = next(l for j, l in enumerate(arr.lines)
                    if j not in lat.incidence[0])
         low = [t.div_linear(off.coords) for t in theta]
-        assert not _is_derivation(arr, low)
+        assert not _is_derivation(arr, deg - 1, low)
     # restrictions: both closed forms with one exponent lowered fail
     # _derives, and offered first they leave every answer unchanged
     real = alg._restriction_candidates
@@ -552,9 +625,55 @@ def test_candidate_one_degree_too_low_is_rejected(monkeypatch):
     assert rejected > 100
 
 
+def _exact_relation_dim(arr, r):
+    F = arr.field
+    rows = _gauged_rows([l.coords for l in arr.lines], r, F.zero, F.one)
+    return nullity(rows, (r + 1) * (r + 3))
+
+
+def test_candidate_claiming_one_degree_less_is_rejected(monkeypatch):
+    # A candidate's exact check binds the degree it claims: every real
+    # candidate stated one degree low is rejected, and so is the zero
+    # element; offered first, the low ones leave every answer equal to the
+    # exact scan.
+    real_rel = alg._relation_candidates
+    monkeypatch.setattr(alg, "_relation_candidates", lambda arr: [
+        (deg - 1, theta) for deg, theta in real_rel(arr)] + real_rel(arr))
+    rejected = 0
+    for _, arr in _standard_pool(0, 3, 4):
+        d = len(arr.lines)
+        if d < 4:
+            continue
+        zero = [Poly.zero(arr.field)] * 3
+        for deg, theta in _relation_candidates(arr):
+            assert not _is_derivation(arr, deg - 1, theta)
+            assert not _is_derivation(arr, deg, zero)
+            rejected += 1
+        r = mdr(arr)
+        if r is None:
+            assert _exact_relation_dim(arr, (d - 1) // 2) == 0
+        else:
+            assert _exact_relation_dim(arr, r) > 0
+            assert r == 0 or _exact_relation_dim(arr, r - 1) == 0
+    assert rejected > 50
+    real = alg._restriction_candidates
+    monkeypatch.setattr(alg, "_restriction_candidates", lambda R: [
+        (deg - 1, vec) for deg, vec in real(R)] + real(R))
+    rejected = 0
+    for R in _scan_restrictions():
+        zero = R.field.zero
+        for deg, vec in _restriction_candidates(R):
+            assert not _derives(R, deg - 1, vec)
+            assert not _derives(R, deg, [zero] * (2 * deg + 2))
+            rejected += 1
+        assert multi_exponents(R) == _scan_exponents(R)
+    assert rejected > 100
+
+
 def test_perturbed_candidate_is_rejected(monkeypatch):
-    # One coefficient + 1: _derives agrees with the exact rows on it, and
-    # the answer still equals the exact scan.
+    # One coefficient + 1: _derives agrees with the exact rows on it unless
+    # that makes it zero, which _derives rejects, and the answer still
+    # equals the exact scan.
     def perturbed(R):
         out = []
         for deg, vec in real(R):
@@ -570,7 +689,7 @@ def test_perturbed_candidate_is_rejected(monkeypatch):
     for R in _scan_restrictions():
         for deg, bad in perturbed(R):
             ok = _derives(R, deg, bad)
-            assert ok == _in_exact_kernel(R, deg, bad)
+            assert ok == (any(bad) and _in_exact_kernel(R, deg, bad))
             rejected += not ok
         assert multi_exponents(R) == _scan_exponents(R)
     assert rejected > 100
@@ -608,7 +727,7 @@ def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
     # minimal relation degree is 2
     [arr] = [a for label, a in _standard_pool(0, 1, 3)
              if label == "cone-d3-generic-e0-s1"]
-    assert _is_derivation(arr, _pencil_derivation(arr))
+    assert _is_derivation(arr, 3, _pencil_derivation(arr))
     assert len(arr.lines) - build_lattice(arr).mult[0] == 3
     assert mdr(arr, bound=3) == 2 and verify_mdr(arr, 2)
     assert not verify_mdr(arr, 3)
@@ -1010,16 +1129,8 @@ def test_arrangement_json_round_trip_property(arr, seed):
 def test_kernel_nonzero_matches_exact_over_q_zeta_8():
     # full_monomial(4) written over Q(zeta_8): (Z/8)* is not cyclic, so only
     # a split prime gives a modular certificate here.
-    base = full_monomial(4)
-    F = cyc_field(8)
-    i = F.zeta_pow(2)
-
-    def lift(x):
-        return F.scalar(x.coeffs[0]) + i * x.coeffs[1]
-
-    arr = Arrangement(
-        F, [ProjLine(F, [lift(c) for c in line.coords]) for line in base.lines]
-    )
+    arr = _over_q_zeta_8(full_monomial(4))
+    F = arr.field
     for r in (4, 5):
         rows = _gauged_rows([l.coords for l in arr.lines], r, F.zero, F.one)
         ncols = len(rows[0])
@@ -1028,9 +1139,9 @@ def test_kernel_nonzero_matches_exact_over_q_zeta_8():
         assert (null > 0) == exact == (r == 5)
         assert (syzygy_dimension(arr, r) > 0) == exact
     # the power derivation with r = k + 1 for k = 4, a divisor of 8
-    assert not any(_is_derivation(arr, _power_derivation(F, k + 1))
+    assert not any(_is_derivation(arr, k + 1, _power_derivation(F, k + 1))
                    for k in (1, 2))
-    assert _is_derivation(arr, _power_derivation(F, 5))
+    assert _is_derivation(arr, 5, _power_derivation(F, 5))
     assert mdr(arr, bound=5) == 5 and verify_mdr(arr, 5)
 
 

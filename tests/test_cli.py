@@ -17,10 +17,10 @@ from linarr.field import MAX_ORDER
 from linarr.projgeo import Arrangement, build_lattice
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "linarr", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -357,6 +357,22 @@ def test_too_tall_coefficient_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.count("not certified") == 2
 
 
+# Fraction reads an exponent by building 10**exponent exactly, so these
+# would run for ever; a coefficient with an exponent is refused at once.
+_EXPONENTS = ("1e99999999999999999999", "1e-99999999999999999999")
+
+
+@pytest.mark.parametrize("coeff", _EXPONENTS)
+def test_exponent_in_a_coefficient_exits_two_at_once(tmp_path, coeff):
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps({"cyclotomic_order": 1, "lines": [
+        [["1"], ["0"], ["0"]], [["0"], ["1"], ["0"]], [["1"], ["1"], [coeff]],
+    ]}))
+    code, out, err = run_cli("analyze", str(path), timeout=30)
+    assert code == 2 and not out
+    assert err.startswith("error:") and "exponent" in err
+
+
 _FUZZ_BASES = [
     arr.to_json()
     for arr in (full_monomial(1), near_pencil(5),
@@ -364,7 +380,8 @@ _FUZZ_BASES = [
 ]
 
 # Replacement values: every JSON type, floats with NaN and infinities,
-# "1/0", huge integers bare and as strings, and orders past MAX_ORDER.
+# "1/0", huge integers bare and as strings, orders past MAX_ORDER, and
+# coefficients with huge exponents.
 # Small integers stay small: a valid order near MAX_ORDER is a legal but
 # slow input, not a malformed one.
 _JUNK = st.one_of(
@@ -372,7 +389,7 @@ _JUNK = st.one_of(
     st.text(max_size=3), st.just("1/0"), st.just([]), st.just({}),
     st.integers(20, 400).map(lambda k: 10 ** k),
     st.integers(20, 400).map(lambda k: str(10 ** k)),
-    st.integers(MAX_ORDER + 1, 10 ** 30),
+    st.integers(MAX_ORDER + 1, 10 ** 30), st.sampled_from(_EXPONENTS),
 )
 
 

@@ -193,6 +193,12 @@ def test_serialization_round_trip():
     strings = cyc_to_strings(x)
     assert all("/" in s for s in strings)
     assert cyc_from_strings(F, strings) == x
+    # decimals parse; an exponent is refused, however small
+    assert cyc_from_strings(F, ["0.5", "-2", "3/4", "0"]) == F.element(
+        [Fraction(1, 2), Fraction(-2), Fraction(3, 4), Fraction(0)])
+    for bad in ("1e2", "2E-1", "1.5e0"):
+        with pytest.raises(ValueError, match="exponent"):
+            cyc_from_strings(F, ["1", bad, "0", "0"])
 
 
 def test_field_instances_cached():

@@ -34,6 +34,11 @@ MODULAR = {"reduce_at", "split_prime", "_fp_rows"}
 MEMOIZED = {"cyclotomic_polynomial", "_aw_roster", "_seed_memo"}
 MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
 
+# Which lines meet where is decided once, by projgeo's certified lattice:
+# restrictions and the campaigns read its incidences, and never test a point
+# against a line or intersect two lines again.
+INCIDENCE = {"contains", "line_intersect"}
+
 # Elimination mod p is linalg's own: no other module reaches past
 # certified_nullity to the engine behind it.
 FP_ENGINE = {"fp_echelon", "fp_kernel_basis"}
@@ -77,6 +82,11 @@ def test_no_guess_then_certify_in_src():
 
 def test_algebra_builds_no_modular_rows():
     assert not _src_names_in(MODULAR, "algebra.py")
+
+
+def test_restrictions_read_incidences_off_the_lattice():
+    for module in ("algebra.py", "campaigns.py"):
+        assert not _src_names_in(INCIDENCE, module)
 
 
 def _memoized_in_src():
