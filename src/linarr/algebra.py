@@ -39,7 +39,7 @@ from .field import (
     divisors,
 )
 from .linalg import certified_nullity
-from .projgeo import Arrangement, _normalize, build_lattice
+from .projgeo import Arrangement, _normalize, _ortho_pair, build_lattice
 
 
 class Poly:
@@ -235,17 +235,6 @@ def _conv(a: list, b: list, zero) -> list:
             if y:
                 out[i + j] = out[i + j] + x * y
     return out
-
-
-def _ortho_pair(coeffs, zero):
-    """Two independent points on the line with the given coefficients."""
-    piv = next(i for i in range(3) if coeffs[i])
-    pts = []
-    for o in (i for i in range(3) if i != piv):
-        w = [zero] * 3
-        w[o], w[piv] = coeffs[piv], -coeffs[o]
-        pts.append(w)
-    return pts
 
 
 def _gauged_rows(lines, r: int, zero, one) -> list[list]:

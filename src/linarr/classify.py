@@ -8,6 +8,7 @@ checks run in exact arithmetic and record both sides.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,18 +17,17 @@ from .projgeo import Arrangement, Lattice, ProjPoint, build_lattice
 
 
 def modular_points(arr: Arrangement) -> list[tuple[ProjPoint, int]]:
+    """Two distinct points share at most one line, so point i shares a line
+    with sum(points_on[l] - 1 for l through i) others, each counted once,
+    and is modular exactly when that is all P - 1 of them."""
     lat = build_lattice(arr)
-    masks = [0] * len(lat.points)
-    for i, inc in enumerate(lat.incidence):
-        m = 0
-        for li in inc:
-            m |= 1 << li
-        masks[i] = m
-    out = []
-    for i, p in enumerate(lat.points):
-        if all(masks[i] & masks[j] for j in range(len(masks)) if j != i):
-            out.append((p, lat.mult[i]))
-    return out
+    points_on = Counter(li for inc in lat.incidence for li in inc)
+    others = len(lat.points) - 1
+    return [
+        (p, lat.mult[i])
+        for i, p in enumerate(lat.points)
+        if sum(points_on[li] for li in lat.incidence[i]) - lat.mult[i] == others
+    ]
 
 
 def is_supersolvable(arr: Arrangement) -> bool:

@@ -15,6 +15,7 @@ from .projgeo import (
     Arrangement,
     ProjLine,
     ProjPoint,
+    _ortho_pair,
     build_lattice,
     census,
     line_intersect,
@@ -24,16 +25,17 @@ from .projgeo import (
 _RETRIES = 500
 
 
+def _axes(F) -> list[ProjLine]:
+    """The lines x, y and z."""
+    return [ProjLine(F, (1, 0, 0)), ProjLine(F, (0, 1, 0)), ProjLine(F, (0, 0, 1))]
+
+
 def full_monomial(n: int) -> Arrangement:
     """The 3n+3 lines x, y, z and x - wy, y - wz, x - wz for all w in mu_n."""
     if n < 1:
         raise ValueError("order must be at least 1")
     F = cyc_field(n)
-    lines = [
-        ProjLine(F, (1, 0, 0)),
-        ProjLine(F, (0, 1, 0)),
-        ProjLine(F, (0, 0, 1)),
-    ]
+    lines = _axes(F)
     for j in range(n):
         z = F.zeta_pow(j)
         lines.append(ProjLine(F, (F.one, -z, F.zero)))
@@ -69,11 +71,7 @@ def a_of_w(n: int, w) -> Arrangement:
     if len(exps) > n:
         raise ValueError("at most n entries")
     F = cyc_field(n)
-    lines = [
-        ProjLine(F, (1, 0, 0)),
-        ProjLine(F, (0, 1, 0)),
-        ProjLine(F, (0, 0, 1)),
-    ]
+    lines = _axes(F)
     for j in range(n):
         z = F.zeta_pow(j)
         lines.append(ProjLine(F, (F.one, -z, F.zero)))
@@ -97,11 +95,7 @@ def near_pencil(d: int) -> Arrangement:
     if d < 3:
         raise ValueError("a near-pencil needs at least 3 lines")
     Q = cyc_field(1)
-    lines = [ProjLine(Q, (1, 0, 0))]
-    for j in range(d - 2):
-        lines.append(ProjLine(Q, (-j, 1, 0)))
-    lines.append(ProjLine(Q, (0, 0, 1)))
-    return Arrangement(Q, lines)
+    return Arrangement(Q, pencil(d - 1).lines + (ProjLine(Q, (0, 0, 1)),))
 
 
 def generic_arrangement(d_prime: int, seed: int) -> Arrangement:
@@ -148,6 +142,11 @@ def _connecting_lines(base: Arrangement) -> list[ProjLine]:
     ))
 
 
+def _ratio(rng) -> Fraction:
+    """A random rational for a vertex coordinate or a pencil coefficient."""
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+
+
 def generic_vertex(base: Arrangement, seed: int) -> ProjPoint:
     """A point off every base line and off every line joining two base
     intersection points."""
@@ -157,14 +156,7 @@ def generic_vertex(base: Arrangement, seed: int) -> ProjPoint:
     ]
     F = base.field
     for _ in range(_RETRIES):
-        p = ProjPoint(
-            F,
-            (
-                Fraction(rng.randint(-40, 40), rng.randint(1, 7)),
-                Fraction(rng.randint(-40, 40), rng.randint(1, 7)),
-                1,
-            ),
-        )
+        p = ProjPoint(F, (_ratio(rng), _ratio(rng), 1))
         if not any(l.contains(p) for l in forbidden):
             return p
     raise RuntimeError("could not certify a generic vertex")
@@ -191,7 +183,7 @@ def adversarial_vertex(base: Arrangement, seed: int) -> ProjPoint:
     on_diag = [p for p in lat.points if diag.contains(p)]
     q0, q1 = on_diag[0], on_diag[1]
     for _ in range(_RETRIES):
-        t = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+        t = _ratio(rng)
         if not t:
             continue
         coords = tuple(
@@ -236,13 +228,12 @@ def cone(spec: ConeSpec) -> Arrangement:
     lines = list(spec.base.lines) + joining_lines(spec.base, p)
     arr = Arrangement(F, lines)
     rng = random.Random(spec.seed)
-    u, v = _pencil_basis(F, p)
+    u, v = _ortho_pair(p.coords, F.zero)
     for _ in range(spec.extra):
         lat = build_lattice(arr)
         obstacles = [q for q in lat.points if q != p]
         for _ in range(_RETRIES):
-            a = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
-            b = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+            a, b = _ratio(rng), _ratio(rng)
             coords = tuple(
                 x * F.scalar(a) + y * F.scalar(b) for x, y in zip(u, v)
             )
@@ -259,16 +250,3 @@ def cone(spec: ConeSpec) -> Arrangement:
         else:
             raise RuntimeError("could not certify an extra cone line")
     return arr
-
-
-def _pencil_basis(F, p: ProjPoint):
-    """Two independent line-coefficient triples vanishing at p."""
-    c = p.coords
-    # first nonzero coordinate of p is 1 by normalization
-    idx = next(i for i in range(3) if c[i])
-    others = [i for i in range(3) if i != idx]
-    u = [F.zero, F.zero, F.zero]
-    v = [F.zero, F.zero, F.zero]
-    u[others[0]], u[idx] = c[idx], -c[others[0]]
-    v[others[1]], v[idx] = c[idx], -c[others[1]]
-    return tuple(u), tuple(v)

@@ -166,6 +166,28 @@ def _reduced(field: CycField, num: tuple[int, ...], den: int) -> "CycNumber":
     return CycNumber(field, tuple(map(g.__rfloordiv__, num)), den // g)
 
 
+def _polymul(F: CycField, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of numerator tuples in Z[t]/(Phi_n), the one multiply loop:
+    a convolution, then t^k for k >= deg folded down by the monic Phi_n."""
+    deg = F.degree
+    if deg == 1:
+        return (a[0] * b[0],)
+    conv = [0] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x:
+            k = i
+            for y in b:
+                conv[k] += x * y
+                k += 1
+    for k in range(2 * deg - 2, deg - 1, -1):
+        c = conv[k]
+        if c:
+            base = k - deg
+            for i, m in F._tail:
+                conv[base + i] -= c * m
+    return tuple(conv[:deg])
+
+
 def _rational_hash(n: int, d: int) -> int:
     """hash(Fraction(n, d)) for coprime n and d > 0, without building it:
     Python's numeric hash, n / d modulo the prime sys.hash_info.modulus."""
@@ -247,28 +269,12 @@ class CycNumber:
         if o is None:
             return NotImplemented
         F = self.field
-        a, b = self.num, o.num
         den = self.den * o.den
-        deg = F.degree
-        if deg == 1:
-            num = a[0] * b[0]
+        if F.degree == 1:
+            num = self.num[0] * o.num[0]
             g = gcd(num, den)
             return CycNumber(F, (num // g,), den // g)
-        conv = [0] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                k = i
-                for y in b:
-                    conv[k] += x * y
-                    k += 1
-        # Phi_n is monic and integral: fold t^k for k >= deg back down
-        for k in range(2 * deg - 2, deg - 1, -1):
-            c = conv[k]
-            if c:
-                base = k - deg
-                for i, m in F._tail:
-                    conv[base + i] -= c * m
-        return _reduced(F, tuple(conv[:deg]), den)
+        return _reduced(F, _polymul(F, self.num, o.num), den)
 
     __rmul__ = __mul__
 
@@ -463,10 +469,12 @@ def cyc_to_strings(x: CycNumber) -> list[str]:
 
 
 def cyc_from_strings(F: CycField, items) -> CycNumber:
-    """Inverse of cyc_to_strings.  A coefficient is an integer, a fraction
-    p/q or a decimal; an exponent such as 1e5 is refused, since Fraction
-    would build 10**exponent exactly, however large."""
+    """Inverse of cyc_to_strings.  A coefficient is a string (a JSON 0.1 is a
+    binary float): an integer, a fraction p/q or a decimal, with no exponent
+    such as 1e5, since Fraction would build 10**exponent exactly."""
     for s in items:
-        if isinstance(s, str) and "e" in s.lower():
+        if not isinstance(s, str):
+            raise ValueError(f"coefficient {s!r} is not a string")
+        if "e" in s.lower():
             raise ValueError(f"coefficient {s!r} has an exponent")
     return F.element([Fraction(s) for s in items])

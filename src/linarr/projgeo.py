@@ -9,10 +9,11 @@ The lattice is grouped modulo a split prime p = 1 (mod n): the lines are
 reduced at a root of Phi_n mod p, every pair is intersected mod p, and pairs
 are grouped by the normalized point they meet in.  Reduction is a ring map,
 so equal exact points stay equal mod p and each group is a union of exact
-groups.  Each group is then certified exactly, as one point: one exact
-intersection of its two lowest lines, and an exact incidence check for every
-further line.  A failed check, a pair of lines that coincide mod p or a
-denominator divisible by p sends the whole lattice to the next split prime.
+groups.  Each group is then certified exactly, as one point, on integer
+numerators: one integral cross product X of its two lowest lines, and one
+integral dot product with X for every further line, all checked before any
+point is normalized.  A failed check, a pair of lines that coincide mod p or
+a denominator divisible by p sends the whole lattice to the next split prime.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add, neg, sub
 
 from .field import (
     CertificationError,
     CycField,
     CycNumber,
     _inverse,
+    _polymul,
+    _reduced,
     cyc_field,
     cyc_from_strings,
     cyc_to_strings,
@@ -35,27 +39,69 @@ from .linalg import reduce_at, split_prime
 
 
 def _normalize(field: CycField, triple) -> tuple[CycNumber, ...]:
-    coords = []
-    for c in triple:
-        if isinstance(c, CycNumber):
-            if c.field.order != field.order:
-                raise ValueError("coordinate from a different field")
-            coords.append(c)
-        else:
-            coords.append(field.scalar(c))
-    k = next((i for i, c in enumerate(coords) if c), None)
+    coords = [c if isinstance(c, CycNumber) else field.scalar(c) for c in triple]
+    if any(c.field.order != field.order for c in coords):
+        raise ValueError("coordinate from a different field")
+    if next((c for c in coords if c), None) == field.one:
+        return tuple(coords)
+    return _normalized(field, _integral(coords))
+
+
+def _integral(coords) -> tuple[tuple[int, ...], ...]:
+    """The numerators of a tuple of coordinates, each scaled up to the lcm
+    of their denominators: the same projective tuple, over Z[t]/(Phi_n).
+    Intersections, incidences and transforms compute on these."""
+    L = lcm(*[c.den for c in coords])
+    return tuple([
+        c.num if c.den == L else tuple(map((L // c.den).__mul__, c.num))
+        for c in coords
+    ])
+
+
+def _normalized(field: CycField, nums) -> tuple[CycNumber, ...]:
+    """The canonical coordinates of integral numerators nums: each divided
+    by the first nonzero one, a rational lead with no multiply."""
+    k = next((i for i, a in enumerate(nums) if any(a)), None)
     if k is None:
         raise ValueError("zero triple is not projective")
-    lead = coords[k]
-    if lead == field.one:
-        return tuple(coords)
+    lead = nums[k]
+    if any(lead[1:]):
+        inv = _inverse(CycNumber(field, lead, 1))
+        den, scaled = inv.den, lambda a: _polymul(field, a, inv.num)
+    else:
+        den, scaled = abs(lead[0]), tuple if lead[0] > 0 else (
+            lambda a: tuple(map(neg, a)))
+    coords = [field.zero] * len(nums)
     coords[k] = field.one
-    rest = [i for i in range(k + 1, len(coords)) if coords[i]]
-    if rest:  # with nothing left to scale, no inverse is needed
-        inv = _inverse(lead)
-        for i in rest:
-            coords[i] = coords[i] * inv
+    for i in range(k + 1, len(nums)):
+        if any(nums[i]):
+            coords[i] = _reduced(field, scaled(nums[i]), den)
     return tuple(coords)
+
+
+def _int_cross(F: CycField, a, b):
+    """Cross product of two integral triples, in Z[t]/(Phi_n)."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return (tuple(map(sub, _polymul(F, a1, b2), _polymul(F, a2, b1))),
+            tuple(map(sub, _polymul(F, a2, b0), _polymul(F, a0, b2))),
+            tuple(map(sub, _polymul(F, a0, b1), _polymul(F, a1, b0))))
+
+
+def _int_dot(F: CycField, a, b) -> tuple[int, ...]:
+    """Dot product of two integral triples, in Z[t]/(Phi_n)."""
+    return tuple(map(add, map(add, _polymul(F, a[0], b[0]), _polymul(F, a[1], b[1])),
+                     _polymul(F, a[2], b[2])))
+
+
+def _ortho_pair(coeffs, zero):
+    """Two independent triples orthogonal to coeffs, for any element type."""
+    piv = next(i for i in range(3) if coeffs[i])
+    pts = []
+    for o in (i for i in range(3) if i != piv):
+        w = [zero] * 3
+        w[o], w[piv] = coeffs[piv], -coeffs[o]
+        pts.append(w)
+    return pts
 
 
 class _ProjTriple:
@@ -65,6 +111,13 @@ class _ProjTriple:
         self.field = field
         self.coords = _normalize(field, triple)
         self._hash = None
+
+    @classmethod
+    def _from_integral(cls, field: CycField, nums):
+        """The triple with integral numerators nums, normalized."""
+        self = cls.__new__(cls)
+        self.field, self.coords, self._hash = field, _normalized(field, nums), None
+        return self
 
     def __eq__(self, other):
         return (
@@ -96,18 +149,8 @@ class ProjLine(_ProjTriple):
     """Line of P^2, normalized coefficient triple of its linear form."""
 
     def contains(self, point: ProjPoint) -> bool:
-        acc = self.field.zero
-        for a, b in zip(self.coords, point.coords):
-            acc = acc + a * b
-        return not acc
-
-
-def _cross(a, b) -> tuple[CycNumber, CycNumber, CycNumber]:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+        return not any(_int_dot(
+            self.field, _integral(self.coords), _integral(point.coords)))
 
 
 def line_intersect(l1: ProjLine, l2: ProjLine) -> ProjPoint:
@@ -115,7 +158,8 @@ def line_intersect(l1: ProjLine, l2: ProjLine) -> ProjPoint:
         raise ValueError("lines from different fields")
     if l1 == l2:
         raise ValueError("coincident lines have no unique intersection")
-    return ProjPoint(l1.field, _cross(l1.coords, l2.coords))
+    return ProjPoint._from_integral(l1.field, _int_cross(
+        l1.field, _integral(l1.coords), _integral(l2.coords)))
 
 
 def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
@@ -123,7 +167,8 @@ def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
         raise ValueError("points from different fields")
     if p1 == p2:
         raise ValueError("coincident points have no unique connecting line")
-    return ProjLine(p1.field, _cross(p1.coords, p2.coords))
+    return ProjLine._from_integral(p1.field, _int_cross(
+        p1.field, _integral(p1.coords), _integral(p2.coords)))
 
 
 class Arrangement:
@@ -266,10 +311,10 @@ def build_lattice(arr: Arrangement) -> Lattice:
 def _certified_points(arr: Arrangement, skip: int):
     """(point, incident line indices) for every intersection point, from the
     grouping at split_prime(n, skip); None when that prime does not serve."""
-    p, roots = split_prime(arr.field.order, skip)
-    lines = arr.lines
+    F = arr.field
+    p, roots = split_prime(F.order, skip)
     try:
-        red = reduce_at([l.coords for l in lines], roots[0], p)
+        red = reduce_at([l.coords for l in arr.lines], roots[0], p)
     except ZeroDivisionError:
         return None
     groups: dict[tuple[int, int, int], set[int]] = {}
@@ -288,21 +333,17 @@ def _certified_points(arr: Arrangement, skip: int):
                 pt = (0, 0, 1)
             else:
                 return None  # lines i and j coincide mod p
-            grp = groups.get(pt)
-            if grp is None:
-                groups[pt] = {i, j}
-            else:
-                grp.add(i)
-                grp.add(j)
-    out = []
+            groups.setdefault(pt, set()).update((i, j))
+    ints = [_integral(l.coords) for l in arr.lines]
+    meets = []
     for grp in groups.values():
         inc = tuple(sorted(grp))
-        point = line_intersect(lines[inc[0]], lines[inc[1]])
+        X = _int_cross(F, ints[inc[0]], ints[inc[1]])
         for li in inc[2:]:
-            if not lines[li].contains(point):
+            if any(_int_dot(F, ints[li], X)):
                 return None  # distinct exact points met mod p
-        out.append((point, inc))
-    return out
+        meets.append((X, inc))
+    return [(ProjPoint._from_integral(F, X), inc) for X, inc in meets]
 
 
 def census(arr: Arrangement) -> dict[int, int]:
@@ -478,20 +519,12 @@ def apply_transform(arr: Arrangement, matrix) -> Arrangement:
         raise ValueError("expected a 3x3 matrix")
     if not det3(rows):
         raise ValueError("singular transform")
-    adj = adjugate3(rows)
-    new_lines = []
-    for l in arr.lines:
-        c = l.coords
-        new_lines.append(
-            ProjLine(
-                F,
-                tuple(
-                    c[0] * adj[0][k] + c[1] * adj[1][k] + c[2] * adj[2][k]
-                    for k in range(3)
-                ),
-            )
-        )
-    return Arrangement(F, new_lines)
+    # l' = l adj(M) on integral rows, adj(M) scaled as one integral matrix
+    A = _integral([x for row in adjugate3(rows) for x in row])
+    return Arrangement(F, [
+        ProjLine._from_integral(F, tuple(_int_dot(F, c, A[k::3]) for k in range(3)))
+        for c in map(_integral, (l.coords for l in arr.lines))
+    ])
 
 
 def random_invertible_matrix(rng):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from linarr.campaigns import _standard_pool
 from linarr.classify import (
     check_identities,
     homogeneity,
@@ -38,6 +39,26 @@ def test_full_triangle_modular_points():
         ProjPoint(Q, (0, 0, 1)),
         ProjPoint(Q, (1, 1, 1)),
     }
+
+
+def pairwise_modular(lat):
+    """The definition, kept as the oracle for modular_points: point i is
+    modular when it shares a line with every other point."""
+    masks = [sum(1 << li for li in inc) for inc in lat.incidence]
+    return [
+        (p, lat.mult[i])
+        for i, p in enumerate(lat.points)
+        if all(masks[i] & masks[j] for j in range(len(masks)) if j != i)
+    ]
+
+
+def test_modular_points_match_pairwise_definition():
+    checked = 0
+    for seed in range(3):
+        for _, arr in _standard_pool(seed, 6, 5):
+            assert modular_points(arr) == pairwise_modular(build_lattice(arr))
+            checked += 1
+    assert checked == 228
 
 
 def test_full_monomial_three_modular_points():

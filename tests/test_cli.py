@@ -323,6 +323,11 @@ def test_unknown_campaign_exits_two():
     assert code == 2
 
 
+# x, y and z, a valid arrangement when %s is ["1"]
+_TRIANGLE = ('{"cyclotomic_order": 1, "lines": [[["1"], ["0"], ["0"]], '
+             '[["0"], ["1"], ["0"]], [["0"], ["0"], %s]]}')
+
+
 def test_bad_json_file_exits_two(tmp_path, capsys):
     for text in (
         "{not json",
@@ -331,6 +336,11 @@ def test_bad_json_file_exits_two(tmp_path, capsys):
         '{"cyclotomic_order": 2.5, "lines": [[["1"], ["0"], ["0"]]]}',
         # JSON reads 1e400 as an infinite float: OverflowError before
         '{"cyclotomic_order": 1, "lines": [[[1e400], ["0"], ["1"]]]}',
+        # a coefficient is a string: a JSON number was read as a binary
+        # float (0.1 as 3602879701896397/36028797018963968), true as 1
+        _TRIANGLE % "[0.1]",
+        _TRIANGLE % "[true]",
+        _TRIANGLE % "[1]",
         # orders past the supported maximum: MemoryError and OverflowError
         # before it was checked
         '{"cyclotomic_order": 1000000000000000, "lines": [[["1"], ["0"], ["0"]]]}',
@@ -339,6 +349,8 @@ def test_bad_json_file_exits_two(tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text(text)
         assert main(["analyze", str(path)]) == 2
+    path.write_text(_TRIANGLE % '["1"]')
+    assert main(["analyze", str(path)]) == 0
     capsys.readouterr()
     assert main(["make", "full-monomial", str(10 ** 15)]) == 2
     assert main(["enumerate-wclasses", str(10 ** 15), "2"]) == 2

@@ -199,6 +199,9 @@ def test_serialization_round_trip():
     for bad in ("1e2", "2E-1", "1.5e0"):
         with pytest.raises(ValueError, match="exponent"):
             cyc_from_strings(F, ["1", bad, "0", "0"])
+    for bad in (0.1, True, 1, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="not a string"):
+            cyc_from_strings(F, ["1", bad, "0", "0"])
 
 
 def test_field_instances_cached():

@@ -4,9 +4,10 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linarr.projgeo as projgeo
@@ -262,16 +263,31 @@ def test_apply_transform_preserves_census():
         assert census(moved) == base
 
 
-def image(M, p):
-    """The point M p."""
-    F = p.field
-    return ProjPoint(
-        F,
-        tuple(
-            sum((F.scalar(M[r][c]) * p.coords[c] for c in range(3)), F.zero)
-            for r in range(3)
-        ),
+def oracle_normalized(t):
+    """t divided by its first nonzero entry with CycNumber `/`, independent
+    of projgeo's integral normalization."""
+    lead = next(c for c in t if c)
+    return tuple(c / lead for c in t)
+
+
+def oracle_cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
     )
+
+
+def oracle_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def image(M, p):
+    """The normalized coordinates of the point M p."""
+    F = p.field
+    return oracle_normalized(tuple(
+        oracle_dot([F.scalar(x) for x in M[r]], p.coords) for r in range(3)
+    ))
 
 
 def test_apply_transform_moves_points_correctly():
@@ -281,7 +297,7 @@ def test_apply_transform_moves_points_correctly():
     # image of each lattice point lies on the image arrangement's lines
     for p in lat0.points:
         img = image(M, p)
-        n_through = sum(1 for l in moved.lines if l.contains(img))
+        n_through = sum(1 for l in moved.lines if not oracle_dot(l.coords, img))
         assert n_through >= 2
 
 
@@ -365,14 +381,16 @@ def test_census_pair_identity_all():
 
 def pairwise_lattice(arr):
     """The exact all-pairs grouping, kept as the oracle for build_lattice:
-    every pair of lines intersected over the exact field and grouped by the
-    normalized point, ordered by multiplicity, then by coefficients."""
+    every pair of lines intersected with CycNumber operators and grouped by
+    the normalized point, ordered by multiplicity, then by coefficients."""
     seen = {}
-    lines = arr.lines
+    lines = [l.coords for l in arr.lines]
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
-            seen.setdefault(line_intersect(lines[i], lines[j]), set()).update((i, j))
-    items = sorted(seen.items(), key=lambda kv: (-len(kv[1]), kv[0].sort_key()))
+            X = oracle_normalized(oracle_cross(lines[i], lines[j]))
+            seen.setdefault(X, set()).update((i, j))
+    items = sorted(seen.items(), key=lambda kv: (
+        -len(kv[1]), tuple(c.sort_key() for c in kv[0])))
     return (
         tuple(p for p, _ in items),
         tuple(len(inc) for _, inc in items),
@@ -387,7 +405,7 @@ def fresh_lattice(arr):
 
 
 def as_tuple(lat):
-    return lat.points, lat.mult, lat.incidence
+    return tuple(p.coords for p in lat.points), lat.mult, lat.incidence
 
 
 def embed(arr, F):
@@ -449,7 +467,8 @@ def test_lattice_matches_pairwise_oracle_property(arr, data):
     lat_m = build_lattice(moved)
     assert as_tuple(lat_m) == pairwise_lattice(moved)
     assert lat_m.census() == lat.census()
-    assert set(modular_points(moved)) == {(image(M, p), m) for p, m in mods}
+    assert {(p.coords, m) for p, m in modular_points(moved)} == {
+        (image(M, p), m) for p, m in mods}
 
 
 # Primes 7 and 13 are 1 mod 3.  For the first two arrangements, 7 divides a
@@ -485,3 +504,104 @@ def test_lattice_survives_bad_primes(name, monkeypatch):
     lat = fresh_lattice(arr)
     assert as_tuple(lat) == pairwise_lattice(arr)
     assert tried == [0, 1, 2]
+
+
+# A split prime p = 1 (mod n) small enough that distinct points often meet
+# mod p, for each order of the exact-operations property.
+TINY_PRIMES = {1: 7, 3: 7, 4: 5, 5: 11, 8: 17, 12: 13}
+
+_NUMERATORS = st.sampled_from([k for k in range(-6, 7) if k])
+_DENOMINATORS = st.integers(1, 6)
+_KINDS = st.sampled_from(("zero", "rational", "irrational"))
+
+
+@st.composite
+def field_elements(draw, F, integral=False):
+    """Zero, a rational (negative and fractional ones included) or, when
+    phi(n) > 1, an element that is not rational."""
+    def nonzero():
+        return Fraction(draw(_NUMERATORS), 1 if integral else draw(_DENOMINATORS))
+
+    kind = draw(_KINDS)
+    if kind == "zero":
+        return F.zero
+    if kind == "rational" or F.degree == 1:
+        return F.scalar(nonzero())
+    cs = [nonzero() if draw(st.booleans()) else 0 for _ in range(F.degree)]
+    cs[draw(st.integers(1, F.degree - 1))] = nonzero()
+    return F.element(cs)
+
+
+@st.composite
+def raw_triples(draw, F, integral=False):
+    """A nonzero triple as drawn, not normalized."""
+    t = [draw(field_elements(F, integral)) for _ in range(3)]
+    if not any(t):
+        t[draw(st.integers(0, 2))] = F.one
+    return tuple(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_exact_ops_match_cycnumber_oracle(data):
+    n = data.draw(st.sampled_from(sorted(TINY_PRIMES)))
+    F = cyc_field(n)
+    a, b, c = (data.draw(raw_triples(F)) for _ in range(3))
+
+    # Normalizing: the first nonzero coordinate divided out.
+    for t in (a, b, c):
+        assert ProjPoint(F, t).coords == oracle_normalized(t)
+        assert ProjLine(F, t).coords == oracle_normalized(t)
+
+    # Intersecting and joining: the cross product, normalized.
+    la, lb = ProjLine(F, a), ProjLine(F, b)
+    pa, pb = ProjPoint(F, a), ProjPoint(F, b)
+    if la != lb:
+        X = oracle_normalized(oracle_cross(a, b))
+        assert line_intersect(la, lb).coords == X
+        assert line_through(pa, pb).coords == X
+        assert la.contains(ProjPoint(F, X)) and lb.contains(ProjPoint(F, X))
+        if data.draw(st.booleans()):
+            c = oracle_cross(a, X)  # a line through the point a
+            assume(any(c))
+
+    # Incidence: the dot product is zero.
+    assert ProjLine(F, c).contains(pa) == (not oracle_dot(c, a))
+
+    # Transforming: the image of a line l is the l' with l' M = l.
+    M = [[data.draw(field_elements(F)) for _ in range(3)] for _ in range(3)]
+    assume(det3(M))
+    arr = Arrangement(F, [la] if la == lb else [la, lb])
+    for l, moved in zip(arr.lines, apply_transform(arr, M).lines):
+        assert oracle_normalized(moved.coords) == moved.coords
+        back = tuple(
+            sum((moved.coords[r] * M[r][k] for r in range(3)), F.zero)
+            for k in range(3)
+        )
+        assert oracle_normalized(back) == l.coords
+
+    # Certifying a lattice group: lines l1, l2 and l1 + l2 through a point
+    # P and a fourth line through it only mod a tiny prime p, so the first
+    # three agree with the exact point and only the fourth line's check
+    # refuses p.
+    P, q1, q2, r = (data.draw(raw_triples(F, integral=True)) for _ in range(4))
+    p = TINY_PRIMES[n]
+    l1, l2 = oracle_cross(P, q1), oracle_cross(P, q2)
+    lines = [l1, l2, tuple(map(add, l1, l2)),
+             tuple(x + 2 * y + p * z for x, y, z in zip(l1, l2, r))]
+    assume(all(map(any, lines)) and oracle_dot(r, P))
+    lines = [ProjLine(F, t) for t in lines]
+    assume(len(set(lines)) == 4)
+    arr = Arrangement(F, lines)
+
+    def primes(order, skip=0):
+        # after p, the first large split prime serves, unless the exact
+        # checks refuse every prime
+        assert skip < 3, "no split prime serves"
+        if skip == 0:
+            return p, _cyclotomic_roots(order, p)
+        return split_prime(order, skip - 1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(projgeo, "split_prime", primes)
+        assert as_tuple(build_lattice(arr)) == pairwise_lattice(arr)

@@ -18,10 +18,11 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
 # F_p beside certified_nullity, and no global cache of relation answers.  A
 # lattice is kept on its Arrangement, and campaigns build each arrangement
 # once, so no global dict caches either.  split_prime hands out the roots
-# it keeps with each prime, so nothing computes them again.
+# it keeps with each prime, so nothing computes them again.  projgeo
+# crosses integral triples, not CycNumbers.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
-           "certified_zero", "_upward", "_rows_at", "split_roots"}
+           "certified_zero", "_upward", "_rows_at", "split_roots", "_cross"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
@@ -110,3 +111,53 @@ def test_memos_only_where_allowed():
 
 def test_only_linalg_names_the_fp_engine():
     assert {module for module, _ in _src_names_in(FP_ENGINE)} == {"linalg.py"}
+
+
+def _convolution_loops():
+    """(module, function) of every loop nest that accumulates products
+    into an indexed slot, target[k] += x * y: a numerator convolution."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for outer in ast.walk(fn):
+                if not isinstance(outer, ast.For):
+                    continue
+                for inner in ast.walk(outer):
+                    if inner is outer or not isinstance(inner, ast.For):
+                        continue
+                    if any(
+                        isinstance(node, ast.AugAssign)
+                        and isinstance(node.op, ast.Add)
+                        and isinstance(node.target, ast.Subscript)
+                        and isinstance(node.value, ast.BinOp)
+                        and isinstance(node.value.op, ast.Mult)
+                        for node in ast.walk(inner)
+                    ):
+                        out.add((path.name, fn.name))
+    return out
+
+
+def _calls_in(module, function=None):
+    tree = ast.parse((SRC / module).read_text())
+    scope = [tree] if function is None else [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == function
+    ]
+    return {
+        node.func.id
+        for root in scope
+        for node in ast.walk(root)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_one_numerator_multiply_loop():
+    # field._polymul is the only convolution in Z[t]/(Phi_n): CycNumber
+    # multiplies through it, and projgeo's integral cross and dot products
+    # call it too.
+    assert _convolution_loops() == {("field.py", "_polymul")}
+    assert "_polymul" in _calls_in("field.py", "__mul__")
+    assert "_polymul" in _calls_in("projgeo.py")
