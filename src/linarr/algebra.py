@@ -10,17 +10,20 @@ entry point to split primes, asked with the few inputs a system is built
 from, line coefficients, restricted forms or node coordinates, and a row
 builder generic over the element type (_gauged_rows, _restriction_rows,
 _node_rows).  linalg reduces the inputs and builds the rows mod p, so this
-module knows nothing of primes; exact rows are built only to check a
-lifted kernel vector.
+module knows nothing of primes.  A lifted kernel vector is checked by the
+same exact test as an explicit element: a relation vector as the
+derivation it holds, by _is_derivation, a restriction vector by _derives;
+exact rows are built only to check a lifted node-condition vector.
 
 A minimal degree, of a relation (mdr, verify_mdr) or of a derivation of a
 restriction (d1 of multi_exponents: rank-two multiarrangements are free,
 Ziegler), is one search, _min_degree.  A closed-form candidate is a
 (degree, explicit derivation) pair that passes an exact check binding that
-degree: division by every line's form, or _derives.  At the lowest such
-degree c, a certified dimension 0 at c - 1 (a zero kernel at the first
-good root, with no lift) certifies c, since the spaces only grow with
-degree; a nonzero one sends the search below c - 1.  The candidates come
+degree: _is_derivation, which restricts theta(alpha) to every line with no
+quotient and no inverse, or _derives.  At the lowest such degree c, a
+certified dimension 0 at c - 1 (a zero kernel at the first good root, with
+no lift) certifies c, since the spaces only grow with degree; a nonzero
+one sends the search below c - 1.  The candidates come
 from G. Ziegler, "Multiarrangements of hyperplanes and their freeness"
 (1989), and A. Wakamiko, "On the exponents of 2-multiarrangements" (2007).
 """
@@ -151,55 +154,6 @@ class Poly:
             total = total + v
         return total
 
-    def div_linear(self, coeffs) -> "Poly":
-        """Exact quotient by the linear form with the given coefficients.
-
-        Raises ValueError when the form does not divide.
-        """
-        F = self.field
-        if not self.terms:
-            return Poly.zero(F)
-        piv = next((i for i in range(3) if coeffs[i]), None)
-        if piv is None:
-            raise ValueError("zero linear form")
-        inv = F.one / coeffs[piv]
-        rest = Poly(F)
-        rest.terms = {}
-        for i, c in enumerate(coeffs):
-            if i != piv and c:
-                mono = [0, 0, 0]
-                mono[i] = 1
-                rest.terms[tuple(mono)] = c
-        # Slice by the pivot exponent and run synthetic division from the top.
-        slices: dict[int, Poly] = {}
-        for mono, c in self.terms.items():
-            k = mono[piv]
-            m = list(mono)
-            m[piv] = 0
-            sl = slices.get(k)
-            if sl is None:
-                sl = Poly(F)
-                slices[k] = sl
-            sl.terms[tuple(m)] = c
-        top = max(slices)
-        if top == 0:
-            raise ValueError("linear form does not divide")
-        zero = Poly.zero(F)
-        quot: dict[int, Poly] = {top - 1: slices[top] * inv}
-        for k in range(top - 1, 0, -1):
-            quot[k - 1] = (slices.get(k, zero) - rest * quot[k]) * inv
-        if slices.get(0, zero) - rest * quot[0]:
-            raise ValueError("linear form does not divide")
-        terms = {}
-        for k, sl in quot.items():
-            for mono, c in sl.terms.items():
-                m = list(mono)
-                m[piv] = k
-                terms[tuple(m)] = c
-        out = Poly(F)
-        out.terms = terms
-        return out
-
     def __repr__(self):
         return f"Poly({len(self.terms)} terms, deg {self.degree()})"
 
@@ -237,6 +191,13 @@ def _conv(a: list, b: list, zero) -> list:
     return out
 
 
+def _gauged_monomials(r: int):
+    """The degree-r monomials, which carry a and b, and the z-free ones,
+    which carry c, in the column order of _gauged_rows."""
+    mons = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
+    return mons, [m for m in mons if m[2] == 0]
+
+
 def _gauged_rows(lines, r: int, zero, one) -> list[list]:
     """Linear conditions whose kernel is the degree-r relation space.
 
@@ -253,8 +214,7 @@ def _gauged_rows(lines, r: int, zero, one) -> list[list]:
     triple, of any element type) theta(alpha) restricted to the line must
     vanish; two points on it give r+1 coefficient rows per line.
     """
-    mons = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
-    zfree = [m for m in mons if m[2] == 0]
+    mons, zfree = _gauged_monomials(r)
     rows = []
     for coeffs in lines:
         P, Q = _ortho_pair(coeffs, zero)
@@ -280,10 +240,21 @@ def _gauged_rows(lines, r: int, zero, one) -> list[list]:
 
 
 def syzygy_dimension(arr: Arrangement, r: int) -> int:
-    """Dimension of the degree-r relation space, certified."""
+    """Dimension of the degree-r relation space, certified: a lifted kernel
+    vector is checked as the derivation (a, b, c) it holds, by
+    _is_derivation, so no exact rows are built."""
+    F = arr.field
+    mons, zfree = _gauged_monomials(r)
+
+    def check(vec):
+        nm = len(mons)
+        theta = [Poly(F, dict(zip(group, part))) for group, part in (
+            (mons, vec[:nm]), (mons, vec[nm:2 * nm]), (zfree, vec[2 * nm:]))]
+        return _is_derivation(arr, r, theta)
+
     return certified_nullity(
-        arr.field, (r + 1) * (r + 3), [line.coords for line in arr.lines],
-        lambda lines, zero, one: _gauged_rows(lines, r, zero, one),
+        F, (r + 1) * (r + 3), [line.coords for line in arr.lines],
+        lambda lines, zero, one: _gauged_rows(lines, r, zero, one), check,
     )
 
 
@@ -313,26 +284,42 @@ def _min_degree(candidates, check, dim, top: int) -> int | None:
 def _relation_top(arr: Arrangement, bound: int | None) -> int:
     d = len(arr.lines)
     top = (d - 1) // 2 if bound is None else bound
-    if top >= d - 1:
-        raise ValueError("bound must be at most d-2")
+    if not 0 <= top <= d - 2:
+        raise ValueError("bound must be between 0 and d-2")
     return top
 
 
 def _is_derivation(arr: Arrangement, deg: int, theta) -> bool:
     """Exact check that theta = (A, B, C), the derivation A d_x + B d_y +
     C d_z, is nonzero, homogeneous of degree deg, and sends every line's
-    form into its ideal: one division each."""
+    form into its ideal, with no quotient and no inverse.
+
+    A normalized form has pivot coefficient 1, so its line is x_piv = w,
+    w = -(c1 x_o1 + c2 x_o2).  theta(alpha), grouped by its x_piv exponent,
+    is a polynomial in x_piv over binary forms in (x_o1, x_o2); it lies in
+    (alpha) exactly when substituting w, by Horner's rule, leaves the zero
+    binary form.
+    """
     if not any(theta) or any(sum(mono) != deg
                              for poly in theta for mono in poly.terms):
         return False
+    zero = arr.field.zero
     for line in arr.lines:
-        image = Poly.zero(arr.field)
-        for coeff, poly in zip(line.coords, theta):
+        c = line.coords
+        piv = next(i for i in range(3) if c[i])
+        o1, o2 = (i for i in range(3) if i != piv)
+        # slices[k][j]: coefficient of x_piv^k x_o1^(deg-k-j) x_o2^j
+        slices = [[zero] * (deg + 1 - k) for k in range(deg + 1)]
+        for coeff, poly in zip(c, theta):
             if coeff:
-                image = image + poly * coeff
-        try:
-            image.div_linear(line.coords)
-        except ValueError:
+                for mono, a in poly.terms.items():
+                    sl = slices[mono[piv]]
+                    sl[mono[o2]] = sl[mono[o2]] + coeff * a
+        w = [-c[o1], -c[o2]]
+        acc = slices[deg]
+        for sl in reversed(slices[:deg]):
+            acc = [a + b if b else a for a, b in zip(_conv(acc, w, zero), sl)]
+        if any(acc):
             return False
     return True
 

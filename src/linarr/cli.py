@@ -3,7 +3,8 @@
 Subcommands construct arrangement files, analyze them, recover class data,
 run the algebra primitives, and drive verification campaigns.  Exit codes:
 0 on success, 1 when a verification campaign records a failure, 2 on usage
-or input errors, among them a file too tall for its answers to certify.
+or input errors, among them a file too tall for its answers to certify and
+a generator that gives up.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .families import (
     near_pencil,
     pencil,
 )
-from .field import CertificationError
 from .projgeo import Arrangement
 from .wclass import enumerate_classes, recover_class
 
@@ -309,10 +309,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError,
-            CertificationError) as exc:
-        # campaigns build their own inputs: a certificate failing there is a bug
-        if isinstance(exc, CertificationError) and args.command == "verify":
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
+        # campaigns build their own inputs: a certificate failing or a
+        # generator giving up there is a bug
+        if isinstance(exc, RuntimeError) and args.command == "verify":
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .classify import modular_points
 from .field import MAX_ORDER, CertificationError, exponent_in_mu
-from .projgeo import Arrangement, line_intersect, line_through
+from .projgeo import Arrangement, build_lattice
 
 
 @dataclass(frozen=True, order=True)
@@ -28,6 +28,8 @@ class WClass:
 
 
 def canonicalize(n: int, exponents) -> WClass:
+    if n < 1:
+        raise ValueError("need n >= 1")
     exps = tuple(int(e) % n for e in exponents)
     if len(set(exps)) != len(exps):
         raise ValueError("repeated exponents")
@@ -45,16 +47,16 @@ def canonicalize(n: int, exponents) -> WClass:
 
 
 def enumerate_classes(n: int, k: int) -> list[WClass]:
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+    if not 0 <= k <= n or n < 1:
+        raise ValueError("need n >= 1 and 0 <= k <= n")
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the supported maximum {MAX_ORDER}")
     return sorted({canonicalize(n, c) for c in combinations(range(n), k)})
 
 
 def predicted_modular_count(n: int, k: int) -> int:
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+    if not 0 <= k <= n or n < 1:
+        raise ValueError("need n >= 1 and 0 <= k <= n")
     if k < n:
         return 2
     return 3 if n >= 2 else 4
@@ -83,6 +85,7 @@ def recover_class(arr: Arrangement) -> Recovery:
     that common point to the modular points, and the coefficient ratios,
     normalized to make one of them 1, are the roots of unity defining the
     class.  Ratios survive projective transforms, so recovery round-trips.
+    Every incidence is read off the certified lattice.
     """
     mods = modular_points(arr)
     if len(mods) < 2:
@@ -94,11 +97,10 @@ def recover_class(arr: Arrangement) -> Recovery:
     if m < 3:
         raise ValueError("modular multiplicity below 3")
     n = m - 2
-    pts = sorted((p for p, _ in mods), key=lambda p: p.sort_key())
-    p1, p2 = pts[0], pts[1]
-    rest = [
-        l for l in arr.lines if not l.contains(p1) and not l.contains(p2)
-    ]
+    lat = build_lattice(arr)
+    p1, p2 = sorted((p for p, _ in mods), key=lambda p: p.sort_key())[:2]
+    inc1, inc2 = (lat.incidence[lat.points.index(p)] for p in (p1, p2))
+    rest = [j for j in range(len(arr.lines)) if j not in inc1 and j not in inc2]
     k = len(rest)
     if k != len(arr.lines) - 2 * m + 1:
         raise CertificationError("modular pencil sizes inconsistent")
@@ -106,15 +108,14 @@ def recover_class(arr: Arrangement) -> Recovery:
         return Recovery(WClass(n, 0, ()), False)
     if k == 1:
         return Recovery(canonicalize(n, (0,)), k == n)
-    q = line_intersect(rest[0], rest[1])
-    for l in rest[2:]:
-        if not l.contains(q):
-            raise CertificationError("extra lines are not concurrent")
-    u = line_through(p1, q)
-    v = line_through(p2, q)
-    if u not in arr.line_set or v not in arr.line_set:
+    inc_q = next((inc for inc in lat.incidence if set(rest) <= set(inc)), None)
+    if inc_q is None:
+        raise CertificationError("extra lines are not concurrent")
+    u, v = (next((j for j in inc_q if j in inc), None) for inc in (inc1, inc2))
+    if u is None or v is None:
         raise CertificationError("joining lines missing from the arrangement")
-    lambdas = [_pencil_ratio(l, u, v) for l in rest]
+    lambdas = [_pencil_ratio(arr.lines[j], arr.lines[u], arr.lines[v])
+               for j in rest]
     ref = lambdas[0]
     exps = []
     for lam in lambdas:

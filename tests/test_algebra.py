@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import exact_linalg
@@ -54,7 +54,7 @@ from linarr.families import (
     near_pencil,
     pencil,
 )
-from linarr.field import CertificationError, CycNumber, cyc_field
+from linarr.field import CertificationError, CycNumber, cyc_field, divisors
 from linarr.projgeo import (
     Arrangement,
     ProjLine,
@@ -99,6 +99,45 @@ def deriv(poly, var):
     return Poly(poly.field, terms)
 
 
+def div_linear(poly, coeffs):
+    """Exact quotient of a Poly by the linear form with the given
+    coefficients, by synthetic division in the pivot variable: the oracle
+    for _is_derivation.  Raises ValueError when the form does not divide."""
+    F = poly.field
+    if not poly.terms:
+        return Poly.zero(F)
+    piv = next((i for i in range(3) if coeffs[i]), None)
+    if piv is None:
+        raise ValueError("zero linear form")
+    inv = F.one / coeffs[piv]
+    rest = Poly(F, {
+        tuple(int(k == i) for k in range(3)): c
+        for i, c in enumerate(coeffs) if i != piv and c
+    })
+    # Slice by the pivot exponent and run synthetic division from the top.
+    slices = {}
+    for mono, c in poly.terms.items():
+        m = list(mono)
+        m[piv] = 0
+        slices.setdefault(mono[piv], Poly(F)).terms[tuple(m)] = c
+    top = max(slices)
+    if top == 0:
+        raise ValueError("linear form does not divide")
+    zero = Poly.zero(F)
+    quot = {top - 1: slices[top] * inv}
+    for k in range(top - 1, 0, -1):
+        quot[k - 1] = (slices.get(k, zero) - rest * quot[k]) * inv
+    if slices.get(0, zero) - rest * quot[0]:
+        raise ValueError("linear form does not divide")
+    terms = {}
+    for k, sl in quot.items():
+        for mono, c in sl.terms.items():
+            m = list(mono)
+            m[piv] = k
+            terms[tuple(m)] = c
+    return Poly(F, terms)
+
+
 def eval_factors(factors, coords):
     total = None
     for cs in factors:
@@ -115,10 +154,10 @@ def test_poly_arithmetic():
     assert prod.terms == {(2, 0, 0): F.one, (0, 2, 0): -F.one}
     assert prod.degree() == 2
     assert deriv(prod, 0).terms == {(1, 0, 0): F.scalar(2)}
-    q = prod.div_linear((F.one, F.one, F.zero))
+    q = div_linear(prod, (F.one, F.one, F.zero))
     assert q == x - y
     with pytest.raises(ValueError):
-        prod.div_linear((F.one, F.one, F.one))
+        div_linear(prod, (F.one, F.one, F.one))
 
 
 def test_defining_polynomial_two_lines():
@@ -202,6 +241,12 @@ def test_mdr_bound_validation():
     with pytest.raises(ValueError):
         mdr(arr, bound=5)
     assert mdr(arr, bound=4) == 2
+    # a negative bound is refused, as verify_mdr refuses r_star < 0, not
+    # answered with an empty search
+    for bound in (-1, -7):
+        with pytest.raises(ValueError, match="between 0 and d-2"):
+            mdr(arr, bound=bound)
+    assert mdr(arr, bound=0) is None
 
 
 def test_verify_mdr_certificates():
@@ -609,7 +654,7 @@ def test_candidate_one_degree_too_low_is_rejected(monkeypatch):
         assert _is_derivation(arr, deg, theta)
         off = next(l for j, l in enumerate(arr.lines)
                    if j not in lat.incidence[0])
-        low = [t.div_linear(off.coords) for t in theta]
+        low = [div_linear(t, off.coords) for t in theta]
         assert not _is_derivation(arr, deg - 1, low)
     # restrictions: both closed forms with one exponent lowered fail
     # _derives, and offered first they leave every answer unchanged
@@ -623,6 +668,100 @@ def test_candidate_one_degree_too_low_is_rejected(monkeypatch):
             rejected += 1
         assert multi_exponents(R) == _scan_exponents(R)
     assert rejected > 100
+
+
+def oracle_is_derivation(arr, deg, theta):
+    """_is_derivation by division: theta is nonzero, homogeneous of degree
+    deg, and div_linear divides each line's form into its image."""
+    if not any(theta) or any(sum(mono) != deg
+                             for poly in theta for mono in poly.terms):
+        return False
+    for line in arr.lines:
+        image = Poly.zero(arr.field)
+        for coeff, poly in zip(line.coords, theta):
+            image = image + poly * coeff
+        try:
+            div_linear(image, line.coords)
+        except ValueError:
+            return False
+    return True
+
+
+@st.composite
+def small_elements(draw, F):
+    """0, a small rational, or, when phi(n) > 1, often a non-rational."""
+    def q():
+        return Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+
+    if F.degree > 1 and draw(st.booleans()):
+        return F.element([q() for _ in range(F.degree)])
+    return F.scalar(q())
+
+
+def _monomial(draw, F, deg):
+    i = draw(st.integers(0, deg))
+    j = draw(st.integers(0, deg - i))
+    return Poly(F, {(i, j, deg - i - j): draw(small_elements(F))})
+
+
+@st.composite
+def derivation_cases(draw):
+    """(arrangement, degree, theta): derivations of the arrangement, of all
+    but its last line, one degree too low (the pencil one divided by a form
+    missing its point), and power derivations, then multiplied by a form,
+    shifted by a multiple of the Euler derivation, perturbed by one term or
+    claimed at a wrong degree."""
+    n = draw(st.sampled_from((1, 3, 4, 5, 8)))
+    F = cyc_field(n)
+    # lines with root-of-unity coefficients, which the power derivations
+    # fit, and drawn ones
+    mono = full_monomial(n).lines
+    lines = [mono[i] for i in draw(st.lists(
+        st.integers(0, len(mono) - 1), min_size=2, max_size=5, unique=True))]
+    for _ in range(draw(st.integers(0, 2))):
+        t = [draw(small_elements(F)) for _ in range(3)]
+        if any(t):
+            lines.append(ProjLine(F, t))
+    lines = list(dict.fromkeys(lines))
+    assume(len(lines) >= 3)
+    arr = Arrangement(F, lines)
+    kind = draw(st.sampled_from(("pencil", "all-but-last", "low", "power")))
+    if kind == "power":
+        deg = draw(st.sampled_from(divisors(n))) + 1
+        theta = _power_derivation(F, deg)
+    else:
+        base = arr if kind != "all-but-last" else Arrangement(F, lines[:-1])
+        theta = _pencil_derivation(base)
+        lat = build_lattice(base)
+        deg = len(base.lines) - lat.mult[0]
+        off = [l for j, l in enumerate(base.lines) if j not in lat.incidence[0]]
+        if kind == "low" and off:
+            theta = [div_linear(t, draw(st.sampled_from(off)).coords)
+                     for t in theta]
+            deg -= 1
+    if draw(st.booleans()):
+        h = Poly.from_linear(F, [draw(small_elements(F)) for _ in range(3)])
+        theta = [t * h for t in theta]
+        deg += 1
+    if deg >= 1 and draw(st.booleans()):
+        s = _monomial(draw, F, deg - 1)
+        theta = [t + s * Poly.from_linear(F, [F.one if i == v else F.zero
+                                              for i in range(3)])
+                 for v, t in enumerate(theta)]
+    if draw(st.booleans()):
+        v = draw(st.integers(0, 2))
+        theta[v] = theta[v] + _monomial(draw, F, deg)
+    return arr, deg + draw(st.sampled_from((0, 0, 0, -1, 1))), theta
+
+
+@settings(max_examples=150, deadline=None)
+@given(derivation_cases())
+def test_is_derivation_matches_division_oracle(case):
+    # restricting theta(alpha) to each line decides membership exactly as
+    # dividing it by alpha does
+    arr, deg, theta = case
+    assert _is_derivation(arr, deg, theta) == oracle_is_derivation(
+        arr, deg, theta)
 
 
 def _exact_relation_dim(arr, r):
@@ -962,7 +1101,7 @@ def test_gauged_kernel_vector_gives_relation():
     for line in arr.lines:
         cx, cy, cz = line.coords
         theta_alpha = a * cx + b * cy + c * cz
-        h = h + theta_alpha.div_linear(line.coords)
+        h = h + div_linear(theta_alpha, line.coords)
     x = Poly.from_linear(F, (F.one, F.zero, F.zero))
     y = Poly.from_linear(F, (F.zero, F.one, F.zero))
     z = Poly.from_linear(F, (F.zero, F.zero, F.one))
@@ -998,9 +1137,9 @@ def test_wide_syzygy_dimension_matches_exact_oracle():
 def test_zero_kernel_relation_question_builds_no_exact_rows(monkeypatch):
     # verify_mdr's r-1 side is a zero kernel mod p: rows built from the
     # reduced line coordinates certify it.  Its r side is the power
-    # derivation, checked by division, so it builds no exact rows at all;
-    # a certified dimension builds them only at r, once, to check the
-    # lifted vector
+    # derivation, checked by _is_derivation, so it builds no exact rows at
+    # all; a certified dimension at r checks its lifted vector as a
+    # derivation too, so it builds none either
     arr = full_monomial(3)
     r = mdr(arr)
     exact = []
@@ -1016,7 +1155,7 @@ def test_zero_kernel_relation_question_builds_no_exact_rows(monkeypatch):
     assert exact == []
     assert syzygy_dimension(arr, r - 1) == 0 and exact == []
     assert syzygy_dimension(arr, r) == 1
-    assert exact == [r]
+    assert exact == []
 
 
 def _primes_tried(monkeypatch):

@@ -357,6 +357,41 @@ def test_bad_json_file_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.count("exceeds the supported maximum") == 2
 
 
+def test_generator_giving_up_exits_two(capsys, monkeypatch):
+    # A generator that runs out of retries is an input that cannot be
+    # built, not a failed campaign: exit 2 with a message, never a
+    # traceback under exit 1.  A campaign builds its own inputs, so there
+    # it is a bug and stays an exception.
+    from linarr import families
+
+    monkeypatch.setattr(families, "_RETRIES", 0)
+    assert main(["make", "generic", "4"]) == 2
+    assert main(["make", "cone", "--base", "full-monomial:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: could not certify") == 2
+    with pytest.raises(RuntimeError, match="could not certify"):
+        main(["verify", "hirzebruch-sanity", "--max-n", "1",
+              "--max-dprime", "3"])
+
+
+def test_negative_bound_and_order_exit_two(tmp_path, capsys):
+    # a negative bound or an order below 1 is a usage error, not an empty
+    # profile or an empty class
+    path = tmp_path / "braid.json"
+    main(["make", "full-monomial", "1", "--out", str(path)])
+    capsys.readouterr()
+    assert main(["algebra", "mdr", str(path), "--bound", "-1"]) == 2
+    assert main(["enumerate-wclasses", "0", "0"]) == 2
+    assert main(["enumerate-wclasses", "-2", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: bound must be between 0") == 1
+    assert captured.err.count("error: need n >= 1") == 2
+    assert main(["algebra", "mdr", str(path), "--bound", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "value": None, "degree_dims": [0]}
+
+
 def test_too_tall_coefficient_exits_two(tmp_path, capsys):
     # a 400-digit coefficient is legal, but too tall for the kernel
     # certificate on split primes: CertificationError, not a traceback

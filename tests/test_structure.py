@@ -19,10 +19,13 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
 # lattice is kept on its Arrangement, and campaigns build each arrangement
 # once, so no global dict caches either.  split_prime hands out the roots
 # it keeps with each prime, so nothing computes them again.  projgeo
-# crosses integral triples, not CycNumbers.
+# crosses integral triples, not CycNumbers.  A relation is checked by
+# restricting theta(alpha) to each line, with no quotient (the division
+# lives on in the tests as the oracle).
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
-           "certified_zero", "_upward", "_rows_at", "split_roots", "_cross"}
+           "certified_zero", "_upward", "_rows_at", "split_roots", "_cross",
+           "div_linear"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
@@ -36,9 +39,10 @@ MEMOIZED = {"cyclotomic_polynomial", "_aw_roster", "_seed_memo"}
 MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
 
 # Which lines meet where is decided once, by projgeo's certified lattice:
-# restrictions and the campaigns read its incidences, and never test a point
-# against a line or intersect two lines again.
-INCIDENCE = {"contains", "line_intersect"}
+# restrictions, class recovery and the campaigns read its incidences, and
+# never test a point against a line, intersect two lines or join two points
+# again.
+INCIDENCE = {"contains", "line_intersect", "line_through"}
 
 # Elimination mod p is linalg's own: no other module reaches past
 # certified_nullity to the engine behind it.
@@ -86,7 +90,7 @@ def test_algebra_builds_no_modular_rows():
 
 
 def test_restrictions_read_incidences_off_the_lattice():
-    for module in ("algebra.py", "campaigns.py"):
+    for module in ("algebra.py", "campaigns.py", "wclass.py"):
         assert not _src_names_in(INCIDENCE, module)
 
 

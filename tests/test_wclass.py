@@ -9,7 +9,6 @@ import linarr.wclass as wclass
 from linarr import CertificationError
 from linarr.families import a_of_w, full_monomial, near_pencil, pencil
 from linarr.projgeo import (
-    ProjLine,
     apply_transform,
     build_lattice,
     lattice_isomorphic,
@@ -88,6 +87,18 @@ def test_enumerate_orbit_sizes_cover_all_subsets():
         assert all(v > 0 for v in buckets.values())
 
 
+def test_orders_below_one_are_rejected():
+    # there is no class of order n < 1: canonicalize would reduce mod 0,
+    # and (0, 0) satisfies 0 <= k <= n
+    for call in (lambda: canonicalize(0, (1,)), lambda: canonicalize(0, ()),
+                 lambda: canonicalize(-3, (1,)),
+                 lambda: enumerate_classes(0, 0),
+                 lambda: enumerate_classes(-1, 0),
+                 lambda: predicted_modular_count(0, 0)):
+        with pytest.raises(ValueError, match="n >= 1"):
+            call()
+
+
 def test_predicted_modular_count():
     assert predicted_modular_count(4, 2) == 2
     assert predicted_modular_count(3, 3) == 3
@@ -133,14 +144,34 @@ def test_failed_structural_checks_raise_certification_error(monkeypatch):
     # A structural check that fails is a failed certificate, which callers
     # must tell apart from a bug; an AssertionError would not let them.
     arr = a_of_w(4, (0, 1))
-    stray = ProjLine(arr.field, (1, 2, 3))  # not a line of arr
-    monkeypatch.setattr(wclass, "line_through", lambda p, q: stray)
-    with pytest.raises(CertificationError, match="joining lines"):
-        recover_class(arr)
+    lat = build_lattice(arr)
+    # The two extra lines of A(w) meet at q, on one line through each
+    # modular point; a lattice that drops those two lines from q's
+    # incidence has no joining lines, and one that moves an extra line off
+    # q has no common point.
+    mods = [lat.incidence[i] for i, p in enumerate(lat.points)
+            if p in {q for q, _ in wclass.modular_points(arr)}]
+    rest = [j for j in range(len(arr.lines)) if not any(j in i for i in mods)]
+    iq = next(i for i, inc in enumerate(lat.incidence)
+              if set(rest) <= set(inc))
+
+    def faulty(incidence_q):
+        incidence = list(lat.incidence)
+        incidence[iq] = incidence_q
+        return dataclasses.replace(lat, incidence=tuple(incidence))
+
+    for incidence_q, message in (
+        (tuple(rest), "joining lines"),
+        (tuple(j for j in lat.incidence[iq] if j != rest[-1]),
+         "not concurrent"),
+    ):
+        monkeypatch.setattr(wclass, "build_lattice",
+                            lambda arr, fake=faulty(incidence_q): fake)
+        with pytest.raises(CertificationError, match=message):
+            recover_class(arr)
     u = arr.lines[0]
     with pytest.raises(CertificationError, match="degenerate"):
         _pencil_ratio(arr.lines[1], u, u)
-    lat = build_lattice(arr)
     with pytest.raises(CertificationError, match="pair count"):
         dataclasses.replace(lat, d=lat.d + 1).census()
 
