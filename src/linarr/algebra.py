@@ -5,34 +5,34 @@ an arrangement to one of its lines as a rank-two multiarrangement, exponent
 pairs of such restrictions, and the vanishing dimension at the nodes of a
 generic arrangement.  Every answer is certified over the exact field.
 
-Every dimension is one question to linalg.certified_nullity, the one
-entry point to split primes, asked with the few inputs a system is built
-from, line coefficients, restricted forms or node coordinates, and a row
-builder generic over the element type (_gauged_rows, _restriction_rows,
-_node_rows).  linalg reduces the inputs and builds the rows mod p, so this
-module knows nothing of primes.  A lifted kernel vector is checked by the
-same exact test as an explicit element: a relation vector as the
-derivation it holds, by _is_derivation, a restriction vector by _derives;
-exact rows are built only to check a lifted node-condition vector.
+A relation and a derivation of a restriction answer one question: does
+theta send each form alpha into (alpha^m)?  A relation is 3 variables,
+every m = 1, gauged columns; a restriction is 2 variables, its own m, P
+and Q on the binary monomials.  One row builder, _derivation_rows, and one
+exact check, _is_derivation, answer it in the pivot coordinates of each
+form, where alpha's line is x_piv = w: the rows ask the first m Taylor
+coefficients of theta(alpha) in x_piv - w to vanish, and the check makes m
+Horner divisions by x_piv - w, with no inverse.  Every dimension is one
+linalg.certified_nullity, which reduces the inputs (forms or node
+coordinates) and runs a builder generic over the element type, so this
+module knows nothing of primes; a lifted derivation is checked by
+_is_derivation, so exact rows are built only for node conditions.
 
-A minimal degree, of a relation (mdr, verify_mdr) or of a derivation of a
-restriction (d1 of multi_exponents: rank-two multiarrangements are free,
-Ziegler), is one search, _min_degree.  A closed-form candidate is a
-(degree, explicit derivation) pair that passes an exact check binding that
-degree: _is_derivation, which restricts theta(alpha) to every line with no
-quotient and no inverse, or _derives.  At the lowest such degree c, a
-certified dimension 0 at c - 1 (a zero kernel at the first good root, with
-no lift) certifies c, since the spaces only grow with degree; a nonzero
-one sends the search below c - 1.  The candidates come
-from G. Ziegler, "Multiarrangements of hyperplanes and their freeness"
-(1989), and A. Wakamiko, "On the exponents of 2-multiarrangements" (2007).
+A minimal degree, of a relation (mdr) or of a derivation of a restriction
+(d1 of multi_exponents: rank-two multiarrangements are free, Ziegler), is
+one search, _min_degree: the lowest closed-form candidate c that passes
+_is_derivation at the degree it claims is certified by a zero dimension at
+c - 1, else the search goes below c - 1.  The candidates come from G.
+Ziegler, "Multiarrangements of hyperplanes and their freeness" (1989), and
+A. Wakamiko, "On the exponents of 2-multiarrangements" (2007).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from math import comb
 
 from .classify import modular_points, tjurina_census, tjurina_free
 from .field import (
@@ -42,7 +42,7 @@ from .field import (
     divisors,
 )
 from .linalg import certified_nullity
-from .projgeo import Arrangement, _normalize, _ortho_pair, build_lattice
+from .projgeo import Arrangement, _normalize, build_lattice
 
 
 class Poly:
@@ -178,7 +178,7 @@ def partial_products(arr: Arrangement) -> list[Poly]:
     return out
 
 
-# --- degree-r relation spaces ------------------------------------------
+# --- derivations: relations and restrictions alike -------------------------
 
 def _conv(a: list, b: list, zero) -> list:
     out = [zero] * (len(a) + len(b) - 1)
@@ -187,98 +187,151 @@ def _conv(a: list, b: list, zero) -> list:
             continue
         for j, y in enumerate(b):
             if y:
-                out[i + j] = out[i + j] + x * y
+                s = out[i + j]
+                out[i + j] = s + x * y if s else x * y
     return out
 
 
 def _gauged_monomials(r: int):
-    """The degree-r monomials, which carry a and b, and the z-free ones,
-    which carry c, in the column order of _gauged_rows."""
-    mons = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
-    return mons, [m for m in mons if m[2] == 0]
-
-
-def _gauged_rows(lines, r: int, zero, one) -> list[list]:
-    """Linear conditions whose kernel is the degree-r relation space.
+    """Columns of the degree-r relation space: a and b on every degree-r
+    monomial, c on the z-free ones.
 
     A relation a f_x + b f_y + c f_z = 0 of degree r is the same thing as a
     derivation theta = a d_x + b d_y + c d_z that maps every line's form into
     its own ideal, taken modulo multiples of the Euler derivation E: theta
     corresponds to theta - (h/d) E with h = theta(f)/f, and the gauge that
     kills the E ambiguity is to forbid z in the coefficient c.  Under that
-    gauge, theta = s E forces s = 0, so the kernel dimension below equals the
-    dimension of the relation space on the nose.
-
-    Unknowns are the coefficients of a and b on all degree-r monomials and of
-    c on the z-free ones, (r+1)(r+3) columns.  For each line (a coefficient
-    triple, of any element type) theta(alpha) restricted to the line must
-    vanish; two points on it give r+1 coefficient rows per line.
+    gauge, theta = s E forces s = 0, so the dimension of these derivations
+    equals the dimension of the relation space on the nose.
     """
-    mons, zfree = _gauged_monomials(r)
+    mons = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
+    return mons, mons, [m for m in mons if m[2] == 0]
+
+
+def _binary_monomials(deg: int):
+    """Columns of the degree-deg derivations P d_u + Q d_v of a
+    restriction: P, then Q, on the monomials u^(deg-j) v^j."""
+    mons = [(deg - j, j) for j in range(deg + 1)]
+    return mons, mons
+
+
+def _pivot_frame(c):
+    """(piv, w, last) of a form c with pivot coefficient one, whose line is
+    x_piv = w, w = -(sum of c_o x_o over the other variables o).  A form in
+    the other variables is held by its coefficients by the exponent of
+    last, the second of two other variables; with one (last None), one."""
+    piv = next(v for v in range(len(c)) if c[v])
+    others = [v for v in range(len(c)) if v != piv]
+    return piv, [-c[o] for o in others], others[1] if len(others) > 1 else None
+
+
+def _derivation_rows(forms, mult, groups, deg: int, zero, one) -> list[list]:
+    """Linear conditions on the degree-deg derivations theta, columns the
+    monomials groups[v] of each variable v, to send each form alpha into
+    (alpha^m), m its multiplicity; generic over the element type (field
+    elements, or the forms mod p as integers, reduced later).
+
+    x_piv = w + alpha (_pivot_frame), so theta(alpha) = sum_i alpha^i G_i,
+    where x_piv^e gives G_i the Taylor coefficient binom(e, i) w^(e - i).
+    One row per coefficient of G_i, i < min(m, deg + 1), asks it to vanish.
+    """
     rows = []
-    for coeffs in lines:
-        P, Q = _ortho_pair(coeffs, zero)
-        pw = []
-        for v in range(3):
-            lin = [P[v], Q[v]]
-            tab = [[one]]
-            for _ in range(r):
-                tab.append(_conv(tab[-1], lin, zero))
-            pw.append(tab)
-        restr = {
-            m: _conv(_conv(pw[0][m[0]], pw[1][m[1]], zero), pw[2][m[2]], zero)
-            for m in mons
-        }
-        for t in range(r + 1):
-            row = []
-            for c, group in zip(coeffs, (mons, mons, zfree)):
-                for m in group:
-                    v = restr[m][t] if c else zero
-                    row.append(c * v if v else zero)
-            rows.append(row)
+    for c, m in zip(forms, mult):
+        piv, w, last = _pivot_frame(c)
+        wpow = [[one]]
+        for _ in range(deg):
+            wpow.append(_conv(wpow[-1], w, zero))
+        for i in range(min(m, deg + 1)):
+            cols = []
+            for cv, group in zip(c, groups):
+                for mono in group:
+                    col = [zero] * len(wpow[deg - i])
+                    e = mono[piv]
+                    if cv and e >= i:
+                        s = cv * comb(e, i)
+                        b = 0 if last is None else mono[last]
+                        for j, x in enumerate(wpow[e - i]):
+                            col[b + j] = s * x if x else zero
+                    cols.append(col)
+            rows.extend(map(list, zip(*cols)))
     return rows
 
 
-def syzygy_dimension(arr: Arrangement, r: int) -> int:
-    """Dimension of the degree-r relation space, certified: a lifted kernel
-    vector is checked as the derivation (a, b, c) it holds, by
-    _is_derivation, so no exact rows are built."""
-    F = arr.field
-    mons, zfree = _gauged_monomials(r)
+def _is_derivation(F: CycField, forms, mult, deg: int, theta) -> bool:
+    """Exact check, with no inverse, that theta, one {monomial:
+    coefficient} map per variable, is nonzero, homogeneous of degree deg
+    and sends each form alpha into (alpha^m), m its multiplicity: theta(alpha)
+    as a polynomial in x_piv over forms in the other variables must leave
+    the zero remainder in min(m, deg + 1) Horner divisions by x_piv - w
+    (_pivot_frame)."""
+    if not any(a for part in theta for a in part.values()) or any(
+            sum(mono) != deg for part in theta for mono in part):
+        return False
+    zero = F.zero
+    for c, m in zip(forms, mult):
+        piv, w, last = _pivot_frame(c)
+        # slices[k]: the coefficient of x_piv^k, a form of degree deg - k
+        # in the other variables
+        slices = [[zero] * (1 if last is None else deg - k + 1)
+                  for k in range(deg + 1)]
+        for v, part in enumerate(theta):
+            if c[v]:
+                for mono, a in part.items():
+                    if a:
+                        a = a if v == piv else c[v] * a
+                        sl = slices[mono[piv]]
+                        j = 0 if last is None else mono[last]
+                        sl[j] = sl[j] + a if sl[j] else a
+        for _ in range(min(m, deg + 1)):
+            acc, quot = slices[-1], []
+            for sl in reversed(slices[:-1]):
+                quot.append(acc)
+                acc = [a + b if b else a
+                       for a, b in zip(_conv(acc, w, zero), sl)]
+            if any(acc):
+                return False
+            slices = quot[::-1]
+    return True
 
-    def check(vec):
-        nm = len(mons)
-        theta = [Poly(F, dict(zip(group, part))) for group, part in (
-            (mons, vec[:nm]), (mons, vec[nm:2 * nm]), (zfree, vec[2 * nm:]))]
-        return _is_derivation(arr, r, theta)
 
+def _derivation_dim(F: CycField, forms, mult, monomials, deg: int) -> int:
+    """Certified dim of the degree-deg derivations on the columns
+    monomials(deg) of _derivation_rows; a lifted vector is checked as the
+    derivation it holds, by _is_derivation, so no exact rows are built."""
+    groups = monomials(deg)
     return certified_nullity(
-        F, (r + 1) * (r + 3), [line.coords for line in arr.lines],
-        lambda lines, zero, one: _gauged_rows(lines, r, zero, one), check,
+        F, sum(map(len, groups)), forms,
+        lambda red, zero, one: _derivation_rows(
+            red, mult, groups, deg, zero, one),
+        lambda vec: _is_derivation(F, forms, mult, deg, _parts(groups, vec)),
     )
 
 
-def _min_degree(candidates, check, dim, top: int) -> int | None:
-    """Least degree <= top with a nonzero space, certified; None if none.
+def _parts(groups, vec) -> list[dict]:
+    """A flat coefficient vector on the columns groups, as one {monomial:
+    coefficient} map per variable."""
+    coeffs = iter(vec)  # zip ends each group before taking from coeffs
+    return [dict(zip(group, coeffs)) for group in groups]
 
-    candidates are (degree, element) pairs of explicit elements, and
-    check(degree, element) the exact test that the element is a nonzero
-    member of the space of that degree; dim(deg) is the certified
-    dimension at deg, asked at most once per degree.  The spaces only grow
-    with degree.  The lowest degree c whose check passes has a nonzero
-    space, so c is the minimum when c = 0 or dim(c - 1) = 0.  Otherwise the
-    space at c - 1 is nonzero, and the minimum is the first nonzero degree
-    below c - 1, else c - 1.  With no candidate it is the first nonzero
-    degree up to top.
+
+def _min_degree(F: CycField, forms, mult, monomials, candidates, top: int):
+    """(d, dim): d the least degree <= top with a nonzero space of
+    derivations, certified, else None; dim the certified dimension
+    (_derivation_dim), asked at most once per degree and kept.
+
+    The spaces only grow with degree.  The lowest candidate degree c whose
+    derivation passes _is_derivation is the minimum when c = 0 or
+    dim(c - 1) = 0; otherwise it is the first nonzero degree below c - 1,
+    else c - 1.  With no candidate it is the first nonzero degree to top.
     """
-    c = next((deg for deg, elem in sorted(candidates, key=lambda de: de[0])
-              if deg <= top and check(deg, elem)), None)
-    if c == 0 or (c is not None and not dim(c - 1)):
-        return c
-    for deg in range(top + 1 if c is None else c - 1):
-        if dim(deg):
-            return deg
-    return None if c is None else c - 1
+    dim = cache(partial(_derivation_dim, F, forms, mult, monomials))
+    c = next((deg for deg, theta in sorted(candidates, key=lambda dt: dt[0])
+              if deg <= top and _is_derivation(F, forms, mult, deg, theta)),
+             None)
+    if c is None or (c and dim(c - 1)):
+        c = next((deg for deg in range(top + 1 if c is None else c - 1)
+                  if dim(deg)), None if c is None else c - 1)
+    return c, dim
 
 
 def _relation_top(arr: Arrangement, bound: int | None) -> int:
@@ -289,42 +342,19 @@ def _relation_top(arr: Arrangement, bound: int | None) -> int:
     return top
 
 
-def _is_derivation(arr: Arrangement, deg: int, theta) -> bool:
-    """Exact check that theta = (A, B, C), the derivation A d_x + B d_y +
-    C d_z, is nonzero, homogeneous of degree deg, and sends every line's
-    form into its ideal, with no quotient and no inverse.
-
-    A normalized form has pivot coefficient 1, so its line is x_piv = w,
-    w = -(c1 x_o1 + c2 x_o2).  theta(alpha), grouped by its x_piv exponent,
-    is a polynomial in x_piv over binary forms in (x_o1, x_o2); it lies in
-    (alpha) exactly when substituting w, by Horner's rule, leaves the zero
-    binary form.
-    """
-    if not any(theta) or any(sum(mono) != deg
-                             for poly in theta for mono in poly.terms):
-        return False
-    zero = arr.field.zero
-    for line in arr.lines:
-        c = line.coords
-        piv = next(i for i in range(3) if c[i])
-        o1, o2 = (i for i in range(3) if i != piv)
-        # slices[k][j]: coefficient of x_piv^k x_o1^(deg-k-j) x_o2^j
-        slices = [[zero] * (deg + 1 - k) for k in range(deg + 1)]
-        for coeff, poly in zip(c, theta):
-            if coeff:
-                for mono, a in poly.terms.items():
-                    sl = slices[mono[piv]]
-                    sl[mono[o2]] = sl[mono[o2]] + coeff * a
-        w = [-c[o1], -c[o2]]
-        acc = slices[deg]
-        for sl in reversed(slices[:deg]):
-            acc = [a + b if b else a for a, b in zip(_conv(acc, w, zero), sl)]
-        if any(acc):
-            return False
-    return True
+def _relation_question(arr: Arrangement):
+    """(field, forms, multiplicities) of the relation space as derivations:
+    every line's normalized form, to multiplicity one."""
+    return arr.field, [line.coords for line in arr.lines], [1] * len(arr.lines)
 
 
-def _pencil_derivation(arr: Arrangement) -> list[Poly]:
+def syzygy_dimension(arr: Arrangement, r: int) -> int:
+    """Dimension of the degree-r relation space, certified: the derivations
+    of the relation question on the gauged columns."""
+    return _derivation_dim(*_relation_question(arr), _gauged_monomials, r)
+
+
+def _pencil_derivation(arr: Arrangement) -> list[dict]:
     """g d_P for P a point of maximal multiplicity m and g the product of
     the forms missing it, of degree d - m: theta(alpha) = alpha(P) g."""
     lat = build_lattice(arr)
@@ -332,13 +362,13 @@ def _pencil_derivation(arr: Arrangement) -> list[Poly]:
     for j, line in enumerate(arr.lines):
         if j not in lat.incidence[0]:
             g = g * Poly.from_linear(arr.field, line.coords)
-    return [g * c for c in lat.points[0].coords]
+    return [(g * c).terms for c in lat.points[0].coords]
 
 
-def _power_derivation(F: CycField, r: int) -> list[Poly]:
+def _power_derivation(F: CycField, r: int) -> list[dict]:
     """x^r d_x + y^r d_y + z^r d_z: a form with coefficients in mu_(r-1)
     divides its image."""
-    return [Poly(F, {tuple(r if i == v else 0 for i in range(3)): F.one})
+    return [{tuple(r if i == v else 0 for i in range(3)): F.one}
             for v in range(3)]
 
 
@@ -364,16 +394,19 @@ def mdr(arr: Arrangement, bound: int | None = None) -> int | None:
     relation space certified one degree below, else the first certified
     nonzero degree below it (_min_degree).
     """
-    return _min_degree(_relation_candidates(arr), partial(_is_derivation, arr),
-                       partial(syzygy_dimension, arr), _relation_top(arr, bound))
+    return _relation_search(arr, bound)[0]
+
+
+def _relation_search(arr: Arrangement, bound: int | None):
+    """(mdr(arr, bound), dim) of _min_degree on the relation question."""
+    return _min_degree(*_relation_question(arr), _gauged_monomials,
+                       _relation_candidates(arr), _relation_top(arr, bound))
 
 
 def verify_mdr(arr: Arrangement, r_star: int) -> bool:
     """Two-sided certificate that the minimal relation degree is r_star:
     a nonzero relation at r_star, explicit or lifted, and a certified zero
-    relation space below it (mdr searched up to r_star)."""
-    if not 0 <= r_star <= len(arr.lines) - 2:
-        raise ValueError("r_star out of range")
+    relation space below it (mdr searched up to r_star, in 0..d-2)."""
     return mdr(arr, r_star) == r_star
 
 
@@ -405,9 +438,9 @@ class MultiRestriction:
     """Points of an arrangement on one of its lines, with multiplicities.
 
     One form per lattice point on the line, in coordinates (u, v) on it:
-    the forms are pairwise independent and normalized with leading
-    coefficient one.  The multiplicity of a point counts the other lines
-    through it.
+    the forms are pairwise independent, and normalized on construction
+    with leading coefficient one.  The multiplicity of a point counts the
+    other lines through it.
     """
 
     field: CycField
@@ -417,6 +450,10 @@ class MultiRestriction:
     # parent arrangement, candidates for multi_exponents; not part of the
     # restriction's identity
     lifts: tuple = dataclasses.field(default=(), compare=False, repr=False)
+
+    def __post_init__(self):  # the derivation test needs pivot coefficient 1
+        object.__setattr__(self, "forms", tuple(
+            _normalize(self.field, form) for form in self.forms))
 
     @property
     def total(self) -> int:
@@ -449,20 +486,17 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
     mult = tuple(m for m, _ in points)
     if sum(mult) != d - 1:
         raise ValueError("restriction multiplicities do not sum to d - 1")
-    lifts = []
-    for k in divisors(F.order):
-        vec = 2 * k + 2 <= d - 1 and _power_image(F, c[o1], c[o2], k + 1)
-        if vec:
-            lifts.append((k + 1, vec))
-    return MultiRestriction(F, forms, mult, tuple(lifts))
+    lifts = tuple((k + 1, vec) for k in divisors(F.order) if 2 * k + 2 <= d - 1
+                  and (vec := _power_image(F, c[o1], c[o2], k + 1)))
+    return MultiRestriction(F, forms, mult, lifts)
 
 
 def _power_image(F: CycField, c1, c2, r: int) -> list | None:
     """Ziegler image on the line x_piv = w, w = -(c1 u + c2 v), of
     theta = x^r d_x + y^r d_y + z^r d_z: theta' = theta - (theta(a)/a) E
-    with a the line's form kills a, and restricts to (P, Q) in the layout
-    of _restriction_rows.  theta(a) = x_piv^r + c1 u^r + c2 v^r vanishes on
-    the line exactly when c1 c2 = 0 and (-c)^(r-1) = 1 for c = c1, c2
+    with a the line's form kills a, and restricts to P then Q on the
+    monomials u^(r-j) v^j.  theta(a) = x_piv^r + c1 u^r + c2 v^r vanishes
+    on the line exactly when c1 c2 = 0 and (-c)^(r-1) = 1 for c = c1, c2
     nonzero; then theta(a)/a restricts to its x_piv-derivative r w^(r-1).
     None when theta(a) does not vanish there."""
     if c1 and c2 or any(c and (-c) ** (r - 1) != F.one for c in (c1, c2)):
@@ -477,64 +511,6 @@ def _power_image(F: CycField, c1, c2, r: int) -> list | None:
     return P + Q
 
 
-def _restriction_rows(forms, mult, deg: int, zero, one) -> list[list]:
-    """Linear conditions on the degree-deg derivations theta = P d_u + Q d_v.
-
-    Generic over the element type: field elements, or the forms' images
-    mod p as integers (entries then still to be reduced).  theta must send
-    each form alpha into (alpha^mult).  In coordinates (s, t) built from
-    the point Z on alpha and W = (1, 0) or (0, 1) off it, alpha becomes a
-    scalar times t, so divisibility reads as the vanishing of the first
-    mult coefficients of theta(alpha)(s, t).  Columns hold P, then Q, on
-    the monomials u^(deg-j) v^j.
-    """
-    rows = []
-    for (cu, cv), m in zip(forms, mult):
-        Z, W = (-cv, cu), ((one, zero) if cu else (zero, one))
-        pwu, pwv = [[one]], [[one]]
-        for _ in range(deg):
-            pwu.append(_conv(pwu[-1], [Z[0], W[0]], zero))
-            pwv.append(_conv(pwv[-1], [Z[1], W[1]], zero))
-        restr = [_conv(pwu[deg - j], pwv[j], zero) for j in range(deg + 1)]
-        for i in range(min(m, deg + 1)):
-            rows.append([c * x[i] for c in (cu, cv) for x in restr])
-    return rows
-
-
-def _multi_dim(R: MultiRestriction, deg: int) -> int:
-    """dim of the degree-deg derivations of the multirestriction, certified."""
-    return certified_nullity(
-        R.field, 2 * deg + 2, R.forms,
-        lambda forms, z, o: _restriction_rows(forms, R.mult, deg, z, o),
-        lambda vec: _derives(R, deg, vec),
-    )
-
-
-def _derives(R: MultiRestriction, deg: int, vec) -> bool:
-    """Exact check that vec = (P, Q) is a nonzero derivation of degree deg:
-    2 deg + 2 coefficients, not all zero, and each cu P + cv Q divisible by
-    alpha^min(mult, deg + 1), tested by synthetic division at v = 1, or on
-    the leading coefficients when cu = 0."""
-    if len(vec) != 2 * deg + 2 or not any(vec):
-        return False
-    for (cu, cv), m in zip(R.forms, R.mult):
-        g = [cu * a + cv * b for a, b in zip(vec[:deg + 1], vec[deg + 1:])]
-        k = min(m, deg + 1)
-        if not cu:
-            if any(g[:k]):
-                return False
-            continue
-        r = -cv / cu
-        for _ in range(k):
-            quot = [g[0]]
-            for c in g[1:]:
-                quot.append(c + r * quot[-1])
-            if quot.pop():
-                return False
-            g = quot
-    return True
-
-
 def _product(R: MultiRestriction, exps) -> list:
     """prod alpha_i^exps[i], on the monomials u^(deg-j) v^j."""
     out = [R.field.one]
@@ -545,8 +521,8 @@ def _product(R: MultiRestriction, exps) -> list:
 
 
 def _restriction_candidates(R: MultiRestriction) -> list:
-    """(degree, P and Q coefficients) of explicit derivations of degree at
-    most total/2, where d1 lies:
+    """(degree, derivation) of explicit derivations of degree at most
+    total/2, where d1 lies, built as P then Q on u^(deg-j) v^j:
     - prod_{i>1} alpha_i^m_i (-cv_1 d_u + cu_1 d_v), alpha_1 of the
       largest multiplicity, of degree total - m_1;
     - prod alpha_i^(m_i - 1) (u d_u + v d_v), of degree total - s + 1;
@@ -561,7 +537,7 @@ def _restriction_candidates(R: MultiRestriction) -> list:
     if 2 * len(R.forms) >= total + 2:
         h = _product(R, [m - 1 for m in R.mult])
         out.append((len(h), h + [zero, zero] + h))
-    return out
+    return [(deg, _parts(_binary_monomials(deg), vec)) for deg, vec in out]
 
 
 def multi_exponents(R: MultiRestriction) -> tuple[int, int]:
@@ -570,22 +546,20 @@ def multi_exponents(R: MultiRestriction) -> tuple[int, int]:
     A rank-two multiarrangement is free (Ziegler), so d1 is the least
     degree with a nonzero derivation, and d1 <= total/2.
     """
-    d1 = _least_derivation_degree(R, partial(_multi_dim, R))
+    d1 = _restriction_search(R)[0]
     return (d1, R.total - d1)
 
 
-def _least_derivation_degree(R: MultiRestriction, dim) -> int:
-    """d1 of R by _min_degree over dim: the lowest explicit derivation
-    (_restriction_candidates) that passes _derives, with a zero space
-    certified one degree below, else the first certified nonzero degree
-    below it; CertificationError if no degree up to total/2 has one."""
-    d1 = _min_degree(_restriction_candidates(R), partial(_derives, R), dim,
-                     R.total // 2)
+def _restriction_search(R: MultiRestriction):
+    """(d1, dim) of _min_degree on R; CertificationError if no degree up
+    to total/2 has a derivation."""
+    d1, dim = _min_degree(R.field, R.forms, R.mult, _binary_monomials,
+                          _restriction_candidates(R), R.total // 2)
     if d1 is None:
         raise CertificationError(
             f"no derivation of degree <= {R.total // 2} of total {R.total}"
         )
-    return d1
+    return d1, dim
 
 
 def is_balanced(R: MultiRestriction) -> bool:

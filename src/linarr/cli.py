@@ -12,20 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache, partial
 
 from .algebra import (
-    _is_derivation,
-    _least_derivation_degree,
-    _min_degree,
-    _multi_dim,
-    _relation_candidates,
+    _relation_search,
     _relation_top,
+    _restriction_search,
     is_balanced,
     mdr,
     nodal_dimension_profile,
     supersolvable_exponents,
-    syzygy_dimension,
     ziegler_restriction,
 )
 from .campaigns import CAMPAIGNS, run_campaign
@@ -202,12 +197,10 @@ def cmd_recover(args) -> int:
 def cmd_algebra(args) -> int:
     arr = Arrangement.load(args.file)
     # The search certifies every degree below the minimum zero (the spaces
-    # only grow with degree); a cache keeps it from asking any degree twice.
+    # only grow with degree); the profile reads the dimensions it kept.
     if args.op == "mdr":
         top = _relation_top(arr, args.bound)
-        dim = cache(partial(syzygy_dimension, arr))
-        value = _min_degree(_relation_candidates(arr),
-                            partial(_is_derivation, arr), dim, top)
+        value, dim = _relation_search(arr, top)
         data = {
             "value": value,
             "degree_dims": ([0] * (top + 1) if value is None
@@ -217,8 +210,7 @@ def cmd_algebra(args) -> int:
         if args.line is None:
             raise ValueError("ziegler needs --line")
         R = ziegler_restriction(arr, args.line)
-        dim = cache(partial(_multi_dim, R))
-        d1 = _least_derivation_degree(R, dim)
+        d1, dim = _restriction_search(R)
         data = {
             "value": [d1, R.total - d1],
             "degree_dims": [0] * d1 + [dim(d1)],

@@ -102,17 +102,19 @@ def generic_arrangement(d_prime: int, seed: int) -> Arrangement:
     """d' rational lines certified to meet in C(d',2) distinct double points.
 
     Lines are added one at a time; a candidate is rejected if it repeats a
-    line or passes through an existing intersection point.
+    line or passes through an existing intersection point.  Coefficients
+    lie in [-R, R], R = max(9, d'^2 // 4): room to miss the ~d'^2/2 nodes.
     """
     if d_prime < 3:
         raise ValueError("need at least 3 lines")
     rng = random.Random(seed)
+    bound = max(9, d_prime * d_prime // 4)
     Q = cyc_field(1)
     lines: list[ProjLine] = []
     points: set[ProjPoint] = set()
     while len(lines) < d_prime:
         for _ in range(_RETRIES):
-            t = tuple(rng.randint(-9, 9) for _ in range(3))
+            t = tuple(rng.randint(-bound, bound) for _ in range(3))
             if not any(t):
                 continue
             cand = ProjLine(Q, t)

@@ -11,20 +11,22 @@ from hypothesis import strategies as st
 import exact_linalg
 import linarr.algebra as alg
 import linarr.linalg as la
-from exact_linalg import kernel_vector, nullity, rank
+from exact_linalg import kernel_basis, kernel_vector, nullity, rank
 from linarr.algebra import (
     MultiRestriction,
     Poly,
-    _derives,
-    _gauged_rows,
+    _binary_monomials,
+    _derivation_dim,
+    _derivation_rows,
+    _gauged_monomials,
     _is_derivation,
-    _multi_dim,
     _node_rows,
+    _parts,
     _pencil_derivation,
     _power_derivation,
     _relation_candidates,
+    _relation_question,
     _restriction_candidates,
-    _restriction_rows,
     defining_polynomial,
     is_balanced,
     mdr,
@@ -59,6 +61,7 @@ from linarr.projgeo import (
     Arrangement,
     ProjLine,
     _normalize,
+    _ortho_pair,
     apply_transform,
     build_lattice,
     random_invertible_matrix,
@@ -136,6 +139,112 @@ def div_linear(poly, coeffs):
             m[piv] = k
             terms[tuple(m)] = c
     return Poly(F, terms)
+
+
+def conv(a, b, zero):
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _gauged_rows(lines, r, zero, one):
+    """Oracle for the relation rows of _derivation_rows: the gauged
+    columns (a and b on the degree-r monomials, c on the z-free ones), each
+    line parametrized by two points on it, s P + t Q, and the r + 1
+    coefficients in (s, t) of theta(alpha) restricted to it."""
+    mons = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
+    zfree = [m for m in mons if m[2] == 0]
+    rows = []
+    for coeffs in lines:
+        P, Q = _ortho_pair(coeffs, zero)
+        pw = []
+        for v in range(3):
+            tab = [[one]]
+            for _ in range(r):
+                tab.append(conv(tab[-1], [P[v], Q[v]], zero))
+            pw.append(tab)
+        restr = {m: conv(conv(pw[0][m[0]], pw[1][m[1]], zero), pw[2][m[2]],
+                         zero) for m in mons}
+        for t in range(r + 1):
+            rows.append([c * restr[m][t] if c else zero
+                         for c, group in zip(coeffs, (mons, mons, zfree))
+                         for m in group])
+    return rows
+
+
+def _restriction_rows(forms, mult, deg, zero, one):
+    """Oracle for the restriction rows of _derivation_rows: in coordinates
+    (s, t) built from the point Z = (-cv, cu) on alpha and W = (1, 0) or
+    (0, 1) off it, alpha is a scalar times t, so alpha^m divides
+    theta(alpha) when its first min(m, deg + 1) coefficients in t vanish.
+    Columns hold P, then Q, on the monomials u^(deg-j) v^j."""
+    rows = []
+    for (cu, cv), m in zip(forms, mult):
+        Z, W = (-cv, cu), ((one, zero) if cu else (zero, one))
+        pwu, pwv = [[one]], [[one]]
+        for _ in range(deg):
+            pwu.append(conv(pwu[-1], [Z[0], W[0]], zero))
+            pwv.append(conv(pwv[-1], [Z[1], W[1]], zero))
+        restr = [conv(pwu[deg - j], pwv[j], zero) for j in range(deg + 1)]
+        for i in range(min(m, deg + 1)):
+            rows.append([c * x[i] for c in (cu, cv) for x in restr])
+    return rows
+
+
+def _derives(R, deg, vec):
+    """Oracle for the restriction check of _is_derivation on a flat vector
+    vec = (P, Q): 2 deg + 2 coefficients, not all zero, and each
+    cu P + cv Q divisible by alpha^min(mult, deg + 1), by synthetic division
+    at v = 1 by the root -cv/cu, or on the leading coefficients when
+    cu = 0."""
+    if len(vec) != 2 * deg + 2 or not any(vec):
+        return False
+    for (cu, cv), m in zip(R.forms, R.mult):
+        g = [cu * a + cv * b for a, b in zip(vec[:deg + 1], vec[deg + 1:])]
+        k = min(m, deg + 1)
+        if not cu:
+            if any(g[:k]):
+                return False
+            continue
+        root = -cv / cu
+        for _ in range(k):
+            quot = [g[0]]
+            for c in g[1:]:
+                quot.append(c + root * quot[-1])
+            if quot.pop():
+                return False
+            g = quot
+    return True
+
+
+def is_relation(arr, deg, theta):
+    """The relation question's exact check on theta, one {monomial:
+    coefficient} map per variable."""
+    return _is_derivation(*_relation_question(arr), deg, theta)
+
+
+def binary(vec):
+    """A flat vector (P, Q) as the derivation it holds, at the degree its
+    length gives."""
+    return _parts(_binary_monomials(len(vec) // 2 - 1), vec)
+
+
+def flat(R, theta, deg):
+    """The derivation theta of R as the flat vector (P, Q) of degree
+    deg."""
+    return [part.get(m, R.field.zero) for part, group in zip(
+        theta, _binary_monomials(deg)) for m in group]
+
+
+def derives(R, deg, vec):
+    """The restriction's exact check on a flat vector vec = (P, Q)."""
+    return _is_derivation(R.field, R.forms, R.mult, deg, binary(vec))
+
+
+def restriction_dim(R, deg):
+    return _derivation_dim(R.field, R.forms, R.mult, _binary_monomials, deg)
 
 
 def eval_factors(factors, coords):
@@ -358,6 +467,9 @@ def test_ziegler_restriction_matches_per_line_grouping():
 def test_ziegler_restriction_normalizes_one_form_per_point(monkeypatch):
     # One normalized form per lattice point on the line, not one per other
     # line: on full_monomial(3) each line meets the other 11 in fewer points.
+    # Each form is normalized once to order the points, and passed through
+    # _normalize once more by MultiRestriction, which normalizes the forms
+    # it is given (a normalized form comes back as it is).
     arr = full_monomial(3)
     lat = build_lattice(arr)
     calls = []
@@ -368,7 +480,8 @@ def test_ziegler_restriction_normalizes_one_form_per_point(monkeypatch):
         del calls[:]
         R = ziegler_restriction(arr, h)
         on_h = sum(h in inc for inc in lat.incidence)
-        assert len(calls) == on_h == len(R.forms) < len(arr.lines) - 1
+        assert len(calls) == 2 * on_h == 2 * len(R.forms)
+        assert on_h < len(arr.lines) - 1
 
 
 def test_multi_exponents_boundary_cases():
@@ -510,7 +623,7 @@ def test_multi_exponents_match_exact_scan():
         assert multi_exponents(R) == want
         # the certified dimensions the CLI prints as degree_dims
         for deg in range(want[0] + 1):
-            assert _multi_dim(R, deg) == _exact_multi_dim(R, deg)
+            assert restriction_dim(R, deg) == _exact_multi_dim(R, deg)
 
 
 @st.composite
@@ -549,10 +662,11 @@ def _route_log(monkeypatch):
     (by column count, with their answer) and the kernel vectors lifted that
     algebra asks."""
     log = []
-    derives, nullity, lift = alg._derives, alg.certified_nullity, la.lift_flat_vector
+    check, nullity = alg._is_derivation, alg.certified_nullity
+    lift = la.lift_flat_vector
 
-    def spy_derives(R, deg, vec):
-        ok = derives(R, deg, vec)
+    def spy_check(F, forms, mult, deg, theta):
+        ok = check(F, forms, mult, deg, theta)
         log.append(("check", deg, ok))
         return ok
 
@@ -565,7 +679,7 @@ def _route_log(monkeypatch):
         log.append(("lift",))
         return lift(*args)
 
-    monkeypatch.setattr(alg, "_derives", spy_derives)
+    monkeypatch.setattr(alg, "_is_derivation", spy_check)
     monkeypatch.setattr(alg, "certified_nullity", spy_nullity)
     monkeypatch.setattr(la, "lift_flat_vector", spy_lift)
     return log
@@ -602,9 +716,10 @@ def test_multi_exponents_raises_when_no_degree_certifies(monkeypatch):
     # total/2, no d1 is certified: the scan asks each degree once, then
     # CertificationError.
     asked = []
-    monkeypatch.setattr(alg, "_derives", lambda R, deg, vec: False)
-    monkeypatch.setattr(alg, "_multi_dim",
-                        lambda R, deg: asked.append(deg) or 0)
+    monkeypatch.setattr(alg, "_is_derivation", lambda *args: False)
+    monkeypatch.setattr(alg, "_derivation_dim",
+                        lambda F, forms, mult, monomials, deg:
+                        asked.append(deg) or 0)
     for R in _scan_restrictions()[:20]:
         del asked[:]
         with pytest.raises(CertificationError):
@@ -645,26 +760,29 @@ def test_candidate_one_degree_too_low_is_rejected(monkeypatch):
     for n in (2, 3, 4):
         for arr in (full_monomial(n), a_of_w(n, (0,))):
             F = arr.field
-            assert not _is_derivation(arr, n, _power_derivation(F, n))
-            assert _is_derivation(arr, n + 1, _power_derivation(F, n + 1))
+            assert not is_relation(arr, n, _power_derivation(F, n))
+            assert is_relation(arr, n + 1, _power_derivation(F, n + 1))
     for arr in (near_pencil(6), _cone_over_q(4, 1, 1)):
         theta = _pencil_derivation(arr)
         lat = build_lattice(arr)
         deg = len(arr.lines) - lat.mult[0]
-        assert _is_derivation(arr, deg, theta)
+        assert is_relation(arr, deg, theta)
         off = next(l for j, l in enumerate(arr.lines)
                    if j not in lat.incidence[0])
-        low = [div_linear(t, off.coords) for t in theta]
-        assert not _is_derivation(arr, deg - 1, low)
-    # restrictions: both closed forms with one exponent lowered fail
-    # _derives, and offered first they leave every answer unchanged
+        low = [div_linear(Poly(arr.field, t), off.coords).terms
+               for t in theta]
+        assert not is_relation(arr, deg - 1, low)
+    # restrictions: both closed forms with one exponent lowered fail the
+    # exact check, as they fail the division oracle, and offered first they
+    # leave every answer unchanged
     real = alg._restriction_candidates
-    monkeypatch.setattr(alg, "_restriction_candidates",
-                        lambda R: _low_restriction_candidates(R) + real(R))
+    monkeypatch.setattr(alg, "_restriction_candidates", lambda R: [
+        (deg, binary(vec)) for deg, vec in _low_restriction_candidates(R)
+    ] + real(R))
     rejected = 0
     for R in _scan_restrictions():
         for deg, vec in _low_restriction_candidates(R):
-            assert not _derives(R, deg, vec)
+            assert not derives(R, deg, vec) and not _derives(R, deg, vec)
             rejected += 1
         assert multi_exponents(R) == _scan_exponents(R)
     assert rejected > 100
@@ -728,10 +846,10 @@ def derivation_cases(draw):
     kind = draw(st.sampled_from(("pencil", "all-but-last", "low", "power")))
     if kind == "power":
         deg = draw(st.sampled_from(divisors(n))) + 1
-        theta = _power_derivation(F, deg)
+        theta = [Poly(F, t) for t in _power_derivation(F, deg)]
     else:
         base = arr if kind != "all-but-last" else Arrangement(F, lines[:-1])
-        theta = _pencil_derivation(base)
+        theta = [Poly(F, t) for t in _pencil_derivation(base)]
         lat = build_lattice(base)
         deg = len(base.lines) - lat.mult[0]
         off = [l for j, l in enumerate(base.lines) if j not in lat.incidence[0]]
@@ -760,8 +878,104 @@ def test_is_derivation_matches_division_oracle(case):
     # restricting theta(alpha) to each line decides membership exactly as
     # dividing it by alpha does
     arr, deg, theta = case
-    assert _is_derivation(arr, deg, theta) == oracle_is_derivation(
-        arr, deg, theta)
+    assert is_relation(arr, deg, [t.terms for t in theta]) == (
+        oracle_is_derivation(arr, deg, theta))
+
+
+def _monomials(nvars, deg):
+    if nvars == 2:
+        return [(deg - j, j) for j in range(deg + 1)]
+    return [(i, j, deg - i - j) for i in range(deg + 1)
+            for j in range(deg + 1 - i)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_derivation_test_matches_the_former_builders_and_checks(data):
+    # One row builder and one exact check, in pivot coordinates, against
+    # the two builders and checks they replace, kept here as oracles: on
+    # drawn restrictions (mult 1 to 3, sometimes with the form (0, 1)) the
+    # rows have the oracle rows' exact nullity, and so has the certified
+    # dimension, whose lifted vectors the check decides; on subsets of a moved
+    # full_monomial(n) they are the oracle rows entry for entry.  The check
+    # agrees with division on the explicit candidates, the kernel vectors,
+    # derivations one degree too low, any of them perturbed by one term,
+    # and any of them claimed one degree low.
+    deg = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        F, forms, mult, _ = data.draw(restrictions())
+        R = MultiRestriction(F, tuple(forms), tuple(mult))
+        forms, mult, groups = R.forms, R.mult, _binary_monomials(deg)
+        rows = _derivation_rows(forms, mult, groups, deg, F.zero, F.one)
+        old = _restriction_rows(forms, mult, deg, F.zero, F.one)
+        assert nullity(rows, 2 * deg + 2) == nullity(old, 2 * deg + 2) == (
+            restriction_dim(R, deg))
+        elems = _restriction_candidates(R) + [
+            (d, binary(vec)) for d, vec in _low_restriction_candidates(R)]
+
+        def oracle(claim, d, theta):
+            return _derives(R, claim, flat(R, theta, d))
+    else:
+        n = data.draw(st.sampled_from((1, 3, 4, 5, 8)))
+        M = random_invertible_matrix(random.Random(
+            data.draw(st.integers(0, 10**6))))
+        moved = apply_transform(full_monomial(n), M).lines
+        arr = Arrangement(moved[0].field, [moved[i] for i in data.draw(
+            st.lists(st.integers(0, len(moved) - 1), min_size=3, max_size=5,
+                     unique=True))])
+        F, forms, mult = _relation_question(arr)
+        groups = _gauged_monomials(deg)
+        rows = _derivation_rows(forms, mult, groups, deg, F.zero, F.one)
+        old = _gauged_rows(forms, deg, F.zero, F.one)
+        assert rows == old
+        elems = list(_relation_candidates(arr))
+        lat = build_lattice(arr)
+        off = [l for j, l in enumerate(arr.lines) if j not in lat.incidence[0]]
+        if off:
+            pencil_deg, theta = elems[0]
+            elems.append((pencil_deg - 1, [
+                div_linear(Poly(F, t), off[0].coords).terms for t in theta]))
+
+        def oracle(claim, d, theta):
+            return oracle_is_derivation(arr, claim,
+                                        [Poly(F, t) for t in theta])
+    ncols = sum(map(len, groups))
+    elems += [(deg, _parts(groups, vec))
+              for vec in kernel_basis(old, ncols, F.one, F.zero)]
+    for d, theta in list(elems):
+        v = data.draw(st.integers(0, len(theta) - 1))
+        mono = data.draw(st.sampled_from(_monomials(len(theta), d)))
+        bad = [dict(part) for part in theta]
+        bad[v][mono] = bad[v].get(mono, F.zero) + F.one
+        elems.append((d, bad))
+    for d, theta in elems:
+        for claim in (d, d - 1):
+            assert _is_derivation(F, forms, mult, claim, theta) == oracle(
+                claim, d, theta)
+
+
+def test_multi_restriction_normalizes_its_forms():
+    # The derivation test reads each form's point off a pivot coefficient
+    # of one.  A form given scaled, by 2, by p (a split prime) or by zeta,
+    # is the same restriction, with the same dimensions and exponents as
+    # the normalized one; read unnormalized, (p, 1) would be tested as
+    # (1, 1).
+    for F in (cyc_field(1), cyc_field(3)):
+        p, _ = la.split_prime(F.order)
+        one, zero, q = F.one, F.zero, F.scalar(p)
+        forms = ((one, one / q), (one, zero), (zero, one), (one, F.zeta))
+        mult = (2, 2, 1, 1)
+        R = MultiRestriction(F, forms, mult)
+        assert R.forms == forms
+        want = [_exact_multi_dim(R, deg) for deg in range(5)]
+        for scale in (F.scalar(2), q, F.zeta):
+            S = MultiRestriction(F, tuple(
+                tuple(scale * c for c in form) for form in forms), mult)
+            assert S == R and S.forms == forms
+            assert [restriction_dim(S, deg) for deg in range(5)] == want
+            assert multi_exponents(S) == multi_exponents(R) == (3, 3)
+        S = MultiRestriction(F, ((q, one),) + forms[1:], mult)
+        assert S.forms == forms
 
 
 def _exact_relation_dim(arr, r):
@@ -783,10 +997,9 @@ def test_candidate_claiming_one_degree_less_is_rejected(monkeypatch):
         d = len(arr.lines)
         if d < 4:
             continue
-        zero = [Poly.zero(arr.field)] * 3
         for deg, theta in _relation_candidates(arr):
-            assert not _is_derivation(arr, deg - 1, theta)
-            assert not _is_derivation(arr, deg, zero)
+            assert not is_relation(arr, deg - 1, theta)
+            assert not is_relation(arr, deg, [{}, {}, {}])
             rejected += 1
         r = mdr(arr)
         if r is None:
@@ -801,34 +1014,37 @@ def test_candidate_claiming_one_degree_less_is_rejected(monkeypatch):
     rejected = 0
     for R in _scan_restrictions():
         zero = R.field.zero
-        for deg, vec in _restriction_candidates(R):
-            assert not _derives(R, deg - 1, vec)
-            assert not _derives(R, deg, [zero] * (2 * deg + 2))
+        for deg, theta in _restriction_candidates(R):
+            assert not _is_derivation(R.field, R.forms, R.mult, deg - 1,
+                                      theta)
+            assert not derives(R, deg, [zero] * (2 * deg + 2))
             rejected += 1
         assert multi_exponents(R) == _scan_exponents(R)
     assert rejected > 100
 
 
 def test_perturbed_candidate_is_rejected(monkeypatch):
-    # One coefficient + 1: _derives agrees with the exact rows on it unless
-    # that makes it zero, which _derives rejects, and the answer still
-    # equals the exact scan.
+    # One coefficient + 1: the exact check agrees with the oracle rows and
+    # the division oracle on it, unless that makes it zero, which both
+    # checks reject, and the answer still equals the exact scan.
     def perturbed(R):
         out = []
-        for deg, vec in real(R):
-            bad = list(vec)
-            j = next(j for j, x in enumerate(vec) if x)
+        for deg, theta in real(R):
+            bad = flat(R, theta, deg)
+            j = next(j for j, x in enumerate(bad) if x)
             bad[j] = bad[j] + R.field.one
             out.append((deg, bad))
         return out
 
     real = alg._restriction_candidates
-    monkeypatch.setattr(alg, "_restriction_candidates", perturbed)
+    monkeypatch.setattr(alg, "_restriction_candidates", lambda R: [
+        (deg, binary(bad)) for deg, bad in perturbed(R)])
     rejected = 0
     for R in _scan_restrictions():
         for deg, bad in perturbed(R):
-            ok = _derives(R, deg, bad)
-            assert ok == (any(bad) and _in_exact_kernel(R, deg, bad))
+            ok = derives(R, deg, bad)
+            assert ok == _derives(R, deg, bad) == (
+                any(bad) and _in_exact_kernel(R, deg, bad))
             rejected += not ok
         assert multi_exponents(R) == _scan_exponents(R)
     assert rejected > 100
@@ -845,13 +1061,13 @@ def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
     cases = 0
     for R in _scan_restrictions():
         d1, d2 = _scan_exponents(R)
-        good = [vec for deg, vec in real(R)
-                if deg == d1 and any(vec) and _derives(R, deg, vec)]
+        good = [flat(R, theta, deg) for deg, theta in real(R) if deg == d1]
+        good = [vec for vec in good if derives(R, d1, vec)]
         if not good or 2 * (d1 + 1) > R.total:
             continue
         P, Q = good[0][:d1 + 1], good[0][d1 + 1:]
         zero = R.field.zero
-        shifted = (d1 + 1, P + [zero] + Q + [zero])
+        shifted = (d1 + 1, binary(P + [zero] + Q + [zero]))
         monkeypatch.setattr(alg, "_restriction_candidates",
                             lambda R, c=shifted: [c])
         del log[:]
@@ -866,48 +1082,52 @@ def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
     # minimal relation degree is 2
     [arr] = [a for label, a in _standard_pool(0, 1, 3)
              if label == "cone-d3-generic-e0-s1"]
-    assert _is_derivation(arr, 3, _pencil_derivation(arr))
+    assert is_relation(arr, 3, _pencil_derivation(arr))
     assert len(arr.lines) - build_lattice(arr).mult[0] == 3
     assert mdr(arr, bound=3) == 2 and verify_mdr(arr, 2)
     assert not verify_mdr(arr, 3)
 
 
 def test_mdr_certifies_a_candidate_by_one_zero_kernel(monkeypatch):
-    # The power derivation at r = n + 1 passes its division check, and the
-    # one question below it is a certified relation dimension at r = n:
-    # zero, with no kernel vector lifted.
+    # The power derivation at r = n + 1 passes its exact check, after the
+    # lower power derivations fail theirs, and the one question below it
+    # is a certified relation dimension at r = n: zero, with no kernel
+    # vector lifted.
     log = _route_log(monkeypatch)
     dims = []
-    real = alg.syzygy_dimension
-    monkeypatch.setattr(alg, "syzygy_dimension",
-                        lambda arr, r: dims.append(r) or real(arr, r))
+    real = alg._derivation_dim
+    monkeypatch.setattr(alg, "_derivation_dim", lambda *args: (
+        dims.append(args[-1]) or real(*args)))
     for n in (2, 3, 4):
         del log[:], dims[:]
         assert mdr(full_monomial(n)) == n + 1
-        assert log == [("nullity", (n + 1) * (n + 3), 0)] and dims == [n]
+        assert log == [("check", k + 1, False) for k in divisors(n)[:-1]] + [
+            ("check", n + 1, True), ("nullity", (n + 1) * (n + 3), 0)]
+        assert dims == [n]
 
 
 def test_derivation_check_rejects_perturbed_vector(monkeypatch):
     R = ziegler_restriction(_cone_over_q(3, 0, 1), 1)
     lifted = []
 
-    def spy(R, deg, vec):
-        ok = _derives(R, deg, vec)
+    def spy(F, forms, mult, deg, theta):
+        ok = _is_derivation(F, forms, mult, deg, theta)
         if ok:
-            lifted.append((deg, vec))
+            lifted.append((deg, flat(R, theta, deg)))
         return ok
 
-    monkeypatch.setattr(alg, "_derives", spy)
+    monkeypatch.setattr(alg, "_is_derivation", spy)
     assert multi_exponents(R) == (3, 3)
     # D_3 has dimension 2 at d1 = d2 = 3: both basis vectors are checked
-    assert _multi_dim(R, 3) == 2
+    assert restriction_dim(R, 3) == 2
     assert {deg for deg, _ in lifted} == {3} and len(lifted) >= 2
     one = R.field.one
     for deg, vec in lifted:
+        assert _derives(R, deg, vec)
         for j in range(len(vec)):
             bad = list(vec)
             bad[j] = bad[j] + one
-            assert not _derives(R, deg, bad)
+            assert not derives(R, deg, bad) and not _derives(R, deg, bad)
 
 
 def _count_primes_without_oracle(monkeypatch):
@@ -939,7 +1159,7 @@ def test_restriction_over_q_needs_three_primes(monkeypatch):
     skips = _count_primes_without_oracle(monkeypatch)
     assert multi_exponents(R) == want == (3, 3)
     del skips[:]
-    assert _multi_dim(R, 3) == 2
+    assert restriction_dim(R, 3) == 2
     assert max(skips) >= 2
 
 
@@ -957,7 +1177,7 @@ def test_wide_coefficients_certify_past_eight_primes(monkeypatch):
     for R in wide:
         assert multi_exponents(R) == (4, 4)
         del skips[:]
-        assert _multi_dim(R, 4) == 2
+        assert restriction_dim(R, 4) == 2
         assert max(skips) >= 8
 
 
@@ -982,8 +1202,9 @@ def test_nodal_vanishing_dimensions():
 
 @st.composite
 def builder_cases(draw):
-    """(F, inputs, build): one of the three row builders at a degree up to
-    3, on inputs with zero entries and triples that are not normalized.
+    """(F, inputs, build): the derivation row builder on relation or
+    restriction inputs, or the node row builder, at a degree up to 3, on
+    inputs with zero entries and tuples that are not normalized.
     Over Q most rows also hold two distinct entries that are equal mod one
     of the two split primes the property uses: x and x +- p, x nonzero."""
     order = draw(st.sampled_from((1, 1, 1, 3, 4, 5)))
@@ -1010,13 +1231,14 @@ def builder_cases(draw):
     kind = draw(st.sampled_from(("relation", "restriction", "node")))
     if kind == "relation":
         lines = [entries(3, True) for _ in range(count)]
-        return F, lines, lambda ins, z, o: _gauged_rows(ins, deg, z, o)
+        return F, lines, lambda ins, z, o: _derivation_rows(
+            ins, [1] * count, _gauged_monomials(deg), deg, z, o)
     if kind == "restriction":
         forms = [entries(2, True) for _ in range(count)]
         mult = draw(st.lists(st.integers(1, 3), min_size=count,
                              max_size=count))
-        return F, forms, lambda ins, z, o: _restriction_rows(ins, mult, deg,
-                                                             z, o)
+        return F, forms, lambda ins, z, o: _derivation_rows(
+            ins, mult, _binary_monomials(deg), deg, z, o)
     points = [entries(3, False) for _ in range(count)]
     return F, points, lambda ins, z, o: _node_rows(ins, deg, z, o)
 
@@ -1086,11 +1308,14 @@ def test_gauged_kernel_vector_gives_relation():
     arr = full_monomial(1)
     F = arr.field
     r = 2
-    rows = _gauged_rows([l.coords for l in arr.lines], r, F.zero, F.one)
+    groups = _gauged_monomials(r)
+    rows = _derivation_rows(*_relation_question(arr)[1:], groups, r, F.zero,
+                            F.one)
     vec = kernel_vector(rows, len(rows[0]), F.one, F.zero)
     assert vec is not None
     mons = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
     zfree = [m for m in mons if m[2] == 0]
+    assert groups == (mons, mons, zfree)
     nm = len(mons)
     a = Poly(F, dict(zip(mons, vec[:nm])))
     b = Poly(F, dict(zip(mons, vec[nm:2 * nm])))
@@ -1143,14 +1368,14 @@ def test_zero_kernel_relation_question_builds_no_exact_rows(monkeypatch):
     arr = full_monomial(3)
     r = mdr(arr)
     exact = []
-    real = alg._gauged_rows
+    real = alg._derivation_rows
 
-    def spy(lines, deg, zero, one):
+    def spy(forms, mult, groups, deg, zero, one):
         if isinstance(zero, CycNumber):
             exact.append(deg)
-        return real(lines, deg, zero, one)
+        return real(forms, mult, groups, deg, zero, one)
 
-    monkeypatch.setattr(alg, "_gauged_rows", spy)
+    monkeypatch.setattr(alg, "_derivation_rows", spy)
     assert verify_mdr(arr, r)
     assert exact == []
     assert syzygy_dimension(arr, r - 1) == 0 and exact == []
@@ -1171,25 +1396,27 @@ def _primes_tried(monkeypatch):
 
 
 def test_restriction_input_vanishing_mod_p_skips_the_prime(monkeypatch):
-    # cu = p is nonzero but reduces to 0 mod p, where the rows would take
-    # the other W: that prime is bad, and the next ones certify
+    # A form (1, p) has a nonzero input that reduces to 0 mod p, where the
+    # rows would read another point; the form (p, 1), normalized to
+    # (1, 1/p), has a denominator that vanishes mod p.  Either way that
+    # prime is bad, and the next ones certify.
     F = cyc_field(1)
     p, _ = la.split_prime(1)
-    R = MultiRestriction(
-        F,
-        ((F.scalar(p), F.one), (F.one, F.zero), (F.zero, F.one),
-         (F.one, F.one)),
-        (2, 2, 1, 1),
-    )
     seen = _primes_tried(monkeypatch)
-    dims = [_multi_dim(R, deg) for deg in range(5)]
-    assert seen and p not in seen
-    assert dims == [
-        nullity(_restriction_rows(R.forms, R.mult, deg, F.zero, F.one),
-                2 * deg + 2)
-        for deg in range(5)
-    ]
-    assert max(dims) > 0
+    for form in ((F.one, F.scalar(p)), (F.scalar(p), F.one)):
+        R = MultiRestriction(
+            F, (form, (F.one, F.zero), (F.zero, F.one), (F.one, F.one)),
+            (2, 2, 1, 1),
+        )
+        del seen[:]
+        dims = [restriction_dim(R, deg) for deg in range(5)]
+        assert seen and p not in seen
+        assert dims == [
+            nullity(_restriction_rows(R.forms, R.mult, deg, F.zero, F.one),
+                    2 * deg + 2)
+            for deg in range(5)
+        ]
+        assert max(dims) > 0
 
 
 def test_line_coefficient_vanishing_mod_p_skips_the_prime(monkeypatch):
@@ -1278,9 +1505,9 @@ def test_kernel_nonzero_matches_exact_over_q_zeta_8():
         assert (null > 0) == exact == (r == 5)
         assert (syzygy_dimension(arr, r) > 0) == exact
     # the power derivation with r = k + 1 for k = 4, a divisor of 8
-    assert not any(_is_derivation(arr, k + 1, _power_derivation(F, k + 1))
+    assert not any(is_relation(arr, k + 1, _power_derivation(F, k + 1))
                    for k in (1, 2))
-    assert _is_derivation(arr, 5, _power_derivation(F, 5))
+    assert is_relation(arr, 5, _power_derivation(F, 5))
     assert mdr(arr, bound=5) == 5 and verify_mdr(arr, 5)
 
 
@@ -1294,7 +1521,7 @@ from linarr import CertificationError, full_monomial, near_pencil
 z = next(i for i, l in enumerate(near_pencil(6).lines)
          if not l.coords[0] and not l.coords[1])
 R = alg.ziegler_restriction(near_pencil(6), z)
-alg._derives = lambda R, deg, vec: False
+alg._is_derivation = lambda *args: False
 alg.tjurina_census = lambda lat: -1
 for call in (lambda: alg.multi_exponents(R),
              lambda: alg.supersolvable_exponents(full_monomial(1))):

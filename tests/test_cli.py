@@ -221,7 +221,8 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
     # are asked; where none applies (the cone's line 0) the search asks
     # each degree up to d1 once, and the profile reads d1 from it.
     from linarr.algebra import (
-        _multi_dim,
+        _binary_monomials,
+        _derivation_dim,
         is_balanced,
         multi_exponents,
         ziegler_restriction,
@@ -237,7 +238,9 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
         d1, d2 = multi_exponents(R)
         cases.append((arr, line, scan, {
             "value": [d1, d2],
-            "degree_dims": [_multi_dim(R, p) for p in range(d1 + 1)],
+            "degree_dims": [_derivation_dim(R.field, R.forms, R.mult,
+                                            _binary_monomials, p)
+                            for p in range(d1 + 1)],
             "mult": list(R.mult),
             "total": R.total,
             "balanced": is_balanced(R),

@@ -71,6 +71,12 @@ def test_generic_arrangement_certified():
         assert census(arr) == {2: d * (d - 1) // 2}
 
 
+def test_large_generic_arrangement():
+    # coefficients from [-9, 9] run out of lines that miss every node long
+    # before d' = 80; the range grows with d' (and stays [-9, 9] for d' <= 6)
+    assert census(generic_arrangement(80, seed=0)) == {2: 3160}
+
+
 def test_generic_arrangement_deterministic():
     assert generic_arrangement(5, seed=9) == generic_arrangement(5, seed=9)
 

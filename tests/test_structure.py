@@ -19,13 +19,17 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
 # lattice is kept on its Arrangement, and campaigns build each arrangement
 # once, so no global dict caches either.  split_prime hands out the roots
 # it keeps with each prime, so nothing computes them again.  projgeo
-# crosses integral triples, not CycNumbers.  A relation is checked by
-# restricting theta(alpha) to each line, with no quotient (the division
-# lives on in the tests as the oracle).
+# crosses integral triples, not CycNumbers.  Derivation membership, for
+# relations and restrictions alike, is decided by one exact check
+# (algebra._is_derivation, Horner division in pivot coordinates, no
+# quotient kept and no inverse) and one row builder
+# (algebra._derivation_rows); the division and the two former builders and
+# checks live on in the tests as oracles.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
            "certified_zero", "_upward", "_rows_at", "split_roots", "_cross",
-           "div_linear"}
+           "div_linear", "_gauged_rows", "_restriction_rows", "_derives",
+           "_multi_dim"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
