@@ -440,7 +440,8 @@ class MultiRestriction:
     One form per lattice point on the line, in coordinates (u, v) on it:
     the forms are pairwise independent, and normalized on construction
     with leading coefficient one.  The multiplicity of a point counts the
-    other lines through it.
+    other lines through it, so it is at least 1.  Malformed input raises
+    ValueError.
     """
 
     field: CycField
@@ -452,8 +453,14 @@ class MultiRestriction:
     lifts: tuple = dataclasses.field(default=(), compare=False, repr=False)
 
     def __post_init__(self):  # the derivation test needs pivot coefficient 1
-        object.__setattr__(self, "forms", tuple(
-            _normalize(self.field, form) for form in self.forms))
+        forms = tuple(_normalize(self.field, form) for form in self.forms)
+        object.__setattr__(self, "forms", forms)
+        if len(self.mult) != len(forms) or any(len(f) != 2 for f in forms):
+            raise ValueError("need one multiplicity per form, each form a pair")
+        if any(m < 1 for m in self.mult):
+            raise ValueError("multiplicities must be positive")
+        if len(set(forms)) != len(forms):  # normalized: equal iff dependent
+            raise ValueError("forms must be pairwise independent")
 
     @property
     def total(self) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import add, neg, sub
 
@@ -38,10 +39,16 @@ from .field import (
 from .linalg import reduce_at, split_prime
 
 
-def _normalize(field: CycField, triple) -> tuple[CycNumber, ...]:
-    coords = [c if isinstance(c, CycNumber) else field.scalar(c) for c in triple]
+def _coerce(field: CycField, values) -> list[CycNumber]:
+    """values as elements of field; a CycNumber of another field is refused."""
+    coords = [c if isinstance(c, CycNumber) else field.scalar(c) for c in values]
     if any(c.field.order != field.order for c in coords):
         raise ValueError("coordinate from a different field")
+    return coords
+
+
+def _normalize(field: CycField, triple) -> tuple[CycNumber, ...]:
+    coords = _coerce(field, triple)
     if next((c for c in coords if c), None) == field.one:
         return tuple(coords)
     return _normalized(field, _integral(coords))
@@ -133,6 +140,12 @@ class _ProjTriple:
             self._hash = h
         return h
 
+    def _integrals(self, other: "_ProjTriple", what: str):
+        """Both integral triples, which must share one field."""
+        if self.field.order != other.field.order:
+            raise ValueError(f"{what} from different fields")
+        return _integral(self.coords), _integral(other.coords)
+
     def sort_key(self):
         return tuple(c.sort_key() for c in self.coords)
 
@@ -150,25 +163,22 @@ class ProjLine(_ProjTriple):
 
     def contains(self, point: ProjPoint) -> bool:
         return not any(_int_dot(
-            self.field, _integral(self.coords), _integral(point.coords)))
+            self.field, *self._integrals(point, "line and point")))
+
+
+def _join(cls, u: _ProjTriple, v: _ProjTriple, what: str, result: str):
+    """The point on two lines, or the line through two points: a cross product."""
+    if u == v:
+        raise ValueError(f"coincident {what} have no unique {result}")
+    return cls._from_integral(u.field, _int_cross(u.field, *u._integrals(v, what)))
 
 
 def line_intersect(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    if l1.field.order != l2.field.order:
-        raise ValueError("lines from different fields")
-    if l1 == l2:
-        raise ValueError("coincident lines have no unique intersection")
-    return ProjPoint._from_integral(l1.field, _int_cross(
-        l1.field, _integral(l1.coords), _integral(l2.coords)))
+    return _join(ProjPoint, l1, l2, "lines", "intersection")
 
 
 def line_through(p1: ProjPoint, p2: ProjPoint) -> ProjLine:
-    if p1.field.order != p2.field.order:
-        raise ValueError("points from different fields")
-    if p1 == p2:
-        raise ValueError("coincident points have no unique connecting line")
-    return ProjLine._from_integral(p1.field, _int_cross(
-        p1.field, _integral(p1.coords), _integral(p2.coords)))
+    return _join(ProjLine, p1, p2, "points", "connecting line")
 
 
 class Arrangement:
@@ -350,24 +360,18 @@ def census(arr: Arrangement) -> dict[int, int]:
     return build_lattice(arr).census()
 
 
-def _line_tables(lat: Lattice):
-    # for each line: the lattice points on it; for each pair: its point
+def _on_line(lat: Lattice) -> list[list[int]]:
+    """For each line, the indices of the lattice points on it."""
     on_line: list[list[int]] = [[] for _ in range(lat.d)]
     for pi, inc in enumerate(lat.incidence):
         for li in inc:
             on_line[li].append(pi)
-    pair_point: dict[tuple[int, int], int] = {}
-    for pi, inc in enumerate(lat.incidence):
-        for a in range(len(inc)):
-            for b in range(a + 1, len(inc)):
-                pair_point[(inc[a], inc[b])] = pi
-    return on_line, pair_point
+    return on_line
 
 
-def _line_colors(lat: Lattice):
+def _line_colors(lat: Lattice, on_line):
     """Refined line invariants: start from the multiplicity profile and
     fold in neighbour colors through shared points, twice."""
-    on_line, _ = _line_tables(lat)
     colors = [
         tuple(sorted(lat.mult[pi] for pi in on_line[li])) for li in range(lat.d)
     ]
@@ -398,12 +402,14 @@ def lattice_isomorphic(lat1: Lattice, lat2: Lattice) -> list[int] | None:
         return None
     if lat1.census() != lat2.census():
         return None
-    colors1 = _line_colors(lat1)
-    colors2 = _line_colors(lat2)
+    on_line1 = _on_line(lat1)
+    colors1 = _line_colors(lat1, on_line1)
+    colors2 = _line_colors(lat2, _on_line(lat2))
     if sorted(map(hash, colors1)) != sorted(map(hash, colors2)):
         return None
-    on_line1, pair1 = _line_tables(lat1)
-    on_line2, pair2 = _line_tables(lat2)
+    # the point of lat2 on each pair of its lines
+    pair2 = {pair: pi for pi, inc in enumerate(lat2.incidence)
+             for pair in combinations(inc, 2)}
     d = lat1.d
 
     candidates = [
@@ -490,49 +496,32 @@ def lattice_isomorphic(lat1: Lattice, lat2: Lattice) -> list[int] | None:
     return None
 
 
-def det3(rows) -> "CycNumber | Fraction":
-    (a, b, c), (d_, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d_ * i - f * g) + c * (d_ * h - e * g)
-
-
-def adjugate3(rows):
-    (a, b, c), (d_, e, f), (g, h, i) = rows
-    return (
-        (e * i - f * h, c * h - b * i, b * f - c * e),
-        (f * g - d_ * i, a * i - c * g, c * d_ - a * f),
-        (d_ * h - e * g, b * g - a * h, a * e - b * d_),
-    )
-
-
 def apply_transform(arr: Arrangement, matrix) -> Arrangement:
     """Image arrangement under the projective map x -> M x.
 
-    Lines transform contragradiently; the adjugate stands in for the
-    inverse since scalar factors do not matter projectively.
+    Lines transform contragradiently, l -> l adj(M): scalar factors do not
+    matter projectively, so the adjugate stands in for the inverse.  All
+    nine entries of M are scaled by one lcm to integral rows a, b, c; then
+    adj(M) has the columns b x c, c x a, a x b, and det M = a . (b x c).
     """
     F = arr.field
-    rows = tuple(
-        tuple(c if isinstance(c, CycNumber) else F.scalar(c) for c in row)
-        for row in matrix
-    )
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+    if len(matrix) != 3 or any(len(row) != 3 for row in matrix):
         raise ValueError("expected a 3x3 matrix")
-    if not det3(rows):
+    M = _integral(_coerce(F, [x for row in matrix for x in row]))
+    a, b, c = M[0:3], M[3:6], M[6:9]
+    adj = _int_cross(F, b, c), _int_cross(F, c, a), _int_cross(F, a, b)
+    if not any(_int_dot(F, a, adj[0])):
         raise ValueError("singular transform")
-    # l' = l adj(M) on integral rows, adj(M) scaled as one integral matrix
-    A = _integral([x for row in adjugate3(rows) for x in row])
     return Arrangement(F, [
-        ProjLine._from_integral(F, tuple(_int_dot(F, c, A[k::3]) for k in range(3)))
-        for c in map(_integral, (l.coords for l in arr.lines))
+        ProjLine._from_integral(F, tuple(_int_dot(F, l, col) for col in adj))
+        for l in map(_integral, (line.coords for line in arr.lines))
     ])
 
 
 def random_invertible_matrix(rng):
     """3x3 matrix of integers in [-5, 5] with nonzero determinant."""
+    Q = cyc_field(1)
     while True:
-        rows = tuple(
-            tuple(Fraction(rng.randint(-5, 5)) for _ in range(3))
-            for _ in range(3)
-        )
-        if det3(rows):
-            return rows
+        M = [(rng.randint(-5, 5),) for _ in range(9)]
+        if any(_int_dot(Q, M[0:3], _int_cross(Q, M[3:6], M[6:9]))):
+            return tuple(tuple(Fraction(x) for (x,) in M[k:k + 3]) for k in (0, 3, 6))

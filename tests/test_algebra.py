@@ -546,6 +546,28 @@ def test_restriction_exponents_on_modular_lines():
             assert multi_exponents(R) == want
 
 
+def test_malformed_multi_restriction_rejected():
+    # Over Q, (2, 2) is the point (1, 1) again, so it cannot be a fourth
+    # point: the multiarrangement it would mean is three points with
+    # multiplicities (1, 1, 2), whose exponents are (2, 2), not the (1, 3)
+    # of four distinct points.
+    F = cyc_field(1)
+    one, zero, two = F.one, F.zero, F.scalar(2)
+    three = ((one, zero), (zero, one), (one, one))
+    merged = MultiRestriction(F, three, (1, 1, 2))
+    assert multi_exponents(merged) == (2, 2)
+    for forms, mult, message in (
+        (three + ((two, two),), (1, 1, 1, 1), "pairwise independent"),
+        (three, (1, 1), "one multiplicity per form"),
+        (three, (1, 1, 1, 1), "one multiplicity per form"),
+        (three[:2] + ((one, one, one),), (1, 1, 1), "each form a pair"),
+        (three[:2], (-1, 1), "positive"),
+        (three[:2], (0, 0), "positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            MultiRestriction(F, forms, mult)
+
+
 def test_balancedness():
     F = cyc_field(1)
     one, zero = F.one, F.zero

@@ -27,11 +27,9 @@ from linarr.projgeo import (
     Arrangement,
     ProjLine,
     ProjPoint,
-    adjugate3,
     apply_transform,
     build_lattice,
     census,
-    det3,
     lattice_isomorphic,
     line_intersect,
     line_through,
@@ -103,10 +101,25 @@ def test_line_through_points():
 
 def test_intersect_identical_lines_rejected():
     l = ProjLine(Q, (1, 2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coincident lines have no unique "
+                                         "intersection"):
         line_intersect(l, ProjLine(Q, (2, 4, 6)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coincident points have no unique "
+                                         "connecting line"):
         line_through(ProjPoint(Q, (1, 1, 1)), ProjPoint(Q, (2, 2, 2)))
+
+
+def test_incidence_across_fields_rejected():
+    # Numerators of Q(zeta_5) and Q(zeta_3) have different lengths and mean
+    # different numbers: an incidence, a meet or a join across them raises.
+    F5, F3 = cyc_field(5), cyc_field(3)
+    l, p = ProjLine(F5, (1, 0, 0)), ProjPoint(F3, (F3.zeta, 1, 0))
+    with pytest.raises(ValueError, match="line and point from different"):
+        l.contains(p)
+    with pytest.raises(ValueError, match="lines from different fields"):
+        line_intersect(l, ProjLine(F3, (1, 0, 0)))
+    with pytest.raises(ValueError, match="points from different fields"):
+        line_through(ProjPoint(F5, (1, 0, 0)), p)
 
 
 def test_through_and_intersect_are_inverse():
@@ -282,6 +295,22 @@ def oracle_dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
+# The generic 3x3 determinant and adjugate, over any ring: oracles of the
+# integral cross products that transforms and random matrices use.
+def det3(rows):
+    (a, b, c), (d_, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d_ * i - f * g) + c * (d_ * h - e * g)
+
+
+def adjugate3(rows):
+    (a, b, c), (d_, e, f), (g, h, i) = rows
+    return (
+        (e * i - f * h, c * h - b * i, b * f - c * e),
+        (f * g - d_ * i, a * i - c * g, c * d_ - a * f),
+        (d_ * h - e * g, b * g - a * h, a * e - b * d_),
+    )
+
+
 def image(M, p):
     """The normalized coordinates of the point M p."""
     F = p.field
@@ -302,20 +331,39 @@ def test_apply_transform_moves_points_correctly():
 
 
 def test_singular_transform_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular"):
         apply_transform(FULL_TRIANGLE, ((1, 0, 0), (0, 1, 0), (1, 1, 0)))
 
 
+def test_transform_from_another_field_rejected():
+    # Entries of Q(zeta_3) read as numerators of Q(zeta_5) would map x - y
+    # to x - zeta_5 y; a matrix entry is refused like a coordinate.
+    F3 = cyc_field(3)
+    M = [[F3.zero] * 3 for _ in range(3)]
+    M[0][0], M[1][1], M[2][2] = F3.zeta, F3.one, F3.one
+    with pytest.raises(ValueError, match="from a different field"):
+        apply_transform(full_monomial(5), M)
+
+
 def test_det_and_adjugate_identity():
-    rng = random.Random(3)
-    for _ in range(10):
+    # random_invertible_matrix draws nine integers at a time, row by row,
+    # and keeps the first draw that the oracle det3 calls invertible; with
+    # this seed it skips three singular draws.
+    rng, oracle_rng = random.Random(3), random.Random(3)
+    skipped = 0
+    for _ in range(25):
         M = random_invertible_matrix(rng)
+        while not det3(rows := [[Fraction(oracle_rng.randint(-5, 5))
+                                 for _ in range(3)] for _ in range(3)]):
+            skipped += 1
+        assert M == tuple(map(tuple, rows))
         adj = adjugate3(M)
         dM = det3(M)
         for i in range(3):
             for j in range(3):
                 acc = sum(M[i][k] * adj[k][j] for k in range(3))
                 assert acc == (dM if i == j else 0)
+    assert skipped == 3
 
 
 def test_isomorphic_to_itself_and_transforms():

@@ -24,12 +24,14 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
 # (algebra._is_derivation, Horner division in pivot coordinates, no
 # quotient kept and no inverse) and one row builder
 # (algebra._derivation_rows); the division and the two former builders and
-# checks live on in the tests as oracles.
+# checks live on in the tests as oracles.  Transforms take their adjugate
+# and determinant from integral cross products too, so the generic 3x3
+# determinant and adjugate are test oracles now.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
            "certified_zero", "_upward", "_rows_at", "split_roots", "_cross",
            "div_linear", "_gauged_rows", "_restriction_rows", "_derives",
-           "_multi_dim"}
+           "_multi_dim", "det3", "adjugate3"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
@@ -169,3 +171,15 @@ def test_one_numerator_multiply_loop():
     assert _convolution_loops() == {("field.py", "_polymul")}
     assert "_polymul" in _calls_in("field.py", "__mul__")
     assert "_polymul" in _calls_in("projgeo.py")
+
+
+def test_one_3x3_kernel_in_projgeo():
+    # Every 3x3 computation in projgeo is an integral cross or dot product:
+    # the meet of two lines and the join of two points are one body, and a
+    # transform's adjugate and determinant, and the singularity test of a
+    # random matrix, cross integral rows.
+    assert "_int_cross" in _calls_in("projgeo.py", "_join")
+    for function in ("apply_transform", "random_invertible_matrix"):
+        assert {"_int_cross", "_int_dot"} <= _calls_in("projgeo.py", function)
+    for function in ("line_intersect", "line_through"):
+        assert _calls_in("projgeo.py", function) == {"_join"}
