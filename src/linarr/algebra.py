@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from math import comb
 
-from .classify import modular_points, tjurina_census, tjurina_free
+from .classify import modular_indices, tjurina_census, tjurina_free
 from .field import (
     CertificationError,
     CycField,
@@ -416,12 +416,12 @@ def supersolvable_exponents(arr: Arrangement) -> tuple[int, int, int]:
     The census consistency check is structural: the point count weighted by
     (k-1)^2 must equal (d-1)^2 - (m-1)(d-m), else CertificationError.
     """
-    lat = build_lattice(arr)
-    mods = modular_points(arr)
+    mods = modular_indices(arr)
     if not mods:
         raise ValueError("arrangement is not supersolvable")
+    lat = build_lattice(arr)
     d = len(arr.lines)
-    m = max(mult for _, mult in mods)
+    m = lat.mult[mods[0]]
     d2, d3 = sorted((m - 1, d - m))
     tau = tjurina_census(lat)
     if tau != tjurina_free(d, d2, d3):
@@ -457,8 +457,8 @@ class MultiRestriction:
         object.__setattr__(self, "forms", forms)
         if len(self.mult) != len(forms) or any(len(f) != 2 for f in forms):
             raise ValueError("need one multiplicity per form, each form a pair")
-        if any(m < 1 for m in self.mult):
-            raise ValueError("multiplicities must be positive")
+        if any(type(m) is not int or m < 1 for m in self.mult):
+            raise ValueError("multiplicities must be positive integers")
         if len(set(forms)) != len(forms):  # normalized: equal iff dependent
             raise ValueError("forms must be pairwise independent")
 

@@ -26,9 +26,8 @@ from .classify import (
     homogeneity,
     is_pencil,
     is_supersolvable,
-    modular_points,
+    modular_indices,
     tjurina_census,
-    tjurina_free,
 )
 from .families import (
     ConeSpec,
@@ -175,19 +174,13 @@ def _standard_pool(seed: int, max_n: int, max_dprime: int) -> tuple:
     return memo[key]
 
 
-def _max_modular(arr):
-    mods = modular_points(arr)
-    m = max(mult for _, mult in mods)
-    return m, [p for p, mult in mods if mult == m]
-
-
 def thm1_bound(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
     """d <= 3m-3 on every A(w) class, equality exactly at k = n."""
     cases = []
     for label, cls, arr in _aw_keys(max_n):
         n, k = cls.n, cls.k
         d = len(arr.lines)
-        m, _ = _max_modular(arr)
+        m = build_lattice(arr).mult[modular_indices(arr)[0]]
         ok = d <= 3 * m - 3 and (d == 3 * m - 3) == (k == n)
         cases.append(Case(label, "pass" if ok else "fail", {
             "n": n, "k": k, "w": list(cls.exponents), "d": d, "m": m,
@@ -222,7 +215,7 @@ def thm1b_modular_counts(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
     cases = []
     for label, cls, arr in _aw_keys(max_n):
         n, k = cls.n, cls.k
-        M = len(modular_points(arr))
+        M = len(modular_indices(arr))
         want = predicted_modular_count(n, k)
         ok = M == want and M <= 4 and (M == 4) == ((n, k) == (1, 1))
         cases.append(Case(label, "pass" if ok else "fail", {
@@ -299,14 +292,14 @@ def zmain_exponents(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
     the balanced exponent-gap inequality."""
     cases = []
     for label, arr in _standard_pool(seed, max_n, max_dprime):
-        if is_pencil(arr) or not is_supersolvable(arr):
+        if is_pencil(arr) or not (mods := modular_indices(arr)):
             continue
         d = len(arr.lines)
-        m, points = _max_modular(arr)
-        want = tuple(sorted((m - 1, d - m)))
         lat = build_lattice(arr)
+        m = lat.mult[mods[0]]
+        want = tuple(sorted((m - 1, d - m)))
         idxs = sorted({
-            i for p in points for i in lat.incidence[lat.points.index(p)]
+            i for j in mods if lat.mult[j] == m for i in lat.incidence[j]
         })
         for i in idxs:
             R = ziegler_restriction(arr, i)
@@ -330,24 +323,24 @@ def zmain_exponents(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
 
 
 def tjurina_consistency(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
-    """Census Tjurina number vs the free formula, certified minimal relation
-    degree, and the modular-multiplicity quadratic bound."""
+    """Census Tjurina number vs the free formula (supersolvable_exponents
+    certifies it or raises), certified minimal relation degree, and the
+    modular-multiplicity quadratic bound."""
     cases = []
     for label, arr in _standard_pool(seed, max_n, max_dprime):
-        if not is_supersolvable(arr):
+        if not (mods := modular_indices(arr)):
             continue
         d = len(arr.lines)
         lat = build_lattice(arr)
-        m, _ = _max_modular(arr)
+        m = lat.mult[mods[0]]
         exps = supersolvable_exponents(arr)
         tau = tjurina_census(lat)
-        tau_ok = tau == tjurina_free(d, exps[1], exps[2])
         r_star = min(m - 1, d - m)
         mdr_ok = verify_mdr(arr, r_star)
         report = check_identities(arr)
         t2b = report.checks["thm2B_bound"]
         t2b_ok = t2b.passed if t2b.applicable else True
-        ok = tau_ok and mdr_ok and t2b_ok
+        ok = mdr_ok and t2b_ok
         cases.append(Case(label, "pass" if ok else "fail", {
             "d": d, "m": m, "tau": tau, "exponents": list(exps),
             "mdr": r_star, "mdr_certified": mdr_ok,

@@ -16,30 +16,35 @@ from .field import cyc_to_strings
 from .projgeo import Arrangement, Lattice, ProjPoint, build_lattice
 
 
-def modular_points(arr: Arrangement) -> list[tuple[ProjPoint, int]]:
-    """Two distinct points share at most one line, so point i shares a line
+def modular_indices(arr: Arrangement) -> list[int]:
+    """Indices of the modular points in build_lattice(arr), in lattice
+    order, so the first has the largest multiplicity.
+
+    Two distinct points share at most one line, so point i shares a line
     with sum(points_on[l] - 1 for l through i) others, each counted once,
     and is modular exactly when that is all P - 1 of them."""
     lat = build_lattice(arr)
     points_on = Counter(li for inc in lat.incidence for li in inc)
     others = len(lat.points) - 1
     return [
-        (p, lat.mult[i])
-        for i, p in enumerate(lat.points)
-        if sum(points_on[li] for li in lat.incidence[i]) - lat.mult[i] == others
+        i for i, inc in enumerate(lat.incidence)
+        if sum(points_on[li] for li in inc) - lat.mult[i] == others
     ]
 
 
+def modular_points(arr: Arrangement) -> list[tuple[ProjPoint, int]]:
+    lat = build_lattice(arr)
+    return [(lat.points[i], lat.mult[i]) for i in modular_indices(arr)]
+
+
 def is_supersolvable(arr: Arrangement) -> bool:
-    return bool(modular_points(arr))
+    return bool(modular_indices(arr))
 
 
 def homogeneity(arr: Arrangement) -> int | None:
     """The common modular multiplicity, when all modular points agree."""
-    mods = modular_points(arr)
-    if not mods:
-        return None
-    mults = {m for _, m in mods}
+    lat = build_lattice(arr)
+    mults = {lat.mult[i] for i in modular_indices(arr)}
     return mults.pop() if len(mults) == 1 else None
 
 
@@ -134,74 +139,56 @@ CHECK_NAMES = (
 
 
 def check_identities(arr: Arrangement) -> ClassifyReport:
+    """Every check is not applicable unless its hypotheses hold; m is the
+    multiplicity of the first (a maximal) modular point."""
     lat = build_lattice(arr)
     d = lat.d
     cen = lat.census()
     n2 = cen.get(2, 0)
     n3 = cen.get(3, 0)
-    total_points = sum(cen.values())
-    mods = modular_points(arr)
-    mod_mults = sorted({m for _, m in mods})
-    supersolvable = bool(mods)
+    mods = modular_indices(arr)
     pencil = is_pencil(arr)
     near = is_near_pencil(arr)
-    m_homog = mod_mults[0] if len(mod_mults) == 1 else None
-    checks: dict[str, CheckResult] = {}
+    m_homog = homogeneity(arr)
+    checks = {name: CheckResult(name, False, None) for name in CHECK_NAMES}
+
+    def check(name, passed, lhs, rhs):
+        checks[name] = CheckResult(name, True, passed, lhs, rhs)
 
     pair_sum = sum(n_k * k * (k - 1) // 2 for k, n_k in cen.items())
-    checks["eqSum"] = CheckResult(
-        "eqSum", True, pair_sum == d * (d - 1) // 2, pair_sum, d * (d - 1) // 2
-    )
+    check("eqSum", pair_sum == d * (d - 1) // 2, pair_sum, d * (d - 1) // 2)
 
-    if pencil or near:
-        checks["hirzebruch"] = CheckResult("hirzebruch", False, None)
-    else:
+    if not (pencil or near):
         lhs = n2 + Fraction(3, 4) * n3 - d
         rhs = sum((k - 4) * n_k for k, n_k in cen.items() if k > 4)
-        checks["hirzebruch"] = CheckResult("hirzebruch", True, lhs >= rhs, lhs, rhs)
+        check("hirzebruch", lhs >= rhs, lhs, rhs)
 
-    if supersolvable:
-        m = mod_mults[-1]
-        rhs = 2 * total_points - m * (d - m) - 2
-        checks["eqSS"] = CheckResult("eqSS", True, n2 >= rhs, n2, rhs)
+    if mods:
+        m = lat.mult[mods[0]]
+        rhs = 2 * len(lat.points) - m * (d - m) - 2
+        check("eqSS", n2 >= rhs, n2, rhs)
         tau = tjurina_census(lat)
         tau_free = tjurina_free(d, m - 1, d - m)
-        checks["tjurina"] = CheckResult("tjurina", True, tau == tau_free, tau, tau_free)
-    else:
-        checks["eqSS"] = CheckResult("eqSS", False, None)
-        checks["tjurina"] = CheckResult("tjurina", False, None)
+        check("tjurina", tau == tau_free, tau, tau_free)
 
     if m_homog is not None:
-        checks["thm1_bound"] = CheckResult(
-            "thm1_bound", True, d <= 3 * m_homog - 3, d, 3 * m_homog - 3
-        )
-    else:
-        checks["thm1_bound"] = CheckResult("thm1_bound", False, None)
+        check("thm1_bound", d <= 3 * m_homog - 3, d, 3 * m_homog - 3)
 
-    big = [m for m in mod_mults if 2 * m >= d]
-    if supersolvable and not pencil and big:
+    if mods and not pencil:
         half = Fraction(d, 2)
-        bounds = [-2 * m * m + (3 * d - 1) * m - d * d + d for m in big]
-        ok = all(n2 >= b and b >= half for b in bounds)
-        checks["thm2B_bound"] = CheckResult(
-            "thm2B_bound", True, ok, n2, max(bounds)
-        )
-    else:
-        checks["thm2B_bound"] = CheckResult("thm2B_bound", False, None)
-
-    if supersolvable and not pencil:
-        half = Fraction(d, 2)
-        checks["conj1"] = CheckResult("conj1", True, n2 >= half, n2, half)
-        checks["conj2"] = CheckResult("conj2", True, n2 > 0, n2, 0)
-    else:
-        checks["conj1"] = CheckResult("conj1", False, None)
-        checks["conj2"] = CheckResult("conj2", False, None)
+        big = {lat.mult[i] for i in mods if 2 * lat.mult[i] >= d}
+        if big:
+            bounds = [-2 * m * m + (3 * d - 1) * m - d * d + d for m in big]
+            ok = all(n2 >= b and b >= half for b in bounds)
+            check("thm2B_bound", ok, n2, max(bounds))
+        check("conj1", n2 >= half, n2, half)
+        check("conj2", n2 > 0, n2, 0)
 
     return ClassifyReport(
         d=d,
         is_pencil=pencil,
         is_near_pencil=near,
-        modular=tuple(mods),
+        modular=tuple((lat.points[i], lat.mult[i]) for i in mods),
         m_homogeneous=m_homog,
         max_multiplicity=lat.mult[0],
         census=cen,

@@ -48,12 +48,16 @@ def _as_exponents(n: int, w) -> tuple[int, ...]:
     exps = []
     for item in w:
         if isinstance(item, CycNumber):
-            exps.append(exponent_in_mu(item, n))
+            e = exponent_in_mu(item, n)
+            if e is None:
+                raise ValueError(f"{item!r} is not an n-th root of unity, n = {n}")
         else:
-            e = int(item)
+            e = item
+            if type(e) is not int:
+                raise ValueError(f"exponent {e!r} is not an integer")
             if not 0 <= e < n:
                 raise ValueError(f"exponent {e} out of range for order {n}")
-            exps.append(e)
+        exps.append(e)
     if len(set(exps)) != len(exps):
         raise ValueError("repeated entries")
     return tuple(exps)

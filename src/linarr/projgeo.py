@@ -162,12 +162,20 @@ class ProjLine(_ProjTriple):
     """Line of P^2, normalized coefficient triple of its linear form."""
 
     def contains(self, point: ProjPoint) -> bool:
+        _expect(ProjPoint, point)
         return not any(_int_dot(
             self.field, *self._integrals(point, "line and point")))
 
 
+def _expect(kind, *operands):
+    for x in operands:
+        if not isinstance(x, kind):
+            raise TypeError(f"expected a {kind.__name__}, not {type(x).__name__}")
+
+
 def _join(cls, u: _ProjTriple, v: _ProjTriple, what: str, result: str):
     """The point on two lines, or the line through two points: a cross product."""
+    _expect(ProjLine if cls is ProjPoint else ProjPoint, u, v)
     if u == v:
         raise ValueError(f"coincident {what} have no unique {result}")
     return cls._from_integral(u.field, _int_cross(u.field, *u._integrals(v, what)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .classify import modular_points
+from .classify import modular_indices
 from .field import MAX_ORDER, CertificationError, exponent_in_mu
 from .projgeo import Arrangement, build_lattice
 
@@ -30,7 +30,10 @@ class WClass:
 def canonicalize(n: int, exponents) -> WClass:
     if n < 1:
         raise ValueError("need n >= 1")
-    exps = tuple(int(e) % n for e in exponents)
+    exps = tuple(exponents)
+    if any(type(e) is not int for e in exps):
+        raise ValueError(f"exponents must be integers, not {exps!r}")
+    exps = tuple(e % n for e in exps)
     if len(set(exps)) != len(exps):
         raise ValueError("repeated exponents")
     if len(exps) > n:
@@ -87,19 +90,19 @@ def recover_class(arr: Arrangement) -> Recovery:
     class.  Ratios survive projective transforms, so recovery round-trips.
     Every incidence is read off the certified lattice.
     """
-    mods = modular_points(arr)
+    mods = modular_indices(arr)
     if len(mods) < 2:
         raise ValueError("need at least two modular points")
-    mults = {m for _, m in mods}
+    lat = build_lattice(arr)
+    mults = {lat.mult[i] for i in mods}
     if len(mults) != 1:
         raise ValueError("modular points of unequal multiplicity")
     m = mults.pop()
     if m < 3:
         raise ValueError("modular multiplicity below 3")
     n = m - 2
-    lat = build_lattice(arr)
-    p1, p2 = sorted((p for p, _ in mods), key=lambda p: p.sort_key())[:2]
-    inc1, inc2 = (lat.incidence[lat.points.index(p)] for p in (p1, p2))
+    # equal multiplicities: the lattice orders these points by coordinates
+    inc1, inc2 = (lat.incidence[i] for i in mods[:2])
     rest = [j for j in range(len(arr.lines)) if j not in inc1 and j not in inc2]
     k = len(rest)
     if k != len(arr.lines) - 2 * m + 1:
@@ -119,13 +122,10 @@ def recover_class(arr: Arrangement) -> Recovery:
     ref = lambdas[0]
     exps = []
     for lam in lambdas:
-        t = lam / ref
-        try:
-            exps.append(exponent_in_mu(t, n))
-        except ValueError as exc:
-            raise CertificationError(
-                f"ratio is not an n-th root of unity: {exc}"
-            ) from exc
+        e = exponent_in_mu(lam / ref, n)
+        if e is None:
+            raise CertificationError("ratio is not an n-th root of unity")
+        exps.append(e)
     return Recovery(canonicalize(n, exps), k == n)
 
 

@@ -563,6 +563,9 @@ def test_malformed_multi_restriction_rejected():
         (three[:2] + ((one, one, one),), (1, 1, 1), "each form a pair"),
         (three[:2], (-1, 1), "positive"),
         (three[:2], (0, 0), "positive"),
+        (three, (True, 1, 1), "integers"),
+        (three, (1.5, 1, 1), "integers"),
+        (three, (2.0, 1, 1), "integers"),
     ):
         with pytest.raises(ValueError, match=message):
             MultiRestriction(F, forms, mult)

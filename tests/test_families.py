@@ -42,6 +42,15 @@ def test_a_of_w_rejects_bad_entries():
         a_of_w(3, (5,))
     with pytest.raises(ValueError):
         a_of_w(2, (0, 1, 0))
+    # 2 is not a cube root of unity, and 1.5 is no exponent: neither may
+    # pass as None or be truncated to 1.
+    for w, message in (
+        ((cyc_field(3).scalar(2),), "not an n-th root of unity"),
+        ((1.5,), "not an integer"),
+        ((0, True), "not an integer"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            a_of_w(3, w)
 
 
 def test_a_of_w_accepts_field_elements():

@@ -122,6 +122,21 @@ def test_incidence_across_fields_rejected():
         line_through(ProjPoint(F5, (1, 0, 0)), p)
 
 
+def test_operands_of_the_wrong_kind_rejected():
+    # A meet of two points would be their join typed as a point, and a line
+    # "containing" a line is a dot product of two lines.
+    p, q = ProjPoint(Q, (1, 0, 0)), ProjPoint(Q, (0, 1, 0))
+    l, m = ProjLine(Q, (1, 0, 0)), ProjLine(Q, (0, 1, 0))
+    with pytest.raises(TypeError, match="expected a ProjLine, not ProjPoint"):
+        line_intersect(p, q)
+    with pytest.raises(TypeError, match="expected a ProjLine, not ProjPoint"):
+        line_intersect(l, p)
+    with pytest.raises(TypeError, match="expected a ProjPoint, not ProjLine"):
+        line_through(l, m)
+    with pytest.raises(TypeError, match="expected a ProjPoint, not ProjLine"):
+        l.contains(m)
+
+
 def test_through_and_intersect_are_inverse():
     rng = random.Random(7)
     lines = []

@@ -31,7 +31,7 @@ RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
            "certified_zero", "_upward", "_rows_at", "split_roots", "_cross",
            "div_linear", "_gauged_rows", "_restriction_rows", "_derives",
-           "_multi_dim", "det3", "adjugate3"}
+           "_multi_dim", "det3", "adjugate3", "_max_modular"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
@@ -49,6 +49,20 @@ MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
 # never test a point against a line, intersect two lines or join two points
 # again.
 INCIDENCE = {"contains", "line_intersect", "line_through"}
+
+# Which points are modular is decided once, by classify.modular_indices,
+# in lattice order: the first index has the largest multiplicity, and
+# points of equal multiplicity come by coordinates.  Readers take modular
+# points by index and never look a point up or sort points again.
+POINT_LOOKUP = {"index", "sort_key"}
+MODULAR_READERS = {
+    "classify.py": ("modular_points", "is_supersolvable", "homogeneity",
+                    "check_identities"),
+    "wclass.py": ("recover_class",),
+    "algebra.py": ("supersolvable_exponents",),
+    "campaigns.py": ("thm1_bound", "thm1b_modular_counts", "zmain_exponents",
+                     "tjurina_consistency"),
+}
 
 # Elimination mod p is linalg's own: no other module reaches past
 # certified_nullity to the engine behind it.
@@ -183,3 +197,11 @@ def test_one_3x3_kernel_in_projgeo():
         assert {"_int_cross", "_int_dot"} <= _calls_in("projgeo.py", function)
     for function in ("line_intersect", "line_through"):
         assert _calls_in("projgeo.py", function) == {"_join"}
+
+
+def test_modular_points_taken_by_lattice_index():
+    for module in ("wclass.py", "campaigns.py"):
+        assert not _src_names_in(POINT_LOOKUP, module)
+    for module, functions in MODULAR_READERS.items():
+        for function in functions:
+            assert "modular_indices" in _calls_in(module, function)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import linarr.classify as classify
 import linarr.wclass as wclass
 from linarr import CertificationError
 from linarr.families import a_of_w, full_monomial, near_pencil, pencil
@@ -29,6 +30,12 @@ def test_canonicalize_examples():
     assert canonicalize(3, (0, 1)) == canonicalize(3, (0, 2))
     assert canonicalize(5, (0,)) == WClass(5, 1, (0,))
     assert canonicalize(6, ()).k == 0
+
+
+def test_canonicalize_rejects_non_integers():
+    for w in ((1.5,), (0, 2.0), (True,)):
+        with pytest.raises(ValueError, match="integers"):
+            canonicalize(5, w)
 
 
 def test_canonicalize_idempotent():
@@ -150,7 +157,7 @@ def test_failed_structural_checks_raise_certification_error(monkeypatch):
     # incidence has no joining lines, and one that moves an extra line off
     # q has no common point.
     mods = [lat.incidence[i] for i, p in enumerate(lat.points)
-            if p in {q for q, _ in wclass.modular_points(arr)}]
+            if p in {q for q, _ in classify.modular_points(arr)}]
     rest = [j for j in range(len(arr.lines)) if not any(j in i for i in mods)]
     iq = next(i for i, inc in enumerate(lat.incidence)
               if set(rest) <= set(inc))
@@ -169,6 +176,10 @@ def test_failed_structural_checks_raise_certification_error(monkeypatch):
                             lambda arr, fake=faulty(incidence_q): fake)
         with pytest.raises(CertificationError, match=message):
             recover_class(arr)
+    monkeypatch.setattr(wclass, "build_lattice", build_lattice)
+    monkeypatch.setattr(wclass, "exponent_in_mu", lambda t, n: None)
+    with pytest.raises(CertificationError, match="root of unity"):
+        recover_class(arr)
     u = arr.lines[0]
     with pytest.raises(CertificationError, match="degenerate"):
         _pencil_ratio(arr.lines[1], u, u)
