@@ -24,12 +24,14 @@ one search, _min_degree: the lowest closed-form candidate c that passes
 _is_derivation at the degree it claims is certified by a zero dimension at
 c - 1, else the search goes below c - 1.  The candidates come from G.
 Ziegler, "Multiarrangements of hyperplanes and their freeness" (1989), and
-A. Wakamiko, "On the exponents of 2-multiarrangements" (2007).
+A. Wakamiko, "On the exponents of 2-multiarrangements" (2007).  A
+restriction's candidates are read off the restriction alone: two products
+of its forms, and the Ziegler images of the power derivation in closed
+form, so a MultiRestriction is the plain value (field, forms, mult).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cache, partial
 from math import comb
@@ -337,6 +339,8 @@ def _min_degree(F: CycField, forms, mult, monomials, candidates, top: int):
 def _relation_top(arr: Arrangement, bound: int | None) -> int:
     d = len(arr.lines)
     top = (d - 1) // 2 if bound is None else bound
+    if type(top) is not int:
+        raise ValueError("bound must be an integer")
     if not 0 <= top <= d - 2:
         raise ValueError("bound must be between 0 and d-2")
     return top
@@ -447,14 +451,12 @@ class MultiRestriction:
     field: CycField
     forms: tuple[tuple[CycNumber, CycNumber], ...]
     mult: tuple[int, ...]
-    # (degree, P and Q coefficients) of derivations restricted from the
-    # parent arrangement, candidates for multi_exponents; not part of the
-    # restriction's identity
-    lifts: tuple = dataclasses.field(default=(), compare=False, repr=False)
 
     def __post_init__(self):  # the derivation test needs pivot coefficient 1
         forms = tuple(_normalize(self.field, form) for form in self.forms)
         object.__setattr__(self, "forms", forms)
+        if not forms:
+            raise ValueError("a restriction needs at least one form")
         if len(self.mult) != len(forms) or any(len(f) != 2 for f in forms):
             raise ValueError("need one multiplicity per form, each form a pair")
         if any(type(m) is not int or m < 1 for m in self.mult):
@@ -478,6 +480,8 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
     """
     F = arr.field
     d = len(arr.lines)
+    if type(h) is not int:
+        raise ValueError("line index must be an integer")
     if not 0 <= h < d:
         raise ValueError("line index out of range")
     c = arr.lines[h].coords
@@ -493,29 +497,7 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
     mult = tuple(m for m, _ in points)
     if sum(mult) != d - 1:
         raise ValueError("restriction multiplicities do not sum to d - 1")
-    lifts = tuple((k + 1, vec) for k in divisors(F.order) if 2 * k + 2 <= d - 1
-                  and (vec := _power_image(F, c[o1], c[o2], k + 1)))
-    return MultiRestriction(F, forms, mult, lifts)
-
-
-def _power_image(F: CycField, c1, c2, r: int) -> list | None:
-    """Ziegler image on the line x_piv = w, w = -(c1 u + c2 v), of
-    theta = x^r d_x + y^r d_y + z^r d_z: theta' = theta - (theta(a)/a) E
-    with a the line's form kills a, and restricts to P then Q on the
-    monomials u^(r-j) v^j.  theta(a) = x_piv^r + c1 u^r + c2 v^r vanishes
-    on the line exactly when c1 c2 = 0 and (-c)^(r-1) = 1 for c = c1, c2
-    nonzero; then theta(a)/a restricts to its x_piv-derivative r w^(r-1).
-    None when theta(a) does not vanish there."""
-    if c1 and c2 or any(c and (-c) ** (r - 1) != F.one for c in (c1, c2)):
-        return None
-    g = [F.scalar(r)]
-    for _ in range(r - 1):
-        g = _conv(g, [-c1, -c2], F.zero)
-    P = [-x for x in g] + [F.zero]
-    Q = [F.zero] + [-x for x in g]
-    P[0] = P[0] + F.one
-    Q[r] = Q[r] + F.one
-    return P + Q
+    return MultiRestriction(F, forms, mult)
 
 
 def _product(R: MultiRestriction, exps) -> list:
@@ -529,22 +511,39 @@ def _product(R: MultiRestriction, exps) -> list:
 
 def _restriction_candidates(R: MultiRestriction) -> list:
     """(degree, derivation) of explicit derivations of degree at most
-    total/2, where d1 lies, built as P then Q on u^(deg-j) v^j:
+    total/2, where d1 lies, all read off R:
+    - the Ziegler images of x^r d_x + y^r d_y + z^r d_z, r - 1 dividing the
+      field order.  On a line x_piv = -(c1 u + c2 v) with c1 c2 = 0 and
+      (-c)^(r-1) = 1 for c = c1, c2 nonzero, the image does not depend on
+      c: u^r d_u + v^r d_v (c1 = c2 = 0), (1-r) u^r d_u + (v^r -
+      r u^(r-1) v) d_v (c2 = 0), or (u^r - r u v^(r-1)) d_u + (1-r) v^r d_v
+      (c1 = 0).  All three come at each r >= max m: below, each sends
+      every form to a nonzero form of degree r < m, never in (alpha^m);
     - prod_{i>1} alpha_i^m_i (-cv_1 d_u + cu_1 d_v), alpha_1 of the
       largest multiplicity, of degree total - m_1;
     - prod alpha_i^(m_i - 1) (u d_u + v d_v), of degree total - s + 1;
-    - the restrictions R.lifts from the parent arrangement."""
-    zero, total = R.field.zero, R.total
+    the products built as P then Q on u^(deg-j) v^j."""
+    F, one, total = R.field, R.field.one, R.total
     top = R.mult.index(max(R.mult))
-    out = list(R.lifts)
+    out = []
+    for k in divisors(F.order):
+        r = k + 1
+        if R.mult[top] <= r <= total // 2:
+            a, b = F.scalar(-k), F.scalar(-r)  # 1 - r, -r
+            out += [(r, [{(r, 0): one}, {(0, r): one}]),
+                    (r, [{(r, 0): a}, {(0, r): one, (k, 1): b}]),
+                    (r, [{(r, 0): one, (1, k): b}, {(0, r): a}])]
+    products = []
     if 2 * R.mult[top] >= total:
         h = _product(R, [m * (i != top) for i, m in enumerate(R.mult)])
         cu, cv = R.forms[top]
-        out.append((len(h) - 1, [-cv * x for x in h] + [cu * x for x in h]))
+        products.append((len(h) - 1, [-cv * x for x in h]
+                         + [cu * x for x in h]))
     if 2 * len(R.forms) >= total + 2:
         h = _product(R, [m - 1 for m in R.mult])
-        out.append((len(h), h + [zero, zero] + h))
-    return [(deg, _parts(_binary_monomials(deg), vec)) for deg, vec in out]
+        products.append((len(h), h + [F.zero, F.zero] + h))
+    return out + [(deg, _parts(_binary_monomials(deg), vec))
+                  for deg, vec in products]
 
 
 def multi_exponents(R: MultiRestriction) -> tuple[int, int]:

@@ -42,6 +42,7 @@ from linarr.campaigns import _standard_pool
 from linarr.classify import (
     is_pencil,
     is_supersolvable,
+    modular_indices,
     modular_points,
     tjurina_census,
 )
@@ -356,6 +357,23 @@ def test_mdr_bound_validation():
         with pytest.raises(ValueError, match="between 0 and d-2"):
             mdr(arr, bound=bound)
     assert mdr(arr, bound=0) is None
+    # a bound that is not an int is refused, not compared or taken as 1
+    for arr, bound in ((full_monomial(2), 2.5), (full_monomial(2), 2.0),
+                       (full_monomial(1), True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            mdr(arr, bound=bound)
+    with pytest.raises(ValueError, match="must be an integer"):
+        verify_mdr(full_monomial(2), 2.0)
+
+
+def test_ziegler_line_index_validation():
+    arr = full_monomial(1)
+    for h in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ziegler_restriction(arr, h)
+    for h in (-1, len(arr.lines)):
+        with pytest.raises(ValueError, match="out of range"):
+            ziegler_restriction(arr, h)
 
 
 def test_verify_mdr_certificates():
@@ -566,6 +584,7 @@ def test_malformed_multi_restriction_rejected():
         (three, (True, 1, 1), "integers"),
         (three, (1.5, 1, 1), "integers"),
         (three, (2.0, 1, 1), "integers"),
+        ((), (), "at least one form"),
     ):
         with pytest.raises(ValueError, match=message):
             MultiRestriction(F, forms, mult)
@@ -734,6 +753,84 @@ def test_multi_exponents_certifies_a_candidate_by_one_zero_kernel(monkeypatch):
                    for event in log[:-len(tail)])
         settled += 1
     assert settled > 100
+
+
+def _power_image(F, c1, c2, r):
+    """Oracle for the power images of _restriction_candidates: the Ziegler
+    image on the line x_piv = w, w = -(c1 u + c2 v), of theta = x^r d_x +
+    y^r d_y + z^r d_z, as it was built from the parent line.  theta' =
+    theta - (theta(a)/a) E with a the line's form kills a, and restricts to
+    P then Q on the monomials u^(r-j) v^j.  theta(a) = x_piv^r + c1 u^r +
+    c2 v^r vanishes on the line exactly when c1 c2 = 0 and (-c)^(r-1) = 1
+    for c = c1, c2 nonzero; then theta(a)/a restricts to its
+    x_piv-derivative r w^(r-1).  None when theta(a) does not vanish
+    there."""
+    if c1 and c2 or any(c and (-c) ** (r - 1) != F.one for c in (c1, c2)):
+        return None
+    g = [F.scalar(r)]
+    for _ in range(r - 1):
+        g = conv(g, [-c1, -c2], F.zero)
+    P = [-x for x in g] + [F.zero]
+    Q = [F.zero] + [-x for x in g]
+    P[0] = P[0] + F.one
+    Q[r] = Q[r] + F.one
+    return P + Q
+
+
+def test_power_images_read_off_the_restriction():
+    # Every image the parent line gives, of degree r <= total/2, is one of
+    # the closed forms offered from the restriction alone when r >= max m;
+    # below max m it fails the exact check, so leaving it out loses nothing.
+    arrs = [full_monomial(n) for n in range(1, 7)] + [
+        a_of_w(4, (0, 1)), a_of_w(5, (0, 2, 3)),
+        _over_q_zeta_8(full_monomial(4)),
+        apply_transform(full_monomial(3),
+                        random_invertible_matrix(random.Random(0)))]
+    offered = rejected = 0
+    for arr in arrs:
+        F = arr.field
+        for h, line in enumerate(arr.lines):
+            R = ziegler_restriction(arr, h)
+            c = line.coords
+            piv = next(i for i in range(3) if c[i])
+            o1, o2 = (i for i in range(3) if i != piv)
+            for k in divisors(F.order):
+                r = k + 1
+                vec = _power_image(F, c[o1], c[o2], r)
+                if vec is None or 2 * r > R.total:
+                    continue
+                if r >= max(R.mult):
+                    assert vec in [flat(R, theta, deg) for deg, theta
+                                   in _restriction_candidates(R) if deg == r]
+                    offered += 1
+                else:
+                    assert not derives(R, r, vec)
+                    rejected += 1
+    assert offered > 100 and rejected > 10
+
+
+def test_modular_lines_take_a_power_image_without_a_lift(monkeypatch):
+    # On every line through the first modular point, the exponents
+    # (m-1, d-m) are settled by a candidate, with no kernel vector lifted:
+    # the power image offered at r = max m, with P and Q as the closed
+    # form gives them, is the one that passes, and no power image below
+    # max m is checked at all.
+    log = _route_log(monkeypatch)
+    pinned = 0
+    for arr in (a_of_w(4, (0, 1)), a_of_w(5, (0, 2, 3)), full_monomial(3),
+                _over_q_zeta_8(full_monomial(4))):
+        lat = build_lattice(arr)
+        top = modular_indices(arr)[0]
+        m, d = lat.mult[top], len(arr.lines)
+        for h in lat.incidence[top]:
+            del log[:]
+            R = ziegler_restriction(arr, h)
+            assert multi_exponents(R) == tuple(sorted((m - 1, d - m)))
+            checks = [event for event in log if event[0] == "check"]
+            assert {event[1] for event in checks} == {max(R.mult)}
+            assert checks[-1][2] and ("lift",) not in log
+            pinned += 1
+    assert pinned > 20
 
 
 def test_multi_exponents_raises_when_no_degree_certifies(monkeypatch):

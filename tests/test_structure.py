@@ -1,7 +1,10 @@
 """Guards on the shape of the source tree."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from linarr.algebra import MultiRestriction
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "linarr"
 
@@ -26,12 +29,15 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
 # (algebra._derivation_rows); the division and the two former builders and
 # checks live on in the tests as oracles.  Transforms take their adjugate
 # and determinant from integral cross products too, so the generic 3x3
-# determinant and adjugate are test oracles now.
+# determinant and adjugate are test oracles now.  A restriction's
+# candidates are read off the restriction alone, so no power image is built
+# from the parent line and carried on the restriction as lifts.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
            "certified_zero", "_upward", "_rows_at", "split_roots", "_cross",
            "div_linear", "_gauged_rows", "_restriction_rows", "_derives",
-           "_multi_dim", "det3", "adjugate3", "_max_modular"}
+           "_multi_dim", "det3", "adjugate3", "_max_modular",
+           "_power_image", "lifts"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
@@ -63,6 +69,13 @@ MODULAR_READERS = {
     "campaigns.py": ("thm1_bound", "thm1b_modular_counts", "zmain_exponents",
                      "tjurina_consistency"),
 }
+
+# ziegler_restriction only reads the lattice: which derivations are
+# candidates for a restriction is decided by _restriction_candidates, from
+# the restriction alone.
+CANDIDATE_BUILDERS = {"divisors", "_conv", "_parts", "_product",
+                      "_power_derivation", "_pencil_derivation",
+                      "_relation_candidates", "_restriction_candidates"}
 
 # Elimination mod p is linalg's own: no other module reaches past
 # certified_nullity to the engine behind it.
@@ -205,3 +218,13 @@ def test_modular_points_taken_by_lattice_index():
     for module, functions in MODULAR_READERS.items():
         for function in functions:
             assert "modular_indices" in _calls_in(module, function)
+
+
+def test_multi_restriction_is_a_plain_value():
+    assert [f.name for f in dataclasses.fields(MultiRestriction)] == [
+        "field", "forms", "mult"]
+
+
+def test_ziegler_restriction_builds_no_candidate():
+    calls = _calls_in("algebra.py", "ziegler_restriction")
+    assert "build_lattice" in calls and not calls & CANDIDATE_BUILDERS
