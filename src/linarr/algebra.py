@@ -21,8 +21,15 @@ _is_derivation, so exact rows are built only for node conditions.
 A minimal degree, of a relation (mdr) or of a derivation of a restriction
 (d1 of multi_exponents: rank-two multiarrangements are free, Ziegler), is
 one search, _min_degree: the lowest closed-form candidate c that passes
-_is_derivation at the degree it claims is certified by a zero dimension at
-c - 1, else the search goes below c - 1.  The candidates come from G.
+_is_derivation at the degree it claims is the minimum when its vector is
+primitive (linalg.certified_coprime) and 2c is at most the sum that bounds
+two independent elements from below: d - 1 for relations (du Plessis and
+Wall, Math. Proc. Cambridge Philos. Soc., 1999), total for a restriction
+(Ziegler).  A lower element would be a multiple of it or independent of
+it.  The vector of a relation candidate theta is rho = d theta - h E, h =
+theta(f)/f the sum of the quotients of its check.  Any other passing
+candidate is certified by a zero dimension at c - 1, else the search goes
+below c - 1.  The candidates come from G.
 Ziegler, "Multiarrangements of hyperplanes and their freeness" (1989), and
 A. Wakamiko, "On the exponents of 2-multiarrangements" (2007).  A
 restriction's candidates are read off the restriction alone: two products
@@ -33,7 +40,7 @@ form, so a MultiRestriction is the plain value (field, forms, mult).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from math import comb
 
 from .classify import modular_indices, tjurina_census, tjurina_free
@@ -43,7 +50,7 @@ from .field import (
     CycNumber,
     divisors,
 )
-from .linalg import certified_nullity
+from .linalg import certified_coprime, certified_nullity
 from .projgeo import Arrangement, _normalize, build_lattice
 
 
@@ -262,14 +269,24 @@ def _derivation_rows(forms, mult, groups, deg: int, zero, one) -> list[list]:
 def _is_derivation(F: CycField, forms, mult, deg: int, theta) -> bool:
     """Exact check, with no inverse, that theta, one {monomial:
     coefficient} map per variable, is nonzero, homogeneous of degree deg
-    and sends each form alpha into (alpha^m), m its multiplicity: theta(alpha)
-    as a polynomial in x_piv over forms in the other variables must leave
-    the zero remainder in min(m, deg + 1) Horner divisions by x_piv - w
-    (_pivot_frame)."""
+    and sends each form alpha into (alpha^m), m its multiplicity
+    (_quotients)."""
+    return _quotients(F, forms, mult, deg, theta) is not None
+
+
+def _quotients(F: CycField, forms, mult, deg: int, theta):
+    """theta(alpha) / alpha^k, k = min(m, deg + 1), for each form alpha,
+    when theta is nonzero, homogeneous of degree deg and sends alpha into
+    (alpha^m); else None.  theta(alpha) as a polynomial in x_piv over forms
+    in the other variables (_pivot_frame) must leave the zero remainder in
+    k Horner divisions by x_piv - w.  A quotient is held like theta(alpha):
+    its k-th slice is the coefficient of x_piv^k, by the exponent of last.
+    """
     if not any(a for part in theta for a in part.values()) or any(
             sum(mono) != deg for part in theta for mono in part):
-        return False
+        return None
     zero = F.zero
+    out = []
     for c, m in zip(forms, mult):
         piv, w, last = _pivot_frame(c)
         # slices[k]: the coefficient of x_piv^k, a form of degree deg - k
@@ -291,9 +308,36 @@ def _is_derivation(F: CycField, forms, mult, deg: int, theta) -> bool:
                 acc = [a + b if b else a
                        for a, b in zip(_conv(acc, w, zero), sl)]
             if any(acc):
-                return False
+                return None
             slices = quot[::-1]
-    return True
+        out.append(slices)
+    return out
+
+
+def _relation_vector(forms, deg: int, theta, quotients) -> list[dict]:
+    """rho = d theta - h E, the relation of a derivation theta of degree
+    deg >= 1 (d forms, each of multiplicity one, f their product): h =
+    theta(f)/f is the sum of the quotients theta(alpha)/alpha that
+    _quotients gave, each read back from its pivot frame, so rho(f) = 0."""
+    h = {}
+    for c, quot in zip(forms, quotients):
+        piv, _, last = _pivot_frame(c)
+        first = next(v for v in range(3) if v not in (piv, last))
+        for k, sl in enumerate(quot):
+            for j, a in enumerate(sl):
+                if a:
+                    mono = [0, 0, 0]
+                    mono[piv], mono[last], mono[first] = k, j, deg - 1 - k - j
+                    mono = tuple(mono)
+                    h[mono] = h[mono] + a if mono in h else a
+    rho = []
+    for v, part in enumerate(theta):
+        out = {mono: a * len(forms) for mono, a in part.items()}
+        for mono, a in h.items():
+            up = tuple(e + (i == v) for i, e in enumerate(mono))
+            out[up] = out[up] - a if up in out else -a
+        rho.append(out)
+    return rho
 
 
 def _derivation_dim(F: CycField, forms, mult, monomials, deg: int) -> int:
@@ -316,20 +360,49 @@ def _parts(groups, vec) -> list[dict]:
     return [dict(zip(group, coeffs)) for group in groups]
 
 
-def _min_degree(F: CycField, forms, mult, monomials, candidates, top: int):
+def _min_degree(F: CycField, forms, mult, monomials, candidates, top: int,
+                half: int, vector, at_half=None):
     """(d, dim): d the least degree <= top with a nonzero space of
-    derivations, certified, else None; dim the certified dimension
-    (_derivation_dim), asked at most once per degree and kept.
+    derivations, certified, else None; dim(deg) the certified dimension
+    (_derivation_dim), asked at most once per degree and kept, or known in
+    closed form at d.
 
-    The spaces only grow with degree.  The lowest candidate degree c whose
-    derivation passes _is_derivation is the minimum when c = 0 or
-    dim(c - 1) = 0; otherwise it is the first nonzero degree below c - 1,
-    else c - 1.  With no candidate it is the first nonzero degree to top.
+    The spaces only grow with degree.  Let c be the lowest candidate degree
+    whose derivation theta passes the exact check (_quotients).  Two
+    independent elements of the question have degrees summing to at least
+    half: d - 1 for relations (du Plessis and Wall, 1999: rho1 x rho2 =
+    h' grad f), total for a restriction (Ziegler, 1989: det(theta1, theta2)
+    is divisible by prod alpha^m).  So when 2c <= half and the forms of
+    vector(c, theta, quotients) (the relation theta gives, or theta
+    itself) have no common factor (linalg.certified_coprime), c is the
+    minimum with no kernel asked: an element below c would be a multiple
+    of theta, or independent of it.  The dimension at c is then 1 when 2c
+    < half, else at_half when given (2 for a restriction, whose exponents
+    sum to total).  Otherwise c is the minimum when c = 0 or dim(c - 1) =
+    0, else it is the first nonzero degree below c - 1, else c - 1.  With
+    no candidate it is the first nonzero degree to top.
     """
-    dim = cache(partial(_derivation_dim, F, forms, mult, monomials))
-    c = next((deg for deg, theta in sorted(candidates, key=lambda dt: dt[0])
-              if deg <= top and _is_derivation(F, forms, mult, deg, theta)),
-             None)
+    dims = {}
+
+    def dim(deg):
+        if deg not in dims:
+            dims[deg] = _derivation_dim(F, forms, mult, monomials, deg)
+        return dims[deg]
+
+    c = theta = quotients = None
+    for deg, theta in sorted(candidates, key=lambda dt: dt[0]):
+        if deg > top:
+            break
+        quotients = _quotients(F, forms, mult, deg, theta)
+        if quotients is not None:
+            c = deg
+            break
+    if c and 2 * c <= half and certified_coprime(
+            F, c, vector(c, theta, quotients)):
+        closed = 1 if 2 * c < half else at_half
+        if closed:
+            dims[c] = closed
+        return c, dim
     if c is None or (c and dim(c - 1)):
         c = next((deg for deg in range(top + 1 if c is None else c - 1)
                   if dim(deg)), None if c is None else c - 1)
@@ -394,23 +467,27 @@ def mdr(arr: Arrangement, bound: int | None = None) -> int | None:
     The default bound (d-1)//2 covers every free arrangement.  Bounds at or
     above d-1 are rejected: from there the Koszul relations between the
     partials make the kernel nonzero for trivial reasons.  The answer is
-    the lowest explicit derivation that passes its exact check, with a zero
-    relation space certified one degree below, else the first certified
-    nonzero degree below it (_min_degree).
+    the lowest explicit derivation that passes its exact check, when the
+    relation it gives is primitive and 2r <= d - 1 or a zero relation space
+    is certified one degree below, else the first certified nonzero degree
+    below it (_min_degree).
     """
     return _relation_search(arr, bound)[0]
 
 
 def _relation_search(arr: Arrangement, bound: int | None):
     """(mdr(arr, bound), dim) of _min_degree on the relation question."""
-    return _min_degree(*_relation_question(arr), _gauged_monomials,
-                       _relation_candidates(arr), _relation_top(arr, bound))
+    F, forms, mult = _relation_question(arr)
+    return _min_degree(F, forms, mult, _gauged_monomials,
+                       _relation_candidates(arr), _relation_top(arr, bound),
+                       len(forms) - 1, partial(_relation_vector, forms))
 
 
 def verify_mdr(arr: Arrangement, r_star: int) -> bool:
     """Two-sided certificate that the minimal relation degree is r_star:
-    a nonzero relation at r_star, explicit or lifted, and a certified zero
-    relation space below it (mdr searched up to r_star, in 0..d-2)."""
+    a nonzero relation at r_star, explicit or lifted, and none below it,
+    certified by a primitive relation at r_star or by zero relation spaces
+    (mdr searched up to r_star, in 0..d-2)."""
     return mdr(arr, r_star) == r_star
 
 
@@ -560,7 +637,8 @@ def _restriction_search(R: MultiRestriction):
     """(d1, dim) of _min_degree on R; CertificationError if no degree up
     to total/2 has a derivation."""
     d1, dim = _min_degree(R.field, R.forms, R.mult, _binary_monomials,
-                          _restriction_candidates(R), R.total // 2)
+                          _restriction_candidates(R), R.total // 2, R.total,
+                          lambda deg, theta, quotients: theta, at_half=2)
     if d1 is None:
         raise CertificationError(
             f"no derivation of degree <= {R.total // 2} of total {R.total}"

@@ -197,7 +197,8 @@ def cmd_recover(args) -> int:
 def cmd_algebra(args) -> int:
     arr = Arrangement.load(args.file)
     # The search certifies every degree below the minimum zero (the spaces
-    # only grow with degree); the profile reads the dimensions it kept.
+    # only grow with degree); the profile reads the dimensions it kept, in
+    # closed form at a minimum that a primitive candidate settled.
     if args.op == "mdr":
         top = _relation_top(arr, args.bound)
         value, dim = _relation_search(arr, top)

@@ -702,16 +702,22 @@ def test_multi_exponents_property(case):
 
 
 def _route_log(monkeypatch):
-    """Record in order the exact derivation checks, the certified nullities
+    """Record in order the exact derivation checks, the coprimality
+    certificates (by degree, with their answer), the certified nullities
     (by column count, with their answer) and the kernel vectors lifted that
     algebra asks."""
     log = []
-    check, nullity = alg._is_derivation, alg.certified_nullity
-    lift = la.lift_flat_vector
+    quotients, coprime = alg._quotients, alg.certified_coprime
+    nullity, lift = alg.certified_nullity, la.lift_flat_vector
 
     def spy_check(F, forms, mult, deg, theta):
-        ok = check(F, forms, mult, deg, theta)
-        log.append(("check", deg, ok))
+        out = quotients(F, forms, mult, deg, theta)
+        log.append(("check", deg, out is not None))
+        return out
+
+    def spy_coprime(F, deg, forms):
+        ok = coprime(F, deg, forms)
+        log.append(("coprime", deg, ok))
         return ok
 
     def spy_nullity(F, ncols, *args):
@@ -723,20 +729,25 @@ def _route_log(monkeypatch):
         log.append(("lift",))
         return lift(*args)
 
-    monkeypatch.setattr(alg, "_is_derivation", spy_check)
+    monkeypatch.setattr(alg, "_quotients", spy_check)
+    monkeypatch.setattr(alg, "certified_coprime", spy_coprime)
     monkeypatch.setattr(alg, "certified_nullity", spy_nullity)
     monkeypatch.setattr(la, "lift_flat_vector", spy_lift)
     return log
 
 
-def test_multi_exponents_certifies_a_candidate_by_one_zero_kernel(monkeypatch):
-    # A candidate is accepted only after its exact check passes and the
-    # derivations one degree below are certified zero: one certified
-    # nullity, answering 0 with no kernel vector lifted.  A restriction
-    # with no passing candidate (a cone's) asks each degree once, up to
-    # the first nonzero one, d1, where a kernel vector is lifted.
+def test_multi_exponents_certifies_a_primitive_candidate_with_no_kernel(
+        monkeypatch):
+    # A candidate is accepted once its exact check passes and its vector
+    # (P, Q) is certified primitive: two independent derivations have
+    # degrees summing to at least total (Ziegler), and d1 <= total/2, so
+    # no kernel is asked.  A candidate that is not primitive (a product of
+    # forms) is accepted after one certified nullity below it, answering 0
+    # with no kernel vector lifted.  A restriction with no passing
+    # candidate (a cone's) asks each degree once, up to the first nonzero
+    # one, d1, where a kernel vector is lifted.
     log = _route_log(monkeypatch)
-    settled = 0
+    settled = zero_kernel = 0
     for R in _scan_restrictions():
         del log[:]
         d1, _ = multi_exponents(R)
@@ -745,14 +756,18 @@ def test_multi_exponents_certifies_a_candidate_by_one_zero_kernel(monkeypatch):
             assert asked[:-1] == [(2 * deg + 2, 0) for deg in range(d1)]
             assert asked[-1][0] == 2 * d1 + 2 and asked[-1][1] > 0
             continue
-        tail = [("check", d1, True)]
-        if d1:
-            tail.append(("nullity", 2 * d1, 0))
+        if log[-1] == ("coprime", d1, True):
+            tail = [("check", d1, True), ("coprime", d1, True)]
+            settled += 1
+        else:
+            tail = [("check", d1, True)]
+            if d1:
+                tail += [("coprime", d1, False), ("nullity", 2 * d1, 0)]
+                zero_kernel += 1
         assert log[-len(tail):] == tail
         assert all(event[0] == "check" and not event[2]
                    for event in log[:-len(tail)])
-        settled += 1
-    assert settled > 100
+    assert settled > 50 and zero_kernel > 100
 
 
 def _power_image(F, c1, c2, r):
@@ -838,7 +853,7 @@ def test_multi_exponents_raises_when_no_degree_certifies(monkeypatch):
     # total/2, no d1 is certified: the scan asks each degree once, then
     # CertificationError.
     asked = []
-    monkeypatch.setattr(alg, "_is_derivation", lambda *args: False)
+    monkeypatch.setattr(alg, "_quotients", lambda *args: None)
     monkeypatch.setattr(alg, "_derivation_dim",
                         lambda F, forms, mult, monomials, deg:
                         asked.append(deg) or 0)
@@ -1210,22 +1225,129 @@ def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
     assert not verify_mdr(arr, 3)
 
 
-def test_mdr_certifies_a_candidate_by_one_zero_kernel(monkeypatch):
+def test_mdr_certifies_a_primitive_candidate_with_no_kernel(monkeypatch):
     # The power derivation at r = n + 1 passes its exact check, after the
-    # lower power derivations fail theirs, and the one question below it
-    # is a certified relation dimension at r = n: zero, with no kernel
-    # vector lifted.
+    # lower power derivations fail theirs, and the relation it gives is
+    # certified primitive with 2r < d - 1: two independent relations have
+    # degrees summing to at least d - 1 (du Plessis and Wall), so r is the
+    # minimum and the relation space at r is one-dimensional, with no
+    # kernel asked.
     log = _route_log(monkeypatch)
     dims = []
     real = alg._derivation_dim
     monkeypatch.setattr(alg, "_derivation_dim", lambda *args: (
         dims.append(args[-1]) or real(*args)))
     for n in (2, 3, 4):
-        del log[:], dims[:]
-        assert mdr(full_monomial(n)) == n + 1
+        del log[:]
+        value, dim = alg._relation_search(full_monomial(n), None)
+        assert value == n + 1 and dim(value) == 1
         assert log == [("check", k + 1, False) for k in divisors(n)[:-1]] + [
-            ("check", n + 1, True), ("nullity", (n + 1) * (n + 3), 0)]
-        assert dims == [n]
+            ("check", n + 1, True), ("coprime", n + 1, True)]
+        assert mdr(full_monomial(n)) == n + 1
+    assert dims == []
+
+
+def test_candidates_the_certificate_does_not_settle_take_one_zero_kernel(
+        monkeypatch):
+    # The lowest passing candidate of a near-pencil's line through its
+    # point of multiplicity d - 1 is the product alpha_2 (-cv_1 d_u +
+    # cu_1 d_v), not primitive: its degree is certified by one zero
+    # kernel below it.  A generic arrangement's pencil derivation, of
+    # degree d - 2, is above the half-bound (d - 1)/2 for d >= 4: no
+    # coprimality is asked, and one zero kernel below certifies it.
+    log = _route_log(monkeypatch)
+    R = ziegler_restriction(near_pencil(6), 0)
+    assert R.mult == (4, 1)
+    assert multi_exponents(R) == (1, 4)
+    assert log == [("check", 1, True), ("coprime", 1, False),
+                   ("nullity", 2, 0)]
+    for d in (4, 5):
+        del log[:]
+        assert mdr(generic_arrangement(d, seed=0), d - 2) == d - 2
+        assert log[-2:] == [("check", d - 2, True),
+                            ("nullity", (d - 2) * d, 0)]
+        assert all(event[0] == "check" and not event[2]
+                   for event in log[:-2])
+
+
+def test_relation_vector_is_the_relation_of_its_candidate():
+    # rho = d theta - h E, h = theta(f)/f read off the quotients of the
+    # exact check: rho(f) = 0, and rho - d theta is a multiple of E.
+    moved = apply_transform(full_monomial(2),
+                            random_invertible_matrix(random.Random(0)))
+    arrs = [full_monomial(n) for n in (1, 2, 3)] + [
+        a_of_w(4, (0, 1)), near_pencil(6), moved, generic_arrangement(5, 0),
+        _over_q_zeta_8(full_monomial(4))]
+    checked = 0
+    for arr in arrs:
+        F, forms, mult = _relation_question(arr)
+        f = defining_polynomial(arr)
+        grad = [deriv(f, v) for v in range(3)]
+        xs = [Poly.from_linear(F, [int(i == v) for i in range(3)])
+              for v in range(3)]
+        for deg, theta in _relation_candidates(arr):
+            quotients = alg._quotients(F, forms, mult, deg, theta)
+            if quotients is None or not deg:
+                continue
+            rho = [Poly(F, part) for part in
+                   alg._relation_vector(forms, deg, theta, quotients)]
+            assert any(rho)
+            assert not sum((a * g for a, g in zip(rho, grad)), Poly.zero(F))
+            rest = [a - Poly(F, part) * len(forms)
+                    for a, part in zip(rho, theta)]
+            for u in range(3):
+                for v in range(u + 1, 3):
+                    assert rest[u] * xs[v] == rest[v] * xs[u]
+            checked += 1
+    assert checked >= 10
+
+
+def _settled_by_primitivity(arr):
+    """Run the relation search and every restriction search of arr, and
+    check each answer c that a primitive candidate settled against the
+    kernel: the certified dimension is 0 at c - 1 and at least 1 at c, and
+    the dimension the search reads at c (closed form or asked) is the same.
+    Returns how many answers it settled."""
+    questions = [(*_relation_question(arr), _gauged_monomials,
+                  lambda: alg._relation_search(arr, None))]
+    for h in range(len(arr.lines)):
+        R = ziegler_restriction(arr, h)
+        questions.append((R.field, R.forms, R.mult, _binary_monomials,
+                          lambda R=R: alg._restriction_search(R)))
+    fired, real = [], alg.certified_coprime
+    settled = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alg, "certified_coprime",
+                   lambda *args: fired.append(real(*args)) or fired[-1])
+        for F, forms, mult, monomials, search in questions:
+            del fired[:]
+            c, dim = search()
+            if fired and fired[-1]:
+                assert _derivation_dim(F, forms, mult, monomials, c - 1) == 0
+                k = _derivation_dim(F, forms, mult, monomials, c)
+                assert k >= 1 and dim(c) == k
+                settled += 1
+    return settled
+
+
+def test_primitive_certificate_agrees_with_the_kernel():
+    own = moved = 0
+    for i, (_, arr) in enumerate(_standard_pool(0, 3, 4)):
+        own += _settled_by_primitivity(arr)
+        moved += _settled_by_primitivity(
+            apply_transform(arr, random_invertible_matrix(random.Random(i))))
+    assert own > 100 and moved > 20
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_primitive_certificate_agrees_with_the_kernel_property(data):
+    _, arr = data.draw(st.sampled_from(_standard_pool(0, 3, 4)))
+    seed = data.draw(st.none() | st.integers(0, 2 ** 32))
+    if seed is not None:
+        arr = apply_transform(arr,
+                              random_invertible_matrix(random.Random(seed)))
+    _settled_by_primitivity(arr)
 
 
 def test_derivation_check_rejects_perturbed_vector(monkeypatch):
@@ -1643,7 +1765,7 @@ from linarr import CertificationError, full_monomial, near_pencil
 z = next(i for i, l in enumerate(near_pencil(6).lines)
          if not l.coords[0] and not l.coords[1])
 R = alg.ziegler_restriction(near_pencil(6), z)
-alg._is_derivation = lambda *args: False
+alg._quotients = lambda *args: None
 alg.tjurina_census = lambda lat: -1
 for call in (lambda: alg.multi_exponents(R),
              lambda: alg.supersolvable_exponents(full_monomial(1))):

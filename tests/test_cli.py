@@ -183,43 +183,50 @@ def _generic_cone():
 
 
 def test_algebra_mdr_asks_each_degree_once(tmp_path, capsys, monkeypatch):
-    # The search certifies every degree below value - 1 zero without asking
-    # it: an explicit derivation certifies value, and only value - 1 (a
-    # zero kernel, no lift) and value (for its dimension) are asked.  The
-    # output is the same as when every degree up to value was asked.
+    # The search certifies every degree below value zero without asking
+    # it.  A primitive explicit relation of degree value, with 2 value <
+    # d - 1, certifies value and its dimension 1 in closed form: nothing is
+    # asked.  At 2 value = d - 1 (three generic lines) the dimension at
+    # value is asked.  Above the half-bound (a generic arrangement of four
+    # lines, bound 2) value - 1 is asked (a zero kernel, no lift), then
+    # value.  The output is the same as when every degree up to value was
+    # asked.
     from linarr.algebra import syzygy_dimension
 
     cone = _generic_cone()
+    gen3, gen4 = (generic_arrangement(d, seed=0) for d in (3, 4))
     want_cone = {"value": 2, "degree_dims": [
         syzygy_dimension(cone, r) for r in range(3)]}
     asked = _nullity_columns(monkeypatch)
     path = tmp_path / "arr.json"
-    for arr, want in (
-        (full_monomial(3), {"value": 4, "degree_dims": [0, 0, 0, 0, 1]}),
-        (full_monomial(1), {"value": 2, "degree_dims": [0, 0, 1]}),
-        (near_pencil(6), {"value": 1, "degree_dims": [0, 1]}),
+    for arr, bound, want, degrees in (
+        (full_monomial(3), [], {"value": 4, "degree_dims": [0, 0, 0, 0, 1]},
+         ()),
+        (full_monomial(1), [], {"value": 2, "degree_dims": [0, 0, 1]}, ()),
+        (near_pencil(6), [], {"value": 1, "degree_dims": [0, 1]}, ()),
+        (gen3, [], {"value": 1, "degree_dims": [0, 2]}, (1,)),
+        (gen4, ["--bound", "2"], {"value": 2, "degree_dims": [0, 0, 3]},
+         (1, 2)),
+        # the candidate at degree 3 meets a nonzero space at 2, so the
+        # search asks 2, then 0 and 1; the profile reads the answer at 2
+        (cone, ["--bound", "3"], want_cone, (2, 0, 1)),
     ):
         path.write_text(json.dumps(arr.to_json()))
         del asked[:]
-        assert main(["algebra", "mdr", str(path)]) == 0
+        assert main(["algebra", "mdr", str(path), *bound]) == 0
         assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
-        value = want["value"]
-        assert asked == [(r + 1) * (r + 3) for r in (value - 1, value)]
-    # the candidate at degree 3 meets a nonzero space at 2, so the search
-    # asks 2, then 0 and 1; the profile reads the answer at 2 it has
-    path.write_text(json.dumps(cone.to_json()))
-    del asked[:]
-    assert main(["algebra", "mdr", str(path), "--bound", "3"]) == 0
-    assert capsys.readouterr().out == json.dumps(want_cone, indent=2) + "\n"
-    assert asked == [(r + 1) * (r + 3) for r in (2, 0, 1)]
+        assert asked == [(r + 1) * (r + 3) for r in degrees]
 
 
 def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
                                                          monkeypatch):
     # The output equals the exponents with every dimension up to d1 asked
-    # apart.  An explicit derivation certifies d1, and only d1 - 1 and d1
-    # are asked; where none applies (the cone's line 0) the search asks
-    # each degree up to d1 once, and the profile reads d1 from it.
+    # apart.  A primitive explicit derivation certifies d1, with its
+    # dimension in closed form: nothing is asked.  One that is not
+    # primitive (the product candidate of near_pencil(6)'s lines through
+    # its point of multiplicity 5) certifies d1 by asking d1 - 1, and the
+    # profile asks d1.  Where none applies (the cone's line 0) the search
+    # asks each degree up to d1 once, and the profile reads d1 from it.
     from linarr.algebra import (
         _binary_monomials,
         _derivation_dim,
@@ -229,14 +236,15 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
     )
 
     cases = []
-    for arr, line, scan in ((full_monomial(1), 0, False),
-                            (full_monomial(3), 0, False),
-                            (near_pencil(6), 0, False),
-                            (near_pencil(6), 1, False),
-                            (_generic_cone(), 0, True)):
+    for arr, line, route in ((full_monomial(1), 0, "primitive"),
+                             (full_monomial(3), 0, "primitive"),
+                             (near_pencil(6), 0, "zero kernel"),
+                             (near_pencil(6), 1, "zero kernel"),
+                             (near_pencil(6), 5, "primitive"),
+                             (_generic_cone(), 0, "scan")):
         R = ziegler_restriction(arr, line)
         d1, d2 = multi_exponents(R)
-        cases.append((arr, line, scan, {
+        cases.append((arr, line, route, {
             "value": [d1, d2],
             "degree_dims": [_derivation_dim(R.field, R.forms, R.mult,
                                             _binary_monomials, p)
@@ -247,13 +255,14 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
         }))
     asked = _nullity_columns(monkeypatch)
     path = tmp_path / "arr.json"
-    for arr, line, scan, want in cases:
+    for arr, line, route, want in cases:
         path.write_text(json.dumps(arr.to_json()))
         del asked[:]
         assert main(["algebra", "ziegler", str(path), "--line", str(line)]) == 0
         assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
         d1 = want["value"][0]
-        degrees = range(d1 + 1) if scan else range(max(d1 - 1, 0), d1 + 1)
+        degrees = {"primitive": (), "zero kernel": (d1 - 1, d1),
+                   "scan": range(d1 + 1)}[route]
         assert asked == [2 * deg + 2 for deg in degrees]
 
 
@@ -399,12 +408,20 @@ def test_too_tall_coefficient_exits_two(tmp_path, capsys):
     # a 400-digit coefficient is legal, but too tall for the kernel
     # certificate on split primes: CertificationError, not a traceback
     data = near_pencil(5).to_json()
-    data["lines"][4][1] = [str(10 ** 400)]
+    data["lines"][1][2] = [str(10 ** 400)]
     path = tmp_path / "tall.json"
     path.write_text(json.dumps(data))
     assert main(["algebra", "mdr", str(path)]) == 2
     assert main(["algebra", "ziegler", str(path), "--line", "0"]) == 2
     assert capsys.readouterr().err.count("not certified") == 2
+    # where a primitive relation settles mdr, its height does not matter:
+    # one reduction certifies it, and its profile needs no kernel
+    data = near_pencil(5).to_json()
+    data["lines"][4][1] = [str(10 ** 400)]
+    path.write_text(json.dumps(data))
+    assert main(["algebra", "mdr", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "value": 1, "degree_dims": [0, 1]}
 
 
 # Fraction reads an exponent by building 10**exponent exactly, so these

@@ -15,23 +15,27 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
                 "_EXACT_COLS", "nullity", "rank"}
 
 # Minimal degrees take one search (algebra._min_degree), the CLI's too: an
-# explicit derivation checked exactly and a certified dimension below it,
-# each degree asked once.  No uncertified guess to certify, no knob to
-# bypass it, no Hilbert-function read of one dimension, no second probe of
-# F_p beside certified_nullity, and no global cache of relation answers.  A
-# lattice is kept on its Arrangement, and campaigns build each arrangement
-# once, so no global dict caches either.  split_prime hands out the roots
-# it keeps with each prime, so nothing computes them again.  projgeo
-# crosses integral triples, not CycNumbers.  Derivation membership, for
-# relations and restrictions alike, is decided by one exact check
-# (algebra._is_derivation, Horner division in pivot coordinates, no
-# quotient kept and no inverse) and one row builder
-# (algebra._derivation_rows); the division and the two former builders and
-# checks live on in the tests as oracles.  Transforms take their adjugate
-# and determinant from integral cross products too, so the generic 3x3
-# determinant and adjugate are test oracles now.  A restriction's
-# candidates are read off the restriction alone, so no power image is built
-# from the parent line and carried on the restriction as lifts.
+# explicit derivation checked exactly, then certified minimal by its
+# primitive vector within the half-bound (du Plessis-Wall for relations,
+# Ziegler for restrictions; linalg.certified_coprime), else by a certified
+# dimension below it, each degree asked once.  No uncertified guess to
+# certify, no knob to bypass it, no Hilbert-function read of one
+# dimension, no probe of F_p beside certified_nullity and
+# certified_coprime, and no global cache of relation answers.  A lattice
+# is kept on its Arrangement, and campaigns build each arrangement once, so
+# no global dict caches either.  split_prime hands out the roots it keeps
+# with each prime, so nothing computes them again.  projgeo crosses
+# integral triples, not CycNumbers.  Derivation membership, for relations
+# and restrictions alike, is decided by one exact check (algebra._quotients
+# behind _is_derivation, Horner division in pivot coordinates, no inverse)
+# and one row builder (algebra._derivation_rows); a relation's h =
+# theta(f)/f is the sum of that check's quotients, so no division comes
+# back, and the division and the two former builders and checks live on in
+# the tests as oracles.  Transforms take their adjugate and determinant
+# from integral cross products too, so the generic 3x3 determinant and
+# adjugate are test oracles now.  A restriction's candidates are read off
+# the restriction alone, so no power image is built from the parent line
+# and carried on the restriction as lifts.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
            "certified_zero", "_upward", "_rows_at", "split_roots", "_cross",
@@ -77,9 +81,9 @@ CANDIDATE_BUILDERS = {"divisors", "_conv", "_parts", "_product",
                       "_power_derivation", "_pencil_derivation",
                       "_relation_candidates", "_restriction_candidates"}
 
-# Elimination mod p is linalg's own: no other module reaches past
-# certified_nullity to the engine behind it.
-FP_ENGINE = {"fp_echelon", "fp_kernel_basis"}
+# Elimination and the gcd mod p are linalg's own: no other module reaches
+# past certified_nullity or certified_coprime to the engine behind them.
+FP_ENGINE = {"fp_echelon", "fp_kernel_basis", "_fp_gcd"}
 
 
 def _names(tree):
@@ -148,6 +152,8 @@ def test_memos_only_where_allowed():
 
 def test_only_linalg_names_the_fp_engine():
     assert {module for module, _ in _src_names_in(FP_ENGINE)} == {"linalg.py"}
+    assert "_fp_gcd" in _calls_in("linalg.py", "certified_coprime")
+    assert "certified_coprime" in _calls_in("algebra.py", "_min_degree")
 
 
 def _convolution_loops():
