@@ -18,23 +18,29 @@ coordinates) and runs a builder generic over the element type, so this
 module knows nothing of primes; a lifted derivation is checked by
 _is_derivation, so exact rows are built only for node conditions.
 
-A minimal degree, of a relation (mdr) or of a derivation of a restriction
-(d1 of multi_exponents: rank-two multiarrangements are free, Ziegler), is
-one search, _min_degree: the lowest closed-form candidate c that passes
-_is_derivation at the degree it claims is the minimum when its vector is
-primitive (linalg.certified_coprime) and 2c is at most the sum that bounds
-two independent elements from below: d - 1 for relations (du Plessis and
+A rank-two multiarrangement is free (Ziegler), so the exponents of a
+restriction are (d1, total - d1), d1 its least degree with a nonzero
+derivation.  When one point carries half the total multiplicity or more
+they are read off the multiplicities, (total - max m, max m), with no
+candidate and no kernel (multi_exponents; A. Wakamiko, "On the exponents
+of 2-multiarrangements", 2007).
+
+Any other minimal degree, of a relation (mdr) or of d1, is one search,
+_min_degree: the lowest closed-form candidate c that passes _is_derivation
+at the degree it claims is the minimum when its vector is primitive
+(linalg.certified_coprime) and 2c is at most the sum that bounds two
+independent elements from below: d - 1 for relations (du Plessis and
 Wall, Math. Proc. Cambridge Philos. Soc., 1999), total for a restriction
 (Ziegler).  A lower element would be a multiple of it or independent of
 it.  The vector of a relation candidate theta is rho = d theta - h E, h =
 theta(f)/f the sum of the quotients of its check.  Any other passing
 candidate is certified by a zero dimension at c - 1, else the search goes
-below c - 1.  The candidates come from G.
-Ziegler, "Multiarrangements of hyperplanes and their freeness" (1989), and
-A. Wakamiko, "On the exponents of 2-multiarrangements" (2007).  A
-restriction's candidates are read off the restriction alone: two products
-of its forms, and the Ziegler images of the power derivation in closed
-form, so a MultiRestriction is the plain value (field, forms, mult).
+below c - 1.  The candidates come from G. Ziegler, "Multiarrangements of
+hyperplanes and their freeness" (1989), and Wakamiko.  A restriction's
+candidates are read off the restriction alone: the product prod
+alpha^(m - 1) times the Euler derivation, and the Ziegler images of the
+power derivation in closed form, so a MultiRestriction is the plain value
+(field, forms, mult).
 """
 
 from __future__ import annotations
@@ -361,7 +367,7 @@ def _parts(groups, vec) -> list[dict]:
 
 
 def _min_degree(F: CycField, forms, mult, monomials, candidates, top: int,
-                half: int, vector, at_half=None):
+                half: int, vector):
     """(d, dim): d the least degree <= top with a nonzero space of
     derivations, certified, else None; dim(deg) the certified dimension
     (_derivation_dim), asked at most once per degree and kept, or known in
@@ -377,10 +383,9 @@ def _min_degree(F: CycField, forms, mult, monomials, candidates, top: int,
     itself) have no common factor (linalg.certified_coprime), c is the
     minimum with no kernel asked: an element below c would be a multiple
     of theta, or independent of it.  The dimension at c is then 1 when 2c
-    < half, else at_half when given (2 for a restriction, whose exponents
-    sum to total).  Otherwise c is the minimum when c = 0 or dim(c - 1) =
-    0, else it is the first nonzero degree below c - 1, else c - 1.  With
-    no candidate it is the first nonzero degree to top.
+    < half.  Otherwise c is the minimum when c = 0 or dim(c - 1) = 0, else
+    it is the first nonzero degree below c - 1, else c - 1.  With no
+    candidate it is the first nonzero degree to top.
     """
     dims = {}
 
@@ -399,9 +404,8 @@ def _min_degree(F: CycField, forms, mult, monomials, candidates, top: int,
             break
     if c and 2 * c <= half and certified_coprime(
             F, c, vector(c, theta, quotients)):
-        closed = 1 if 2 * c < half else at_half
-        if closed:
-            dims[c] = closed
+        if 2 * c < half:
+            dims[c] = 1
         return c, dim
     if c is None or (c and dim(c - 1)):
         c = next((deg for deg in range(top + 1 if c is None else c - 1)
@@ -427,7 +431,10 @@ def _relation_question(arr: Arrangement):
 
 def syzygy_dimension(arr: Arrangement, r: int) -> int:
     """Dimension of the degree-r relation space, certified: the derivations
-    of the relation question on the gauged columns."""
+    of the relation question on the gauged columns.  It is 0 for r < 0; an
+    r that is not an int (a bool included) raises ValueError."""
+    if type(r) is not int:
+        raise ValueError("degree must be an integer")
     return _derivation_dim(*_relation_question(arr), _gauged_monomials, r)
 
 
@@ -519,10 +526,13 @@ class MultiRestriction:
     """Points of an arrangement on one of its lines, with multiplicities.
 
     One form per lattice point on the line, in coordinates (u, v) on it:
-    the forms are pairwise independent, and normalized on construction
-    with leading coefficient one.  The multiplicity of a point counts the
-    other lines through it, so it is at least 1.  Malformed input raises
-    ValueError.
+    the forms are pairwise independent.  On construction each form is
+    normalized, with leading coefficient one, and the forms are ordered by
+    decreasing multiplicity, then by their coefficients, so forms[0]
+    carries the largest multiplicity and two orderings of one
+    multiarrangement are one value.  The multiplicity of a point counts
+    the other lines through it, so it is at least 1.  Malformed input
+    raises ValueError.
     """
 
     field: CycField
@@ -530,8 +540,7 @@ class MultiRestriction:
     mult: tuple[int, ...]
 
     def __post_init__(self):  # the derivation test needs pivot coefficient 1
-        forms = tuple(_normalize(self.field, form) for form in self.forms)
-        object.__setattr__(self, "forms", forms)
+        forms = [_normalize(self.field, form) for form in self.forms]
         if not forms:
             raise ValueError("a restriction needs at least one form")
         if len(self.mult) != len(forms) or any(len(f) != 2 for f in forms):
@@ -540,6 +549,10 @@ class MultiRestriction:
             raise ValueError("multiplicities must be positive integers")
         if len(set(forms)) != len(forms):  # normalized: equal iff dependent
             raise ValueError("forms must be pairwise independent")
+        points = sorted(zip(self.mult, forms), key=lambda mf: (
+            -mf[0], tuple(x.sort_key() for x in mf[1])))
+        object.__setattr__(self, "forms", tuple(f for _, f in points))
+        object.__setattr__(self, "mult", tuple(m for m, _ in points))
 
     @property
     def total(self) -> int:
@@ -552,10 +565,9 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
     Coordinates (u, v) on the line are the two variables other than the
     pivot of its normalized form.  A lattice point X on h sits at (u, v) =
     (X[o1], X[o2]), so it is cut out by the form (X[o2], -X[o1]), with
-    multiplicity the number of other lines through X.  The forms come by
-    decreasing multiplicity, then by their coefficients.
+    multiplicity the number of other lines through X; MultiRestriction
+    normalizes and orders the forms.
     """
-    F = arr.field
     d = len(arr.lines)
     if type(h) is not int:
         raise ValueError("line index must be an integer")
@@ -565,16 +577,13 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
     piv = next(i for i in range(3) if c[i])
     o1, o2 = (i for i in range(3) if i != piv)
     lat = build_lattice(arr)
-    points = sorted(
-        ((len(inc) - 1, _normalize(F, (X.coords[o2], -X.coords[o1])))
-         for X, inc in zip(lat.points, lat.incidence) if h in inc),
-        key=lambda mf: (-mf[0], tuple(x.sort_key() for x in mf[1])),
-    )
-    forms = tuple(form for _, form in points)
-    mult = tuple(m for m, _ in points)
+    on_h = [(X.coords, len(inc) - 1)
+            for X, inc in zip(lat.points, lat.incidence) if h in inc]
+    mult = tuple(m for _, m in on_h)
     if sum(mult) != d - 1:
         raise ValueError("restriction multiplicities do not sum to d - 1")
-    return MultiRestriction(F, forms, mult)
+    return MultiRestriction(
+        arr.field, tuple((X[o2], -X[o1]) for X, _ in on_h), mult)
 
 
 def _product(R: MultiRestriction, exps) -> list:
@@ -596,54 +605,58 @@ def _restriction_candidates(R: MultiRestriction) -> list:
       r u^(r-1) v) d_v (c2 = 0), or (u^r - r u v^(r-1)) d_u + (1-r) v^r d_v
       (c1 = 0).  All three come at each r >= max m: below, each sends
       every form to a nonzero form of degree r < m, never in (alpha^m);
-    - prod_{i>1} alpha_i^m_i (-cv_1 d_u + cu_1 d_v), alpha_1 of the
-      largest multiplicity, of degree total - m_1;
-    - prod alpha_i^(m_i - 1) (u d_u + v d_v), of degree total - s + 1;
-    the products built as P then Q on u^(deg-j) v^j."""
+    - prod alpha_i^(m_i - 1) (u d_u + v d_v), of degree total - s + 1,
+      built as P then Q on u^(deg-j) v^j.
+    Only a balanced R gets here: multi_exponents answers an unbalanced one
+    in closed form."""
     F, one, total = R.field, R.field.one, R.total
-    top = R.mult.index(max(R.mult))
     out = []
     for k in divisors(F.order):
         r = k + 1
-        if R.mult[top] <= r <= total // 2:
+        if R.mult[0] <= r <= total // 2:
             a, b = F.scalar(-k), F.scalar(-r)  # 1 - r, -r
             out += [(r, [{(r, 0): one}, {(0, r): one}]),
                     (r, [{(r, 0): a}, {(0, r): one, (k, 1): b}]),
                     (r, [{(r, 0): one, (1, k): b}, {(0, r): a}])]
-    products = []
-    if 2 * R.mult[top] >= total:
-        h = _product(R, [m * (i != top) for i, m in enumerate(R.mult)])
-        cu, cv = R.forms[top]
-        products.append((len(h) - 1, [-cv * x for x in h]
-                         + [cu * x for x in h]))
     if 2 * len(R.forms) >= total + 2:
         h = _product(R, [m - 1 for m in R.mult])
-        products.append((len(h), h + [F.zero, F.zero] + h))
-    return out + [(deg, _parts(_binary_monomials(deg), vec))
-                  for deg, vec in products]
+        deg = len(h)
+        out.append((deg, _parts(_binary_monomials(deg),
+                                h + [F.zero, F.zero] + h)))
+    return out
 
 
 def multi_exponents(R: MultiRestriction) -> tuple[int, int]:
     """Exponent pair (d1, d2) of the restriction, d1 <= d2, summing to total.
 
     A rank-two multiarrangement is free (Ziegler), so d1 is the least
-    degree with a nonzero derivation, and d1 <= total/2.
+    degree with a nonzero derivation, d1 <= total/2, and the derivations of
+    degree d1 span a space of dimension 1 + (2 d1 == total).
+
+    When one point carries half the total or more, 2 m1 >= total for m1 =
+    mult[0], the pair is (total - m1, m1) (Wakamiko, 2007), with no
+    candidate and no kernel.  Let alpha_1 = cu u + cv v be its form, and
+    D1 = -cv d_u + cu d_v, so D1(alpha_1) = 0.  theta1 = prod_{i>1}
+    alpha_i^m_i D1 is a derivation of degree total - m1, as each D1(alpha_i),
+    i > 1, is a nonzero constant.  A nonzero derivation theta of lower
+    degree has degree below m1, so theta(alpha_1) in (alpha_1^m1) forces
+    theta(alpha_1) = 0, and theta = g D1.  Then every alpha_i^m_i, i > 1,
+    divides g, and deg theta >= total - m1.
+
+    Otherwise d1 is one search, _min_degree; CertificationError if no
+    degree up to total/2 has a derivation.
     """
-    d1 = _restriction_search(R)[0]
-    return (d1, R.total - d1)
-
-
-def _restriction_search(R: MultiRestriction):
-    """(d1, dim) of _min_degree on R; CertificationError if no degree up
-    to total/2 has a derivation."""
-    d1, dim = _min_degree(R.field, R.forms, R.mult, _binary_monomials,
-                          _restriction_candidates(R), R.total // 2, R.total,
-                          lambda deg, theta, quotients: theta, at_half=2)
+    m1, total = R.mult[0], R.total
+    if not is_balanced(R):
+        return (total - m1, m1)
+    d1 = _min_degree(R.field, R.forms, R.mult, _binary_monomials,
+                     _restriction_candidates(R), total // 2, total,
+                     lambda deg, theta, quotients: theta)[0]
     if d1 is None:
         raise CertificationError(
-            f"no derivation of degree <= {R.total // 2} of total {R.total}"
+            f"no derivation of degree <= {total // 2} of total {total}"
         )
-    return d1, dim
+    return (d1, total - d1)
 
 
 def is_balanced(R: MultiRestriction) -> bool:

@@ -16,9 +16,9 @@ import sys
 from .algebra import (
     _relation_search,
     _relation_top,
-    _restriction_search,
     is_balanced,
     mdr,
+    multi_exponents,
     nodal_dimension_profile,
     supersolvable_exponents,
     ziegler_restriction,
@@ -196,9 +196,11 @@ def cmd_recover(args) -> int:
 
 def cmd_algebra(args) -> int:
     arr = Arrangement.load(args.file)
-    # The search certifies every degree below the minimum zero (the spaces
-    # only grow with degree); the profile reads the dimensions it kept, in
-    # closed form at a minimum that a primitive candidate settled.
+    # The relation search certifies every degree below the minimum zero
+    # (the spaces only grow with degree); its profile reads the dimensions
+    # the search kept, in closed form at a minimum that a primitive
+    # candidate settled.  A restriction is free with exponents (d1, d2), so
+    # its profile is closed: zero below d1, then 1, or 2 when d1 = d2.
     if args.op == "mdr":
         top = _relation_top(arr, args.bound)
         value, dim = _relation_search(arr, top)
@@ -211,10 +213,10 @@ def cmd_algebra(args) -> int:
         if args.line is None:
             raise ValueError("ziegler needs --line")
         R = ziegler_restriction(arr, args.line)
-        d1, dim = _restriction_search(R)
+        d1, d2 = multi_exponents(R)
         data = {
-            "value": [d1, R.total - d1],
-            "degree_dims": [0] * d1 + [dim(d1)],
+            "value": [d1, d2],
+            "degree_dims": [0] * d1 + [1 + (d1 == d2)],
             "mult": list(R.mult),
             "total": R.total,
             "balanced": is_balanced(R),

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -485,9 +486,8 @@ def test_ziegler_restriction_matches_per_line_grouping():
 def test_ziegler_restriction_normalizes_one_form_per_point(monkeypatch):
     # One normalized form per lattice point on the line, not one per other
     # line: on full_monomial(3) each line meets the other 11 in fewer points.
-    # Each form is normalized once to order the points, and passed through
-    # _normalize once more by MultiRestriction, which normalizes the forms
-    # it is given (a normalized form comes back as it is).
+    # Each form is normalized once, by MultiRestriction, which normalizes
+    # and orders the forms it is given.
     arr = full_monomial(3)
     lat = build_lattice(arr)
     calls = []
@@ -498,7 +498,7 @@ def test_ziegler_restriction_normalizes_one_form_per_point(monkeypatch):
         del calls[:]
         R = ziegler_restriction(arr, h)
         on_h = sum(h in inc for inc in lat.incidence)
-        assert len(calls) == 2 * on_h == 2 * len(R.forms)
+        assert len(calls) == on_h == len(R.forms)
         assert on_h < len(arr.lines) - 1
 
 
@@ -738,36 +738,45 @@ def _route_log(monkeypatch):
 
 def test_multi_exponents_certifies_a_primitive_candidate_with_no_kernel(
         monkeypatch):
-    # A candidate is accepted once its exact check passes and its vector
-    # (P, Q) is certified primitive: two independent derivations have
-    # degrees summing to at least total (Ziegler), and d1 <= total/2, so
-    # no kernel is asked.  A candidate that is not primitive (a product of
-    # forms) is accepted after one certified nullity below it, answering 0
-    # with no kernel vector lifted.  A restriction with no passing
-    # candidate (a cone's) asks each degree once, up to the first nonzero
-    # one, d1, where a kernel vector is lifted.
+    # An unbalanced restriction, 2 max m >= total, boundary included, is
+    # answered in closed form: no candidate is checked and nothing is asked.
+    # On a balanced one a candidate is accepted once its exact check
+    # passes and its vector (P, Q) is certified primitive: two independent
+    # derivations have degrees summing to at least total (Ziegler), and d1
+    # <= total/2, so no kernel is asked.  A candidate that is not primitive
+    # (the Euler product of a cone's line) is accepted after one certified
+    # nullity below it, answering 0 with no kernel vector lifted.  A
+    # restriction with no passing candidate (a cone's) asks each degree
+    # once, up to the first nonzero one, d1, where a kernel vector is
+    # lifted.
     log = _route_log(monkeypatch)
-    settled = zero_kernel = 0
+    closed = boundary = settled = zero_kernel = scanned = 0
     for R in _scan_restrictions():
         del log[:]
         d1, _ = multi_exponents(R)
+        if not is_balanced(R):
+            assert log == [] and d1 == R.total - max(R.mult)
+            closed += 1
+            boundary += 2 * max(R.mult) == R.total
+            continue
         if ("lift",) in log:
             asked = [event[1:] for event in log if event[0] == "nullity"]
             assert asked[:-1] == [(2 * deg + 2, 0) for deg in range(d1)]
             assert asked[-1][0] == 2 * d1 + 2 and asked[-1][1] > 0
+            scanned += 1
             continue
         if log[-1] == ("coprime", d1, True):
             tail = [("check", d1, True), ("coprime", d1, True)]
             settled += 1
         else:
-            tail = [("check", d1, True)]
-            if d1:
-                tail += [("coprime", d1, False), ("nullity", 2 * d1, 0)]
-                zero_kernel += 1
+            tail = [("check", d1, True), ("coprime", d1, False),
+                    ("nullity", 2 * d1, 0)]
+            zero_kernel += 1
         assert log[-len(tail):] == tail
         assert all(event[0] == "check" and not event[2]
                    for event in log[:-len(tail)])
-    assert settled > 50 and zero_kernel > 100
+    assert closed > 100 and boundary > 20 and settled > 50
+    assert zero_kernel > 5 and scanned > 10
 
 
 def _power_image(F, c1, c2, r):
@@ -851,13 +860,16 @@ def test_modular_lines_take_a_power_image_without_a_lift(monkeypatch):
 def test_multi_exponents_raises_when_no_degree_certifies(monkeypatch):
     # With no candidate passing and every certified dimension zero up to
     # total/2, no d1 is certified: the scan asks each degree once, then
-    # CertificationError.
+    # CertificationError.  Only a balanced restriction reaches the search:
+    # an unbalanced one is answered in closed form.
     asked = []
     monkeypatch.setattr(alg, "_quotients", lambda *args: None)
     monkeypatch.setattr(alg, "_derivation_dim",
                         lambda F, forms, mult, monomials, deg:
                         asked.append(deg) or 0)
-    for R in _scan_restrictions()[:20]:
+    balanced = [R for R in _scan_restrictions() if is_balanced(R)]
+    assert len(balanced) > 20
+    for R in balanced[:20]:
         del asked[:]
         with pytest.raises(CertificationError):
             multi_exponents(R)
@@ -1100,10 +1112,13 @@ def test_multi_restriction_normalizes_its_forms():
     for F in (cyc_field(1), cyc_field(3)):
         p, _ = la.split_prime(F.order)
         one, zero, q = F.one, F.zero, F.scalar(p)
-        forms = ((one, one / q), (one, zero), (zero, one), (one, F.zeta))
+        forms = ((one, zero), (one, one / q), (zero, one), (one, F.zeta))
         mult = (2, 2, 1, 1)
         R = MultiRestriction(F, forms, mult)
         assert R.forms == forms
+        # forms come by decreasing multiplicity, then by coefficients, so
+        # any order of the same points is the same value
+        assert MultiRestriction(F, forms[::-1], mult[::-1]) == R
         want = [_exact_multi_dim(R, deg) for deg in range(5)]
         for scale in (F.scalar(2), q, F.zeta):
             S = MultiRestriction(F, tuple(
@@ -1111,7 +1126,7 @@ def test_multi_restriction_normalizes_its_forms():
             assert S == R and S.forms == forms
             assert [restriction_dim(S, deg) for deg in range(5)] == want
             assert multi_exponents(S) == multi_exponents(R) == (3, 3)
-        S = MultiRestriction(F, ((q, one),) + forms[1:], mult)
+        S = MultiRestriction(F, (forms[0], (q, one)) + forms[2:], mult)
         assert S.forms == forms
 
 
@@ -1192,11 +1207,15 @@ def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
     # d1 + 1.  Offered alone, it passes its check, but the certified
     # dimension at d1 is not zero: skipping that question would answer
     # d1 + 1.  It is asked once, and the answer is d1 after the degrees
-    # below it, each asked once, are certified zero.
+    # below it, each asked once, are certified zero.  Only a balanced
+    # restriction reaches the candidates: an unbalanced one is answered in
+    # closed form before any is built.
     log = _route_log(monkeypatch)
     real = alg._restriction_candidates
     cases = 0
     for R in _scan_restrictions():
+        if not is_balanced(R):
+            continue
         d1, d2 = _scan_exponents(R)
         good = [flat(R, theta, deg) for deg, theta in real(R) if deg == d1]
         good = [vec for vec in good if derives(R, d1, vec)]
@@ -1249,18 +1268,27 @@ def test_mdr_certifies_a_primitive_candidate_with_no_kernel(monkeypatch):
 
 def test_candidates_the_certificate_does_not_settle_take_one_zero_kernel(
         monkeypatch):
-    # The lowest passing candidate of a near-pencil's line through its
-    # point of multiplicity d - 1 is the product alpha_2 (-cv_1 d_u +
-    # cu_1 d_v), not primitive: its degree is certified by one zero
-    # kernel below it.  A generic arrangement's pencil derivation, of
-    # degree d - 2, is above the half-bound (d - 1)/2 for d >= 4: no
-    # coprimality is asked, and one zero kernel below certifies it.
+    # On a line of a cone with mult (2, 2, 1, 1) no power image passes,
+    # and the lowest passing candidate is the Euler product alpha_1 alpha_2
+    # (u d_u + v d_v), not primitive: its degree is certified by one zero
+    # kernel below it.  The near-pencil's line through its point of
+    # multiplicity 5, mult (4, 1), is unbalanced: it is answered in closed
+    # form, with nothing checked or asked.  A generic arrangement's pencil
+    # derivation, of degree d - 2, is above the half-bound (d - 1)/2 for
+    # d >= 4: no coprimality is asked, and one zero kernel below certifies
+    # it.
+    [arr] = [a for label, a in _standard_pool(0, 1, 3)
+             if label == "cone-d3-generic-e1-s1"]
     log = _route_log(monkeypatch)
+    R = ziegler_restriction(arr, 0)
+    assert R.mult == (2, 2, 1, 1) and is_balanced(R)
+    assert multi_exponents(R) == (3, 3)
+    assert log == [("check", 2, False)] * 3 + [
+        ("check", 3, True), ("coprime", 3, False), ("nullity", 6, 0)]
+    del log[:]
     R = ziegler_restriction(near_pencil(6), 0)
-    assert R.mult == (4, 1)
-    assert multi_exponents(R) == (1, 4)
-    assert log == [("check", 1, True), ("coprime", 1, False),
-                   ("nullity", 2, 0)]
+    assert R.mult == (4, 1) and not is_balanced(R)
+    assert multi_exponents(R) == (1, 4) and log == []
     for d in (4, 5):
         del log[:]
         assert mdr(generic_arrangement(d, seed=0), d - 2) == d - 2
@@ -1302,18 +1330,24 @@ def test_relation_vector_is_the_relation_of_its_candidate():
     assert checked >= 10
 
 
+def _restriction_profile(R):
+    """(d1, dim) as linarr algebra ziegler reads them: d1 from
+    multi_exponents, and dim(d1) = 1 + (2 d1 == total) in closed form."""
+    return multi_exponents(R)[0], lambda deg: 1 + (2 * deg == R.total)
+
+
 def _settled_by_primitivity(arr):
-    """Run the relation search and every restriction search of arr, and
-    check each answer c that a primitive candidate settled against the
+    """Run the relation search and every restriction's exponents of arr,
+    and check each answer c that a primitive candidate settled against the
     kernel: the certified dimension is 0 at c - 1 and at least 1 at c, and
-    the dimension the search reads at c (closed form or asked) is the same.
-    Returns how many answers it settled."""
+    the dimension read at c (closed form or asked) is the same.  Returns
+    how many answers it settled."""
     questions = [(*_relation_question(arr), _gauged_monomials,
                   lambda: alg._relation_search(arr, None))]
     for h in range(len(arr.lines)):
         R = ziegler_restriction(arr, h)
         questions.append((R.field, R.forms, R.mult, _binary_monomials,
-                          lambda R=R: alg._restriction_search(R)))
+                          partial(_restriction_profile, R)))
     fired, real = [], alg.certified_coprime
     settled = 0
     with pytest.MonkeyPatch.context() as mp:
@@ -1331,12 +1365,15 @@ def _settled_by_primitivity(arr):
 
 
 def test_primitive_certificate_agrees_with_the_kernel():
+    # An unbalanced restriction is answered in closed form before any
+    # candidate, so it is not counted here: the closed-form tests below
+    # check it against the kernel.
     own = moved = 0
     for i, (_, arr) in enumerate(_standard_pool(0, 3, 4)):
         own += _settled_by_primitivity(arr)
         moved += _settled_by_primitivity(
             apply_transform(arr, random_invertible_matrix(random.Random(i))))
-    assert own > 100 and moved > 20
+    assert own > 80 and moved > 20
 
 
 @settings(max_examples=15, deadline=None)
@@ -1348,6 +1385,58 @@ def test_primitive_certificate_agrees_with_the_kernel_property(data):
         arr = apply_transform(arr,
                               random_invertible_matrix(random.Random(seed)))
     _settled_by_primitivity(arr)
+
+
+def _exponents_agree_with_the_kernel(R):
+    """Check multi_exponents(R), and the dimension linarr algebra ziegler
+    prints at d1, against the certified kernel: d1 is the first degree with
+    a nonzero space of derivations (zero at d1 - 1 suffices, as the spaces
+    only grow with degree), and that space has dimension 1 + (2 d1 ==
+    total)."""
+    d1, d2 = multi_exponents(R)
+    assert d1 <= d2 and d1 + d2 == R.total
+    assert d1 == 0 or restriction_dim(R, d1 - 1) == 0
+    assert restriction_dim(R, d1) == 1 + (2 * d1 == R.total)
+
+
+@st.composite
+def weighted_restrictions(draw):
+    """restrictions(), with the multiplicity of one drawn form often set
+    near the sum of the others: both sides of 2 max m = total."""
+    F, forms, mult, _ = draw(restrictions())
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(forms) - 1))
+        rest = sum(mult) - mult[i]
+        mult[i] = draw(st.integers(max(1, rest - 2), rest + 2))
+    return MultiRestriction(F, tuple(forms), tuple(mult))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_restrictions())
+def test_closed_form_agrees_with_the_kernel_property(R):
+    _exponents_agree_with_the_kernel(R)
+
+
+def test_closed_form_agrees_with_the_kernel(monkeypatch):
+    # On every line of the pool, in its own frame and moved: an unbalanced
+    # restriction checks no candidate and asks no coprimality or nullity,
+    # and every answer, closed form or searched, agrees with the kernel.
+    log = _route_log(monkeypatch)
+    closed = searched = 0
+    for i, (_, arr) in enumerate(_standard_pool(0, 3, 4)):
+        moved = apply_transform(arr, random_invertible_matrix(random.Random(i)))
+        for a in (arr, moved):
+            for h in range(len(a.lines)):
+                R = ziegler_restriction(a, h)
+                del log[:]
+                multi_exponents(R)
+                if is_balanced(R):
+                    searched += 1
+                else:
+                    assert log == []
+                    closed += 1
+                _exponents_agree_with_the_kernel(R)
+    assert closed > 200 and searched > 200
 
 
 def test_derivation_check_rejects_perturbed_vector(monkeypatch):
@@ -1590,6 +1679,17 @@ def test_syzygy_dimension_free_resolution():
     np6 = near_pencil(6)
     assert [syzygy_dimension(np6, r) for r in range(3)] == [0, 1, 3]
     assert syzygy_dimension(pencil(5), 0) == 1
+
+
+@pytest.mark.parametrize("r", ("1", True, False, 1.0, None))
+def test_syzygy_dimension_rejects_a_degree_that_is_not_an_int(r):
+    # a string escaped as a raw TypeError, and True was read as 1
+    with pytest.raises(ValueError, match="integer"):
+        syzygy_dimension(full_monomial(1), r)
+
+
+def test_syzygy_dimension_below_zero_is_zero():
+    assert [syzygy_dimension(full_monomial(1), r) for r in (-3, -1)] == [0, 0]
 
 
 def test_wide_syzygy_dimension_matches_exact_oracle():

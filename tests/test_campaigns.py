@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import linarr.campaigns as campaigns
+from linarr.algebra import _binary_monomials, _derivation_dim, is_balanced
 from linarr.campaigns import CAMPAIGNS, run_campaign
 from linarr.projgeo import build_lattice
 
@@ -151,7 +152,8 @@ def test_restriction_exponent_sweep_small():
 
 def test_kernel_answer_off_the_closed_form_fails_its_case(monkeypatch):
     # The closed form (total - s + 1, s - 1) is an independent cross-check:
-    # a kernel answer that disagrees shows as a failed case, not a crash.
+    # an answer of multi_exponents that disagrees shows as a failed case,
+    # not a crash.
     kernel = campaigns.multi_exponents
 
     def off_by_one(R):
@@ -165,6 +167,28 @@ def test_kernel_answer_off_the_closed_form_fails_its_case(monkeypatch):
     for c in checked:
         assert c.witness["easy_matches_kernel"] is False
         assert c.verdict == "fail"
+
+
+def test_easy_closed_form_cases_are_backed_by_the_kernel(monkeypatch):
+    # Where zmain-exponents compares the closed form (total - s + 1, s - 1)
+    # with multi_exponents (2s >= total + 2), every restriction at the bench
+    # grid is unbalanced, so multi_exponents answers it in closed form too:
+    # the case compares two closed forms.  The certified kernel backs both:
+    # the first degree with a nonzero space of derivations is d1.
+    restrictions = []
+    real = campaigns.ziegler_restriction
+    monkeypatch.setattr(campaigns, "ziegler_restriction", lambda arr, h: (
+        restrictions.append(real(arr, h)) or restrictions[-1]))
+    res = run_campaign("zmain-exponents", seed=0, max_n=5, max_dprime=4)
+    assert len(restrictions) == len(res.cases)
+    easy = [(R, c) for R, c in zip(restrictions, res.cases)
+            if "easy_matches_kernel" in c.witness]
+    assert len(easy) == 42
+    for R, c in easy:
+        assert not is_balanced(R) and c.witness["easy_matches_kernel"]
+        d1 = next(deg for deg in range(R.total + 1) if _derivation_dim(
+            R.field, R.forms, R.mult, _binary_monomials, deg))
+        assert c.witness["exponents"] == [d1, R.total - d1]
 
 
 def test_tjurina_sweep_small():

@@ -221,12 +221,14 @@ def test_algebra_mdr_asks_each_degree_once(tmp_path, capsys, monkeypatch):
 def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
                                                          monkeypatch):
     # The output equals the exponents with every dimension up to d1 asked
-    # apart.  A primitive explicit derivation certifies d1, with its
-    # dimension in closed form: nothing is asked.  One that is not
-    # primitive (the product candidate of near_pencil(6)'s lines through
-    # its point of multiplicity 5) certifies d1 by asking d1 - 1, and the
-    # profile asks d1.  Where none applies (the cone's line 0) the search
-    # asks each degree up to d1 once, and the profile reads d1 from it.
+    # apart, and the profile at d1 is read in closed form, 1 + (2 d1 ==
+    # total): a rank-two multiarrangement is free.  An unbalanced line (the
+    # near-pencil's through its point of multiplicity 5) is answered in
+    # closed form, and a primitive explicit derivation certifies d1: nothing
+    # is asked.  One that is not primitive (the Euler product of a cone's
+    # line with mult (2, 2, 1, 1)) certifies d1 by asking d1 - 1.  Where
+    # none applies (another cone's line 0) the search asks each degree up
+    # to d1 once.
     from linarr.algebra import (
         _binary_monomials,
         _derivation_dim,
@@ -235,12 +237,15 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
         ziegler_restriction,
     )
 
+    [euler_cone] = [a for label, a in campaigns._standard_pool(0, 1, 3)
+                    if label == "cone-d3-generic-e1-s1"]
     cases = []
     for arr, line, route in ((full_monomial(1), 0, "primitive"),
                              (full_monomial(3), 0, "primitive"),
-                             (near_pencil(6), 0, "zero kernel"),
-                             (near_pencil(6), 1, "zero kernel"),
+                             (near_pencil(6), 0, "closed form"),
+                             (near_pencil(6), 1, "closed form"),
                              (near_pencil(6), 5, "primitive"),
+                             (euler_cone, 0, "zero kernel"),
                              (_generic_cone(), 0, "scan")):
         R = ziegler_restriction(arr, line)
         d1, d2 = multi_exponents(R)
@@ -253,6 +258,7 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
             "total": R.total,
             "balanced": is_balanced(R),
         }))
+    assert cases[-2][-1]["degree_dims"][-1] == 2  # d1 = d2 = 3
     asked = _nullity_columns(monkeypatch)
     path = tmp_path / "arr.json"
     for arr, line, route, want in cases:
@@ -260,8 +266,9 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
         del asked[:]
         assert main(["algebra", "ziegler", str(path), "--line", str(line)]) == 0
         assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+        assert want["balanced"] == (route != "closed form")
         d1 = want["value"][0]
-        degrees = {"primitive": (), "zero kernel": (d1 - 1, d1),
+        degrees = {"closed form": (), "primitive": (), "zero kernel": (d1 - 1,),
                    "scan": range(d1 + 1)}[route]
         assert asked == [2 * deg + 2 for deg in degrees]
 
@@ -412,6 +419,14 @@ def test_too_tall_coefficient_exits_two(tmp_path, capsys):
     path = tmp_path / "tall.json"
     path.write_text(json.dumps(data))
     assert main(["algebra", "mdr", str(path)]) == 2
+    # z = 0 meets y and y - z at one point, x and x - z at another, and
+    # 10^400 x - y + z alone: mult (2, 2, 1), balanced, with no passing
+    # candidate, so the search lifts a kernel vector at d1 = 2
+    tall = str(10 ** 400)
+    path.write_text(json.dumps({"cyclotomic_order": 1, "lines": [
+        [["0"], ["0"], ["1"]], [["0"], ["1"], ["0"]], [["0"], ["1"], ["-1"]],
+        [["1"], ["0"], ["0"]], [["1"], ["0"], ["-1"]], [[tall], ["-1"], ["1"]],
+    ]}))
     assert main(["algebra", "ziegler", str(path), "--line", "0"]) == 2
     assert capsys.readouterr().err.count("not certified") == 2
     # where a primitive relation settles mdr, its height does not matter:

@@ -14,7 +14,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "linarr"
 EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
                 "_EXACT_COLS", "nullity", "rank"}
 
-# Minimal degrees take one search (algebra._min_degree), the CLI's too: an
+# A minimal degree that no closed form gives takes one search
+# (algebra._min_degree), the CLI's too: an
 # explicit derivation checked exactly, then certified minimal by its
 # primitive vector within the half-bound (du Plessis-Wall for relations,
 # Ziegler for restrictions; linalg.certified_coprime), else by a certified
@@ -35,13 +36,18 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
 # from integral cross products too, so the generic 3x3 determinant and
 # adjugate are test oracles now.  A restriction's candidates are read off
 # the restriction alone, so no power image is built from the parent line
-# and carried on the restriction as lifts.
+# and carried on the restriction as lifts.  An unbalanced restriction (2 max
+# m >= total) takes its exponents (total - max m, max m) in closed form,
+# before any candidate, so no product candidate is built for it; the CLI
+# reads a restriction's profile in closed form too (free of rank two: 1 at
+# d1, 2 when d1 = d2), so no search hands a restriction's dimensions back
+# and _min_degree takes no closed form for them.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
            "certified_zero", "_upward", "_rows_at", "split_roots", "_cross",
            "div_linear", "_gauged_rows", "_restriction_rows", "_derives",
            "_multi_dim", "det3", "adjugate3", "_max_modular",
-           "_power_image", "lifts"}
+           "_power_image", "lifts", "_restriction_search", "at_half"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
