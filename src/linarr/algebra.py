@@ -20,10 +20,10 @@ _is_derivation, so exact rows are built only for node conditions.
 
 A rank-two multiarrangement is free (Ziegler), so the exponents of a
 restriction are (d1, total - d1), d1 its least degree with a nonzero
-derivation.  When one point carries half the total multiplicity or more
-they are read off the multiplicities, (total - max m, max m), with no
-candidate and no kernel (multi_exponents; A. Wakamiko, "On the exponents
-of 2-multiarrangements", 2007).
+derivation.  They are read off the multiplicities, with no candidate and
+no kernel, when 2 max m >= total, (total - max m, max m) (A. Wakamiko,
+"On the exponents of 2-multiarrangements", 2007), and when total < 2s
+for s points, (total - s + 1, s - 1) sorted (multi_exponents).
 
 Any other minimal degree, of a relation (mdr) or of d1, is one search,
 _min_degree: the lowest closed-form candidate c that passes _is_derivation
@@ -36,11 +36,10 @@ it.  The vector of a relation candidate theta is rho = d theta - h E, h =
 theta(f)/f the sum of the quotients of its check.  Any other passing
 candidate is certified by a zero dimension at c - 1, else the search goes
 below c - 1.  The candidates come from G. Ziegler, "Multiarrangements of
-hyperplanes and their freeness" (1989), and Wakamiko.  A restriction's
-candidates are read off the restriction alone: the product prod
-alpha^(m - 1) times the Euler derivation, and the Ziegler images of the
-power derivation in closed form, so a MultiRestriction is the plain value
-(field, forms, mult).
+hyperplanes and their freeness" (1989).  A restriction's candidates are
+the Ziegler images of the power derivation, in closed form and read off
+the restriction alone, so a MultiRestriction is the plain value (field,
+forms, mult); each is primitive, so one that passes takes no kernel.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import comb
 
-from .classify import modular_indices, tjurina_census, tjurina_free
+from .classify import ClassifyReport, check_identities
 from .field import (
     CertificationError,
     CycField,
@@ -383,9 +382,10 @@ def _min_degree(F: CycField, forms, mult, monomials, candidates, top: int,
     itself) have no common factor (linalg.certified_coprime), c is the
     minimum with no kernel asked: an element below c would be a multiple
     of theta, or independent of it.  The dimension at c is then 1 when 2c
-    < half.  Otherwise c is the minimum when c = 0 or dim(c - 1) = 0, else
-    it is the first nonzero degree below c - 1, else c - 1.  With no
-    candidate it is the first nonzero degree to top.
+    < half, and always for a restriction: its candidates are primitive.
+    Otherwise c is the minimum when c = 0 or dim(c - 1) = 0, else it is
+    the first nonzero degree below c - 1, else c - 1.  With no candidate
+    it is the first nonzero degree to top.
     """
     dims = {}
 
@@ -414,7 +414,8 @@ def _min_degree(F: CycField, forms, mult, monomials, candidates, top: int,
 
 
 def _relation_top(arr: Arrangement, bound: int | None) -> int:
-    d = len(arr.lines)
+    # the lattice refuses fewer than two lines, for every question alike
+    d = build_lattice(arr).d
     top = (d - 1) // 2 if bound is None else bound
     if type(top) is not int:
         raise ValueError("bound must be an integer")
@@ -499,22 +500,24 @@ def verify_mdr(arr: Arrangement, r_star: int) -> bool:
 
 
 def supersolvable_exponents(arr: Arrangement) -> tuple[int, int, int]:
-    """Exponents (1, m-1, d-m) sorted, from a maximal modular point.
+    """Exponents (1, m-1, d-m) sorted, from a maximal modular point,
+    certified by the "tjurina" check of check_identities."""
+    return _report_exponents(check_identities(arr))
 
-    The census consistency check is structural: the point count weighted by
-    (k-1)^2 must equal (d-1)^2 - (m-1)(d-m), else CertificationError.
-    """
-    mods = modular_indices(arr)
-    if not mods:
+
+def _report_exponents(report: ClassifyReport) -> tuple[int, int, int]:
+    """(1, m-1, d-m) sorted, m the multiplicity of the report's first
+    modular point; ValueError when it has none.  Such an arrangement is
+    free with these exponents, so CertificationError when the report's
+    "tjurina" check, census against free formula, fails."""
+    if not report.modular:
         raise ValueError("arrangement is not supersolvable")
-    lat = build_lattice(arr)
-    d = len(arr.lines)
-    m = lat.mult[mods[0]]
+    d, m = report.d, report.modular[0][1]
     d2, d3 = sorted((m - 1, d - m))
-    tau = tjurina_census(lat)
-    if tau != tjurina_free(d, d2, d3):
+    tjurina = report.checks["tjurina"]
+    if not tjurina.passed:
         raise CertificationError(
-            f"Tjurina census {tau} != (d-1)^2 - {d2}*{d3} at d={d}"
+            f"Tjurina census {tjurina.lhs} != (d-1)^2 - {d2}*{d3} at d={d}"
         )
     return (1, d2, d3)
 
@@ -586,29 +589,18 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
         arr.field, tuple((X[o2], -X[o1]) for X, _ in on_h), mult)
 
 
-def _product(R: MultiRestriction, exps) -> list:
-    """prod alpha_i^exps[i], on the monomials u^(deg-j) v^j."""
-    out = [R.field.one]
-    for form, e in zip(R.forms, exps):
-        for _ in range(e):
-            out = _conv(out, list(form), R.field.zero)
-    return out
-
-
 def _restriction_candidates(R: MultiRestriction) -> list:
-    """(degree, derivation) of explicit derivations of degree at most
-    total/2, where d1 lies, all read off R:
-    - the Ziegler images of x^r d_x + y^r d_y + z^r d_z, r - 1 dividing the
-      field order.  On a line x_piv = -(c1 u + c2 v) with c1 c2 = 0 and
-      (-c)^(r-1) = 1 for c = c1, c2 nonzero, the image does not depend on
-      c: u^r d_u + v^r d_v (c1 = c2 = 0), (1-r) u^r d_u + (v^r -
-      r u^(r-1) v) d_v (c2 = 0), or (u^r - r u v^(r-1)) d_u + (1-r) v^r d_v
-      (c1 = 0).  All three come at each r >= max m: below, each sends
-      every form to a nonzero form of degree r < m, never in (alpha^m);
-    - prod alpha_i^(m_i - 1) (u d_u + v d_v), of degree total - s + 1,
-      built as P then Q on u^(deg-j) v^j.
-    Only a balanced R gets here: multi_exponents answers an unbalanced one
-    in closed form."""
+    """(degree, derivation) of the Ziegler images of x^r d_x + y^r d_y +
+    z^r d_z, r - 1 dividing the field order, all read off R.  On a line
+    x_piv = -(c1 u + c2 v) with c1 c2 = 0 and (-c)^(r-1) = 1 for c = c1, c2
+    nonzero, the image does not depend on c: u^r d_u + v^r d_v (c1 = c2 =
+    0), (1-r) u^r d_u + (v^r - r u^(r-1) v) d_v (c2 = 0), or (u^r - r u
+    v^(r-1)) d_u + (1-r) v^r d_v (c1 = 0).  All three come at each r with
+    max m <= r <= total/2, where d1 lies: below max m, each sends every
+    form to a nonzero form of degree r < m, never in (alpha^m).  Each is
+    primitive, so certified_coprime settles any that passes.  Only a
+    balanced R with total >= 2s gets here: multi_exponents answers the
+    rest in closed form."""
     F, one, total = R.field, R.field.one, R.total
     out = []
     for k in divisors(F.order):
@@ -618,11 +610,6 @@ def _restriction_candidates(R: MultiRestriction) -> list:
             out += [(r, [{(r, 0): one}, {(0, r): one}]),
                     (r, [{(r, 0): a}, {(0, r): one, (k, 1): b}]),
                     (r, [{(r, 0): one, (1, k): b}, {(0, r): a}])]
-    if 2 * len(R.forms) >= total + 2:
-        h = _product(R, [m - 1 for m in R.mult])
-        deg = len(h)
-        out.append((deg, _parts(_binary_monomials(deg),
-                                h + [F.zero, F.zero] + h)))
     return out
 
 
@@ -643,12 +630,25 @@ def multi_exponents(R: MultiRestriction) -> tuple[int, int]:
     theta(alpha_1) = 0, and theta = g D1.  Then every alpha_i^m_i, i > 1,
     divides g, and deg theta >= total - m1.
 
+    When total < 2s, s the number of points, the pair is (total - s + 1,
+    s - 1) sorted, again with no candidate and no kernel.  Let E = u d_u +
+    v d_v and theta a nonzero derivation of degree e.  det(theta, E) has
+    degree e + 1 and lies in (alpha) for each form alpha, as theta(alpha)
+    is in (alpha) and E(alpha) = alpha, so prod alpha divides it.  If it
+    is nonzero, e >= s - 1.  If it is zero, theta = g E with g alpha in
+    (alpha^m), so prod alpha^(m - 1) divides g and e >= total - s + 1.  So
+    d1 >= min(total - s + 1, s - 1).  prod alpha^(m - 1) E is a derivation
+    of degree total - s + 1, which is d1 when total <= 2s - 2; when total =
+    2s - 1, d1 <= total/2 leaves d1 = s - 1.
+
     Otherwise d1 is one search, _min_degree; CertificationError if no
     degree up to total/2 has a derivation.
     """
-    m1, total = R.mult[0], R.total
+    m1, total, s = R.mult[0], R.total, len(R.forms)
     if not is_balanced(R):
         return (total - m1, m1)
+    if total < 2 * s:
+        return tuple(sorted((total - s + 1, s - 1)))
     d1 = _min_degree(R.field, R.forms, R.mult, _binary_monomials,
                      _restriction_candidates(R), total // 2, total,
                      lambda deg, theta, quotients: theta)[0]

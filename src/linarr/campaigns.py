@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import (
+    _report_exponents,
     is_balanced,
     multi_exponents,
-    supersolvable_exponents,
     verify_mdr,
     ziegler_restriction,
 )
@@ -27,7 +27,6 @@ from .classify import (
     is_pencil,
     is_supersolvable,
     modular_indices,
-    tjurina_census,
 )
 from .families import (
     ConeSpec,
@@ -288,7 +287,8 @@ def conj1_cones(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
 
 def zmain_exponents(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
     """Restriction exponents {m-1, d-m} on every line through a maximal
-    modular point, closed form vs kernel where the count bound applies, and
+    modular point, the count bound's closed form (total - s + 1, s - 1)
+    where it applies (multi_exponents reads that in closed form too), and
     the balanced exponent-gap inequality."""
     cases = []
     for label, arr in _standard_pool(seed, max_n, max_dprime):
@@ -323,27 +323,24 @@ def zmain_exponents(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
 
 
 def tjurina_consistency(seed=0, max_n=6, max_dprime=5) -> CampaignResult:
-    """Census Tjurina number vs the free formula (supersolvable_exponents
-    certifies it or raises), certified minimal relation degree, and the
-    modular-multiplicity quadratic bound."""
+    """Census Tjurina number vs the free formula (the "tjurina" check of
+    one report, which certifies the exponents or raises), certified
+    minimal relation degree, and the modular-multiplicity quadratic bound."""
     cases = []
     for label, arr in _standard_pool(seed, max_n, max_dprime):
-        if not (mods := modular_indices(arr)):
+        report = check_identities(arr)
+        if not report.modular:
             continue
-        d = len(arr.lines)
-        lat = build_lattice(arr)
-        m = lat.mult[mods[0]]
-        exps = supersolvable_exponents(arr)
-        tau = tjurina_census(lat)
+        d, m = report.d, report.modular[0][1]
+        exps = _report_exponents(report)
         r_star = min(m - 1, d - m)
         mdr_ok = verify_mdr(arr, r_star)
-        report = check_identities(arr)
         t2b = report.checks["thm2B_bound"]
         t2b_ok = t2b.passed if t2b.applicable else True
         ok = mdr_ok and t2b_ok
         cases.append(Case(label, "pass" if ok else "fail", {
-            "d": d, "m": m, "tau": tau, "exponents": list(exps),
-            "mdr": r_star, "mdr_certified": mdr_ok,
+            "d": d, "m": m, "tau": report.checks["tjurina"].lhs,
+            "exponents": list(exps), "mdr": r_star, "mdr_certified": mdr_ok,
             "thm2B": "pass" if t2b.applicable and t2b.passed
                      else ("not-applicable" if not t2b.applicable else "fail"),
         }))

@@ -43,8 +43,11 @@ def is_supersolvable(arr: Arrangement) -> bool:
 
 def homogeneity(arr: Arrangement) -> int | None:
     """The common modular multiplicity, when all modular points agree."""
-    lat = build_lattice(arr)
-    mults = {lat.mult[i] for i in modular_indices(arr)}
+    return _homogeneity(build_lattice(arr), modular_indices(arr))
+
+
+def _homogeneity(lat: Lattice, mods: list[int]) -> int | None:
+    mults = {lat.mult[i] for i in mods}
     return mults.pop() if len(mults) == 1 else None
 
 
@@ -62,10 +65,6 @@ def is_near_pencil(arr: Arrangement) -> bool:
 
 def tjurina_census(lat: Lattice) -> int:
     return sum(n_k * (k - 1) ** 2 for k, n_k in lat.census().items())
-
-
-def tjurina_free(d: int, d2: int, d3: int) -> int:
-    return (d - 1) ** 2 - d2 * d3
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,9 @@ CHECK_NAMES = (
 
 def check_identities(arr: Arrangement) -> ClassifyReport:
     """Every check is not applicable unless its hypotheses hold; m is the
-    multiplicity of the first (a maximal) modular point."""
+    multiplicity of the first (a maximal) modular point.  "tjurina" is the
+    one comparison of the census Tjurina number with (d-1)^2 - (m-1)(d-m),
+    its value on a free arrangement with exponents (1, m-1, d-m)."""
     lat = build_lattice(arr)
     d = lat.d
     cen = lat.census()
@@ -149,7 +150,7 @@ def check_identities(arr: Arrangement) -> ClassifyReport:
     mods = modular_indices(arr)
     pencil = is_pencil(arr)
     near = is_near_pencil(arr)
-    m_homog = homogeneity(arr)
+    m_homog = _homogeneity(lat, mods)
     checks = {name: CheckResult(name, False, None) for name in CHECK_NAMES}
 
     def check(name, passed, lhs, rhs):
@@ -168,7 +169,7 @@ def check_identities(arr: Arrangement) -> ClassifyReport:
         rhs = 2 * len(lat.points) - m * (d - m) - 2
         check("eqSS", n2 >= rhs, n2, rhs)
         tau = tjurina_census(lat)
-        tau_free = tjurina_free(d, m - 1, d - m)
+        tau_free = (d - 1) ** 2 - (m - 1) * (d - m)
         check("tjurina", tau == tau_free, tau, tau_free)
 
     if m_homog is not None:

@@ -200,7 +200,8 @@ def cmd_algebra(args) -> int:
     # (the spaces only grow with degree); its profile reads the dimensions
     # the search kept, in closed form at a minimum that a primitive
     # candidate settled.  A restriction is free with exponents (d1, d2), so
-    # its profile is closed: zero below d1, then 1, or 2 when d1 = d2.
+    # its profile is closed: zero below d1, then 1, or 2 when d1 = d2; so
+    # are d1 and d2 when it is unbalanced or has total < 2s for s points.
     if args.op == "mdr":
         top = _relation_top(arr, args.bound)
         value, dim = _relation_search(arr, top)

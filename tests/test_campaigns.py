@@ -199,6 +199,31 @@ def test_tjurina_sweep_small():
     assert cases["aw-n1-k1-w0"].witness["mdr_certified"]
 
 
+def test_tjurina_identity_is_decided_once_per_case(monkeypatch):
+    # One check_identities report per case gives the modular points, m,
+    # tau, the Tjurina identity, the exponents it certifies and thm2B: at
+    # most two modular_indices calls and one tjurina_census call per case.
+    # A census off the free formula still raises CertificationError.
+    import linarr.classify as classify
+    from linarr.field import CertificationError
+
+    calls = {"modular_indices": 0, "tjurina_census": 0}
+    for module, name in ((classify, "modular_indices"),
+                         (campaigns, "modular_indices"),
+                         (classify, "tjurina_census")):
+        def spy(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
+    res = run_campaign("tjurina-consistency", seed=0, max_n=4, max_dprime=4)
+    assert res.ok and len(res.cases) == 43
+    assert calls["modular_indices"] <= 2 * len(res.cases)
+    assert calls["tjurina_census"] == len(res.cases)
+    monkeypatch.setattr(classify, "tjurina_census", lambda lat: -1)
+    with pytest.raises(CertificationError):
+        run_campaign("tjurina-consistency", max_n=1, max_dprime=3)
+
+
 def test_hirzebruch_sweep():
     res = run_campaign("hirzebruch-sanity")
     assert res.ok

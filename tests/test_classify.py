@@ -11,7 +11,6 @@ from linarr.classify import (
     is_supersolvable,
     modular_points,
     tjurina_census,
-    tjurina_free,
 )
 from linarr.families import (
     ConeSpec,
@@ -110,8 +109,10 @@ def test_tjurina_values():
     assert tjurina_census(build_lattice(full_monomial(1))) == 19
     assert tjurina_census(build_lattice(full_monomial(2))) == 49
     assert tjurina_census(build_lattice(pencil(6))) == 25
-    assert tjurina_free(6, 2, 3) == 19
-    assert tjurina_free(9, 3, 5) == 49
+    # the free formula (d-1)^2 - (m-1)(d-m) is the "tjurina" check's rhs
+    for n, tau in ((1, 19), (2, 49)):
+        tjurina = check_identities(full_monomial(n)).checks["tjurina"]
+        assert tjurina.passed and tjurina.lhs == tjurina.rhs == tau
 
 
 def test_report_full_triangle():

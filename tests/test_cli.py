@@ -173,6 +173,21 @@ def _nullity_columns(monkeypatch):
     return asked
 
 
+def _three_triple_points(t):
+    """Seven lines over Q: z, y, y - z, x, x - z, t x - y + z and t x - y +
+    2 z.  Line 0, z = 0, meets the others at three points, (1 : 0 : 0),
+    (0 : 1 : 0) and (1 : t : 0), each on two of them: mult (2, 2, 2),
+    balanced with total = 2s, so no closed form applies.  No power image
+    passes either, so the search asks each degree up to d1 = 3 and lifts a
+    kernel vector there."""
+    t = str(t)
+    return {"cyclotomic_order": 1, "lines": [
+        [["0"], ["0"], ["1"]], [["0"], ["1"], ["0"]], [["0"], ["1"], ["-1"]],
+        [["1"], ["0"], ["0"]], [["1"], ["0"], ["-1"]], [[t], ["-1"], ["1"]],
+        [[t], ["-1"], ["2"]],
+    ]}
+
+
 def _generic_cone():
     # the pencil derivation of this cone has degree 3, but its minimal
     # relation degree is 2, and its line 0 restricts to mult (2, 2, 1)
@@ -223,12 +238,14 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
     # The output equals the exponents with every dimension up to d1 asked
     # apart, and the profile at d1 is read in closed form, 1 + (2 d1 ==
     # total): a rank-two multiarrangement is free.  An unbalanced line (the
-    # near-pencil's through its point of multiplicity 5) is answered in
-    # closed form, and a primitive explicit derivation certifies d1: nothing
-    # is asked.  One that is not primitive (the Euler product of a cone's
-    # line with mult (2, 2, 1, 1)) certifies d1 by asking d1 - 1.  Where
-    # none applies (another cone's line 0) the search asks each degree up
-    # to d1 once.
+    # near-pencil's through its point of multiplicity 5) and a balanced one
+    # with total < 2s, s its number of points (the braid arrangement's,
+    # the near-pencil's transversal, a cone's line with mult (2, 2, 1, 1),
+    # another cone's line 0) are answered in closed form, and a primitive
+    # explicit derivation (on full_monomial(3), mult (4, 4, 1, 1, 1) and
+    # (4, 2, 2, 2, 1)) certifies d1: nothing is asked.  Where none applies
+    # (line 0 of _three_triple_points, mult (2, 2, 2)) the search asks each
+    # degree up to d1 once.
     from linarr.algebra import (
         _binary_monomials,
         _derivation_dim,
@@ -240,13 +257,16 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
     [euler_cone] = [a for label, a in campaigns._standard_pool(0, 1, 3)
                     if label == "cone-d3-generic-e1-s1"]
     cases = []
-    for arr, line, route in ((full_monomial(1), 0, "primitive"),
-                             (full_monomial(3), 0, "primitive"),
-                             (near_pencil(6), 0, "closed form"),
-                             (near_pencil(6), 1, "closed form"),
-                             (near_pencil(6), 5, "primitive"),
-                             (euler_cone, 0, "zero kernel"),
-                             (_generic_cone(), 0, "scan")):
+    for arr, line, route in (
+            (full_monomial(1), 0, "count"),
+            (full_monomial(3), 0, "primitive"),
+            (full_monomial(3), 3, "primitive"),
+            (near_pencil(6), 0, "closed form"),
+            (near_pencil(6), 1, "closed form"),
+            (near_pencil(6), 5, "count"),
+            (euler_cone, 0, "count"),
+            (_generic_cone(), 0, "count"),
+            (Arrangement.from_json(_three_triple_points(2)), 0, "scan")):
         R = ziegler_restriction(arr, line)
         d1, d2 = multi_exponents(R)
         cases.append((arr, line, route, {
@@ -258,7 +278,8 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
             "total": R.total,
             "balanced": is_balanced(R),
         }))
-    assert cases[-2][-1]["degree_dims"][-1] == 2  # d1 = d2 = 3
+    assert cases[-3][-1]["degree_dims"][-1] == 2  # d1 = d2 = 3
+    assert cases[-1][-1]["degree_dims"] == [0, 0, 0, 2]  # d1 = d2 = 3
     asked = _nullity_columns(monkeypatch)
     path = tmp_path / "arr.json"
     for arr, line, route, want in cases:
@@ -267,9 +288,9 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
         assert main(["algebra", "ziegler", str(path), "--line", str(line)]) == 0
         assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
         assert want["balanced"] == (route != "closed form")
+        assert (want["total"] < 2 * len(want["mult"])) == (route == "count")
         d1 = want["value"][0]
-        degrees = {"closed form": (), "primitive": (), "zero kernel": (d1 - 1,),
-                   "scan": range(d1 + 1)}[route]
+        degrees = range(d1 + 1) if route == "scan" else ()
         assert asked == [2 * deg + 2 for deg in degrees]
 
 
@@ -411,6 +432,23 @@ def test_negative_bound_and_order_exit_two(tmp_path, capsys):
         "value": None, "degree_dims": [0]}
 
 
+def test_one_line_file_is_refused_for_its_line_count(tmp_path, capsys):
+    # with or without --bound, mdr refuses a one-line file as every other
+    # question does, not with a message about a bound
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"cyclotomic_order": 1, "lines": [
+        [["1"], ["0"], ["0"]]]}))
+    for args in (["algebra", "mdr", str(path)],
+                 ["algebra", "mdr", str(path), "--bound", "0"],
+                 ["algebra", "ziegler", str(path), "--line", "0"],
+                 ["algebra", "nodal-dim", str(path)],
+                 ["analyze", str(path)]):
+        assert main(args) == 2
+        out = capsys.readouterr()
+        assert not out.out
+        assert out.err == "error: need at least two lines to intersect\n"
+
+
 def test_too_tall_coefficient_exits_two(tmp_path, capsys):
     # a 400-digit coefficient is legal, but too tall for the kernel
     # certificate on split primes: CertificationError, not a traceback
@@ -419,14 +457,9 @@ def test_too_tall_coefficient_exits_two(tmp_path, capsys):
     path = tmp_path / "tall.json"
     path.write_text(json.dumps(data))
     assert main(["algebra", "mdr", str(path)]) == 2
-    # z = 0 meets y and y - z at one point, x and x - z at another, and
-    # 10^400 x - y + z alone: mult (2, 2, 1), balanced, with no passing
-    # candidate, so the search lifts a kernel vector at d1 = 2
-    tall = str(10 ** 400)
-    path.write_text(json.dumps({"cyclotomic_order": 1, "lines": [
-        [["0"], ["0"], ["1"]], [["0"], ["1"], ["0"]], [["0"], ["1"], ["-1"]],
-        [["1"], ["0"], ["0"]], [["1"], ["0"], ["-1"]], [[tall], ["-1"], ["1"]],
-    ]}))
+    # line 0 restricts to mult (2, 2, 2), with a point at (1 : 10^400 : 0):
+    # the search lifts a kernel vector at d1 = 3
+    path.write_text(json.dumps(_three_triple_points(10 ** 400)))
     assert main(["algebra", "ziegler", str(path), "--line", "0"]) == 2
     assert capsys.readouterr().err.count("not certified") == 2
     # where a primitive relation settles mdr, its height does not matter:

@@ -38,16 +38,21 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
 # the restriction alone, so no power image is built from the parent line
 # and carried on the restriction as lifts.  An unbalanced restriction (2 max
 # m >= total) takes its exponents (total - max m, max m) in closed form,
-# before any candidate, so no product candidate is built for it; the CLI
-# reads a restriction's profile in closed form too (free of rank two: 1 at
-# d1, 2 when d1 = d2), so no search hands a restriction's dimensions back
-# and _min_degree takes no closed form for them.
+# before any candidate, and so does one with total < 2s, s its number of
+# points, (total - s + 1, s - 1) sorted: the Euler product prod
+# alpha^(m - 1) E could only be a candidate there, so it is gone with its
+# builder, _product, and the power images are a restriction's only
+# candidates.  The CLI reads a restriction's profile in closed form too
+# (free of rank two: 1 at d1, 2 when d1 = d2), so no search hands a
+# restriction's dimensions back and _min_degree takes no closed form for
+# them.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
            "certified_zero", "_upward", "_rows_at", "split_roots", "_cross",
            "div_linear", "_gauged_rows", "_restriction_rows", "_derives",
            "_multi_dim", "det3", "adjugate3", "_max_modular",
-           "_power_image", "lifts", "_restriction_search", "at_half"}
+           "_power_image", "lifts", "_restriction_search", "at_half",
+           "_product"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
@@ -70,20 +75,20 @@ INCIDENCE = {"contains", "line_intersect", "line_through"}
 # in lattice order: the first index has the largest multiplicity, and
 # points of equal multiplicity come by coordinates.  Readers take modular
 # points by index and never look a point up or sort points again.
+# supersolvable_exponents and tjurina-consistency read them, and the
+# Tjurina identity, off one check_identities report.
 POINT_LOOKUP = {"index", "sort_key"}
 MODULAR_READERS = {
     "classify.py": ("modular_points", "is_supersolvable", "homogeneity",
                     "check_identities"),
     "wclass.py": ("recover_class",),
-    "algebra.py": ("supersolvable_exponents",),
-    "campaigns.py": ("thm1_bound", "thm1b_modular_counts", "zmain_exponents",
-                     "tjurina_consistency"),
+    "campaigns.py": ("thm1_bound", "thm1b_modular_counts", "zmain_exponents"),
 }
 
 # ziegler_restriction only reads the lattice: which derivations are
 # candidates for a restriction is decided by _restriction_candidates, from
-# the restriction alone.
-CANDIDATE_BUILDERS = {"divisors", "_conv", "_parts", "_product",
+# the restriction alone, and they are the power images only.
+CANDIDATE_BUILDERS = {"divisors", "_conv", "_parts",
                       "_power_derivation", "_pencil_derivation",
                       "_relation_candidates", "_restriction_candidates"}
 
