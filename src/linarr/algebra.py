@@ -20,26 +20,22 @@ _is_derivation, so exact rows are built only for node conditions.
 
 A rank-two multiarrangement is free (Ziegler), so the exponents of a
 restriction are (d1, total - d1), d1 its least degree with a nonzero
-derivation.  They are read off the multiplicities, with no candidate and
-no kernel, when 2 max m >= total, (total - max m, max m) (A. Wakamiko,
-"On the exponents of 2-multiarrangements", 2007), and when total < 2s
-for s points, (total - s + 1, s - 1) sorted (multi_exponents).
+derivation.  multi_exponents reads them off the restriction, with no check
+and no kernel, when 2 max m >= total (A. Wakamiko, "On the exponents of
+2-multiarrangements", 2007), when total < 2s for s points, and when a
+Ziegler image of the power derivation is a derivation (G. Ziegler,
+"Multiarrangements of hyperplanes and their freeness", 1989); else
+_min_degree scans for d1.
 
-Any other minimal degree, of a relation (mdr) or of d1, is one search,
-_min_degree: the lowest closed-form candidate c that passes _is_derivation
-at the degree it claims is the minimum when its vector is primitive
-(linalg.certified_coprime) and 2c is at most the sum that bounds two
-independent elements from below: d - 1 for relations (du Plessis and
-Wall, Math. Proc. Cambridge Philos. Soc., 1999), total for a restriction
-(Ziegler).  A lower element would be a multiple of it or independent of
-it.  The vector of a relation candidate theta is rho = d theta - h E, h =
-theta(f)/f the sum of the quotients of its check.  Any other passing
-candidate is certified by a zero dimension at c - 1, else the search goes
-below c - 1.  The candidates come from G. Ziegler, "Multiarrangements of
-hyperplanes and their freeness" (1989).  A restriction's candidates are
-the Ziegler images of the power derivation, in closed form and read off
-the restriction alone, so a MultiRestriction is the plain value (field,
-forms, mult); each is primitive, so one that passes takes no kernel.
+A minimal relation degree (mdr) is one search, _min_degree: the lowest
+closed-form candidate c that passes _is_derivation at the degree it claims
+is the minimum when its relation rho = d theta - h E, h = theta(f)/f the
+sum of the quotients of its check, is primitive (linalg.certified_coprime)
+and 2c <= d - 1: two independent relations have degrees summing to at
+least d - 1 (du Plessis and Wall, Math. Proc. Cambridge Philos. Soc.,
+1999), so a lower one would be a multiple of it or independent of it.  Any
+other passing candidate is certified by a zero dimension at c - 1, else
+the search goes below c - 1.
 """
 
 from __future__ import annotations
@@ -375,17 +371,15 @@ def _min_degree(F: CycField, forms, mult, monomials, candidates, top: int,
     The spaces only grow with degree.  Let c be the lowest candidate degree
     whose derivation theta passes the exact check (_quotients).  Two
     independent elements of the question have degrees summing to at least
-    half: d - 1 for relations (du Plessis and Wall, 1999: rho1 x rho2 =
-    h' grad f), total for a restriction (Ziegler, 1989: det(theta1, theta2)
-    is divisible by prod alpha^m).  So when 2c <= half and the forms of
-    vector(c, theta, quotients) (the relation theta gives, or theta
-    itself) have no common factor (linalg.certified_coprime), c is the
-    minimum with no kernel asked: an element below c would be a multiple
-    of theta, or independent of it.  The dimension at c is then 1 when 2c
-    < half, and always for a restriction: its candidates are primitive.
-    Otherwise c is the minimum when c = 0 or dim(c - 1) = 0, else it is
-    the first nonzero degree below c - 1, else c - 1.  With no candidate
-    it is the first nonzero degree to top.
+    half (for relations, d - 1: du Plessis and Wall, 1999, rho1 x rho2 =
+    h' grad f).  So when 2c <= half and the forms of vector(c, theta,
+    quotients) (the relation theta gives) have no common factor
+    (linalg.certified_coprime), c is the minimum with no kernel asked: an
+    element below c would be a multiple of theta, or independent of it.
+    The dimension at c is then 1 when 2c < half.  Otherwise c is the
+    minimum when c = 0 or dim(c - 1) = 0, else it is the first nonzero
+    degree below c - 1, else c - 1.  With no candidate it is the first
+    nonzero degree to top.
     """
     dims = {}
 
@@ -589,30 +583,6 @@ def ziegler_restriction(arr: Arrangement, h: int) -> MultiRestriction:
         arr.field, tuple((X[o2], -X[o1]) for X, _ in on_h), mult)
 
 
-def _restriction_candidates(R: MultiRestriction) -> list:
-    """(degree, derivation) of the Ziegler images of x^r d_x + y^r d_y +
-    z^r d_z, r - 1 dividing the field order, all read off R.  On a line
-    x_piv = -(c1 u + c2 v) with c1 c2 = 0 and (-c)^(r-1) = 1 for c = c1, c2
-    nonzero, the image does not depend on c: u^r d_u + v^r d_v (c1 = c2 =
-    0), (1-r) u^r d_u + (v^r - r u^(r-1) v) d_v (c2 = 0), or (u^r - r u
-    v^(r-1)) d_u + (1-r) v^r d_v (c1 = 0).  All three come at each r with
-    max m <= r <= total/2, where d1 lies: below max m, each sends every
-    form to a nonzero form of degree r < m, never in (alpha^m).  Each is
-    primitive, so certified_coprime settles any that passes.  Only a
-    balanced R with total >= 2s gets here: multi_exponents answers the
-    rest in closed form."""
-    F, one, total = R.field, R.field.one, R.total
-    out = []
-    for k in divisors(F.order):
-        r = k + 1
-        if R.mult[0] <= r <= total // 2:
-            a, b = F.scalar(-k), F.scalar(-r)  # 1 - r, -r
-            out += [(r, [{(r, 0): one}, {(0, r): one}]),
-                    (r, [{(r, 0): a}, {(0, r): one, (k, 1): b}]),
-                    (r, [{(r, 0): one, (1, k): b}, {(0, r): a}])]
-    return out
-
-
 def multi_exponents(R: MultiRestriction) -> tuple[int, int]:
     """Exponent pair (d1, d2) of the restriction, d1 <= d2, summing to total.
 
@@ -641,22 +611,52 @@ def multi_exponents(R: MultiRestriction) -> tuple[int, int]:
     of degree total - s + 1, which is d1 when total <= 2s - 2; when total =
     2s - 1, d1 <= total/2 leaves d1 = s - 1.
 
-    Otherwise d1 is one search, _min_degree; CertificationError if no
-    degree up to total/2 has a derivation.
+    Otherwise d1 is the least r = k + 1, k | n, max m <= r <= total/2, at
+    which a Ziegler image of x^r d_x + y^r d_y + z^r d_z is a derivation
+    (_power_images_pass): it is primitive, and two independent derivations
+    have degrees summing to at least total (Ziegler: their determinant is
+    divisible by prod alpha^m), so a lower one would be a multiple of it or
+    independent of it.  I = u^r d_u + v^r d_v, II = (1-r) u^r d_u + (v^r -
+    r u^(r-1) v) d_v and III = (u^r - r u v^(r-1)) d_u + (1-r) v^r d_v pass
+    when each normalized form meets its entry (* for (-b)^(r-1) = 1):
+
+        form       I          II         III
+        v          m <= r     m = 1      m <= r
+        u          m <= r     m <= r     m = 1
+        u + b v    * m = 1    * m <= 2   * m <= 2
+
+    theta(v) is v^r, v (v^(r-1) - r u^(r-1)), (1-r) v^r, and theta(u)
+    likewise.  At u = -b v, b != 0, I(u + b v) = u^r + b v^r has a simple
+    root when (-b)^(r-1) = 1; II(u + b v) takes v^r ((-b)^r + b), its first
+    u-derivative vanishes, and its second is r (r-1) b (-b)^(r-3) v^(r-2)
+    != 0; III is II with u and v swapped, b for 1/b.  Else _min_degree
+    scans; CertificationError if no degree <= total/2 has a derivation.
     """
     m1, total, s = R.mult[0], R.total, len(R.forms)
     if not is_balanced(R):
         return (total - m1, m1)
     if total < 2 * s:
         return tuple(sorted((total - s + 1, s - 1)))
-    d1 = _min_degree(R.field, R.forms, R.mult, _binary_monomials,
-                     _restriction_candidates(R), total // 2, total,
-                     lambda deg, theta, quotients: theta)[0]
+    d1 = next((k + 1 for k in divisors(R.field.order)
+               if m1 <= k + 1 <= total // 2
+               and any(_power_images_pass(R, k + 1))), None)
+    if d1 is None:
+        d1 = _min_degree(R.field, R.forms, R.mult, _binary_monomials, (),
+                         total // 2, total, None)[0]
     if d1 is None:
         raise CertificationError(
             f"no derivation of degree <= {total // 2} of total {total}"
         )
     return (d1, total - d1)
+
+
+def _power_images_pass(R: MultiRestriction, r: int) -> list[bool]:
+    """Whether each power image I, II, III of degree r >= 2 is a derivation
+    of R, read off its forms and multiplicities (multi_exponents' table)."""
+    caps = [(r, 1, r) if not a else (r, r, 1) if not b else (1, 2, 2)
+            if (-b) ** (r - 1) == R.field.one else (0, 0, 0)
+            for a, b in R.forms]
+    return [all(m <= cap[i] for cap, m in zip(caps, R.mult)) for i in range(3)]
 
 
 def is_balanced(R: MultiRestriction) -> bool:

@@ -16,11 +16,11 @@ import sys
 from .algebra import (
     _relation_search,
     _relation_top,
+    _report_exponents,
     is_balanced,
     mdr,
     multi_exponents,
     nodal_dimension_profile,
-    supersolvable_exponents,
     ziegler_restriction,
 )
 from .campaigns import CAMPAIGNS, run_campaign
@@ -90,7 +90,7 @@ def _analysis(arr: Arrangement) -> dict:
     report = check_identities(arr)
     value = mdr(arr)
     try:
-        exps = supersolvable_exponents(arr)
+        exps = _report_exponents(report)
     except ValueError:
         exps = None
     return {
@@ -201,7 +201,7 @@ def cmd_algebra(args) -> int:
     # the search kept, in closed form at a minimum that a primitive
     # candidate settled.  A restriction is free with exponents (d1, d2), so
     # its profile is closed: zero below d1, then 1, or 2 when d1 = d2; so
-    # are d1 and d2 when it is unbalanced or has total < 2s for s points.
+    # are d1 and d2 unless multi_exponents has to scan.
     if args.op == "mdr":
         top = _relation_top(arr, args.bound)
         value, dim = _relation_search(arr, top)

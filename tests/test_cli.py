@@ -104,6 +104,38 @@ def test_analyze_human_table(tmp_path, capsys):
     assert "FAIL" not in text
 
 
+def test_analyze_builds_one_identity_report(tmp_path, capsys, monkeypatch):
+    # linarr analyze reads the exponents off the report of its "classify"
+    # section: one check_identities report per file, and one Tjurina census
+    # when it has a modular point, and the same --json bytes as reading the
+    # exponents off a second report (supersolvable_exponents), supersolvable
+    # or not.
+    import linarr.algebra as alg
+    import linarr.classify as cls
+    import linarr.cli as cli
+
+    calls = []
+    for module, name in ((cli, "check_identities"),
+                         (alg, "check_identities"), (cls, "tjurina_census")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    for arr, census in ((full_monomial(3), 1), (near_pencil(6), 1),
+                        (generic_arrangement(5, seed=2), 0)):
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps(arr.to_json()))
+        del calls[:]
+        assert main(["analyze", str(path), "--json"]) == 0
+        assert calls == ["check_identities"] + ["tjurina_census"] * census
+        try:
+            exps = list(alg.supersolvable_exponents(arr))
+        except ValueError:
+            exps = None
+        want = {"classify": cls.check_identities(arr).to_json(),
+                "mdr": alg.mdr(arr), "exponents": exps}
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+
 def test_recover_canonicalizes(tmp_path, capsys):
     path = tmp_path / "aw.json"
     main(["make", "aw", "4", "1,2", "--out", str(path)])
@@ -241,9 +273,10 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
     # near-pencil's through its point of multiplicity 5) and a balanced one
     # with total < 2s, s its number of points (the braid arrangement's,
     # the near-pencil's transversal, a cone's line with mult (2, 2, 1, 1),
-    # another cone's line 0) are answered in closed form, and a primitive
-    # explicit derivation (on full_monomial(3), mult (4, 4, 1, 1, 1) and
-    # (4, 2, 2, 2, 1)) certifies d1: nothing is asked.  Where none applies
+    # another cone's line 0) are answered in closed form, and a power
+    # image, primitive and read off the multiplicities by a table (on
+    # full_monomial(3), mult (4, 4, 1, 1, 1) and (4, 2, 2, 2, 1)), certifies
+    # d1: nothing is asked.  Where none applies
     # (line 0 of _three_triple_points, mult (2, 2, 2)) the search asks each
     # degree up to d1 once.
     from linarr.algebra import (

@@ -17,8 +17,8 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
 # A minimal degree that no closed form gives takes one search
 # (algebra._min_degree), the CLI's too: an
 # explicit derivation checked exactly, then certified minimal by its
-# primitive vector within the half-bound (du Plessis-Wall for relations,
-# Ziegler for restrictions; linalg.certified_coprime), else by a certified
+# primitive vector within the half-bound (du Plessis-Wall for relations;
+# linalg.certified_coprime), else by a certified
 # dimension below it, each degree asked once.  No uncertified guess to
 # certify, no knob to bypass it, no Hilbert-function read of one
 # dimension, no probe of F_p beside certified_nullity and
@@ -34,25 +34,26 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
 # back, and the division and the two former builders and checks live on in
 # the tests as oracles.  Transforms take their adjugate and determinant
 # from integral cross products too, so the generic 3x3 determinant and
-# adjugate are test oracles now.  A restriction's candidates are read off
-# the restriction alone, so no power image is built from the parent line
-# and carried on the restriction as lifts.  An unbalanced restriction (2 max
-# m >= total) takes its exponents (total - max m, max m) in closed form,
-# before any candidate, and so does one with total < 2s, s its number of
-# points, (total - s + 1, s - 1) sorted: the Euler product prod
-# alpha^(m - 1) E could only be a candidate there, so it is gone with its
-# builder, _product, and the power images are a restriction's only
-# candidates.  The CLI reads a restriction's profile in closed form too
-# (free of rank two: 1 at d1, 2 when d1 = d2), so no search hands a
-# restriction's dimensions back and _min_degree takes no closed form for
-# them.
+# adjugate are test oracles now.  A restriction's exponents are read off
+# the restriction alone, with no candidate carried on it as lifts: (total -
+# max m, max m) when it is unbalanced (2 max m >= total), (total - s + 1,
+# s - 1) sorted when total < 2s, s its number of points (so the Euler
+# product and its builder, _product, are gone), and otherwise the least
+# degree of a power image that its forms and multiplicities admit, by a
+# table (algebra._power_images_pass), with no exact check and no
+# coprimality.  So the images are built and checked only in the tests,
+# where _restriction_candidates is the oracle, and a restriction that no
+# image settles is scanned by _min_degree with no candidate.  The CLI
+# reads a restriction's profile in closed form too (free of rank two: 1
+# at d1, 2 when d1 = d2), so no search hands a restriction's dimensions
+# back and _min_degree takes no closed form for them.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
            "certified_zero", "_upward", "_rows_at", "split_roots", "_cross",
            "div_linear", "_gauged_rows", "_restriction_rows", "_derives",
            "_multi_dim", "det3", "adjugate3", "_max_modular",
            "_power_image", "lifts", "_restriction_search", "at_half",
-           "_product"}
+           "_product", "_restriction_candidates"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
@@ -85,12 +86,17 @@ MODULAR_READERS = {
     "campaigns.py": ("thm1_bound", "thm1b_modular_counts", "zmain_exponents"),
 }
 
-# ziegler_restriction only reads the lattice: which derivations are
-# candidates for a restriction is decided by _restriction_candidates, from
-# the restriction alone, and they are the power images only.
+# ziegler_restriction only reads the lattice: which power images are
+# derivations of a restriction is decided by _power_images_pass, from the
+# restriction alone.
 CANDIDATE_BUILDERS = {"divisors", "_conv", "_parts",
                       "_power_derivation", "_pencil_derivation",
-                      "_relation_candidates", "_restriction_candidates"}
+                      "_relation_candidates", "_power_images_pass"}
+
+# multi_exponents decides every power image by its table: it runs no exact
+# check and no coprimality, only the scan of _min_degree when no image
+# passes.
+EXACT_CHECKS = {"_quotients", "_is_derivation", "certified_coprime"}
 
 # Elimination and the gcd mod p are linalg's own: no other module reaches
 # past certified_nullity or certified_coprime to the engine behind them.
@@ -245,3 +251,10 @@ def test_multi_restriction_is_a_plain_value():
 def test_ziegler_restriction_builds_no_candidate():
     calls = _calls_in("algebra.py", "ziegler_restriction")
     assert "build_lattice" in calls and not calls & CANDIDATE_BUILDERS
+
+
+def test_multi_exponents_runs_no_exact_check():
+    calls = _calls_in("algebra.py", "multi_exponents")
+    assert {"_power_images_pass", "_min_degree"} <= calls
+    assert not calls & EXACT_CHECKS
+    assert not _calls_in("algebra.py", "_power_images_pass") & EXACT_CHECKS
