@@ -24,10 +24,10 @@ derivation.  multi_exponents reads them off the restriction, with no check
 and no kernel, when 2 max m >= total (A. Wakamiko, "On the exponents of
 2-multiarrangements", 2007), when total < 2s for s points, and when a
 Ziegler image of the power derivation is a derivation (G. Ziegler,
-"Multiarrangements of hyperplanes and their freeness", 1989); else
-_min_degree scans for d1.
+"Multiarrangements of hyperplanes and their freeness", 1989); else it
+scans the certified dimensions (_derivation_dim) up to total/2 for d1.
 
-A minimal relation degree (mdr) is one search, _min_degree: the lowest
+A minimal relation degree (mdr) is one search, _relation_search: the lowest
 closed-form candidate c that passes _is_derivation at the degree it claims
 is the minimum when its relation rho = d theta - h E, h = theta(f)/f the
 sum of the quotients of its check, is primitive (linalg.certified_coprime)
@@ -41,7 +41,6 @@ the search goes below c - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import comb
 
 from .classify import ClassifyReport, check_identities
@@ -361,52 +360,6 @@ def _parts(groups, vec) -> list[dict]:
     return [dict(zip(group, coeffs)) for group in groups]
 
 
-def _min_degree(F: CycField, forms, mult, monomials, candidates, top: int,
-                half: int, vector):
-    """(d, dim): d the least degree <= top with a nonzero space of
-    derivations, certified, else None; dim(deg) the certified dimension
-    (_derivation_dim), asked at most once per degree and kept, or known in
-    closed form at d.
-
-    The spaces only grow with degree.  Let c be the lowest candidate degree
-    whose derivation theta passes the exact check (_quotients).  Two
-    independent elements of the question have degrees summing to at least
-    half (for relations, d - 1: du Plessis and Wall, 1999, rho1 x rho2 =
-    h' grad f).  So when 2c <= half and the forms of vector(c, theta,
-    quotients) (the relation theta gives) have no common factor
-    (linalg.certified_coprime), c is the minimum with no kernel asked: an
-    element below c would be a multiple of theta, or independent of it.
-    The dimension at c is then 1 when 2c < half.  Otherwise c is the
-    minimum when c = 0 or dim(c - 1) = 0, else it is the first nonzero
-    degree below c - 1, else c - 1.  With no candidate it is the first
-    nonzero degree to top.
-    """
-    dims = {}
-
-    def dim(deg):
-        if deg not in dims:
-            dims[deg] = _derivation_dim(F, forms, mult, monomials, deg)
-        return dims[deg]
-
-    c = theta = quotients = None
-    for deg, theta in sorted(candidates, key=lambda dt: dt[0]):
-        if deg > top:
-            break
-        quotients = _quotients(F, forms, mult, deg, theta)
-        if quotients is not None:
-            c = deg
-            break
-    if c and 2 * c <= half and certified_coprime(
-            F, c, vector(c, theta, quotients)):
-        if 2 * c < half:
-            dims[c] = 1
-        return c, dim
-    if c is None or (c and dim(c - 1)):
-        c = next((deg for deg in range(top + 1 if c is None else c - 1)
-                  if dim(deg)), None if c is None else c - 1)
-    return c, dim
-
-
 def _relation_top(arr: Arrangement, bound: int | None) -> int:
     # the lattice refuses fewer than two lines, for every question alike
     d = build_lattice(arr).d
@@ -472,17 +425,54 @@ def mdr(arr: Arrangement, bound: int | None = None) -> int | None:
     the lowest explicit derivation that passes its exact check, when the
     relation it gives is primitive and 2r <= d - 1 or a zero relation space
     is certified one degree below, else the first certified nonzero degree
-    below it (_min_degree).
+    below it (_relation_search).
     """
     return _relation_search(arr, bound)[0]
 
 
 def _relation_search(arr: Arrangement, bound: int | None):
-    """(mdr(arr, bound), dim) of _min_degree on the relation question."""
+    """(mdr(arr, bound), dim): dim(deg) the certified dimension of the
+    degree-deg relation space (_derivation_dim), asked at most once per
+    degree and kept, or known in closed form at the answer.
+
+    The spaces only grow with degree.  Let c be the lowest candidate degree
+    whose derivation theta passes the exact check (_quotients), and rho =
+    d theta - h E its relation (_relation_vector).  Two independent
+    relations have degrees summing to at least d - 1 (du Plessis and Wall,
+    1999, rho1 x rho2 = h' grad f).  So when 2c <= d - 1 and the forms of
+    rho have no common factor (linalg.certified_coprime), c is the minimum
+    with no kernel asked: a relation below c would be a multiple of rho,
+    or independent of it.  The dimension at c is then 1 when 2c < d - 1.
+    Otherwise c is the minimum when c = 0 or dim(c - 1) = 0, else it is
+    the first nonzero degree below c - 1, else c - 1.  With no candidate up
+    to the bound it is the first nonzero degree to the bound.
+    """
     F, forms, mult = _relation_question(arr)
-    return _min_degree(F, forms, mult, _gauged_monomials,
-                       _relation_candidates(arr), _relation_top(arr, bound),
-                       len(forms) - 1, partial(_relation_vector, forms))
+    top, half = _relation_top(arr, bound), len(forms) - 1
+    dims = {}
+
+    def dim(deg):
+        if deg not in dims:
+            dims[deg] = _derivation_dim(F, forms, mult, _gauged_monomials, deg)
+        return dims[deg]
+
+    c = theta = quotients = None
+    for deg, theta in sorted(_relation_candidates(arr), key=lambda dt: dt[0]):
+        if deg > top:
+            break
+        quotients = _quotients(F, forms, mult, deg, theta)
+        if quotients is not None:
+            c = deg
+            break
+    if c and 2 * c <= half and certified_coprime(
+            F, c, _relation_vector(forms, c, theta, quotients)):
+        if 2 * c < half:
+            dims[c] = 1
+        return c, dim
+    if c is None or (c and dim(c - 1)):
+        c = next((deg for deg in range(top + 1 if c is None else c - 1)
+                  if dim(deg)), None if c is None else c - 1)
+    return c, dim
 
 
 def verify_mdr(arr: Arrangement, r_star: int) -> bool:
@@ -629,8 +619,9 @@ def multi_exponents(R: MultiRestriction) -> tuple[int, int]:
     likewise.  At u = -b v, b != 0, I(u + b v) = u^r + b v^r has a simple
     root when (-b)^(r-1) = 1; II(u + b v) takes v^r ((-b)^r + b), its first
     u-derivative vanishes, and its second is r (r-1) b (-b)^(r-3) v^(r-2)
-    != 0; III is II with u and v swapped, b for 1/b.  Else _min_degree
-    scans; CertificationError if no degree <= total/2 has a derivation.
+    != 0; III is II with u and v swapped, b for 1/b.  Else d1 is the first
+    degree whose certified dimension (_derivation_dim) is nonzero;
+    CertificationError if no degree <= total/2 has a derivation.
     """
     m1, total, s = R.mult[0], R.total, len(R.forms)
     if not is_balanced(R):
@@ -641,8 +632,8 @@ def multi_exponents(R: MultiRestriction) -> tuple[int, int]:
                if m1 <= k + 1 <= total // 2
                and any(_power_images_pass(R, k + 1))), None)
     if d1 is None:
-        d1 = _min_degree(R.field, R.forms, R.mult, _binary_monomials, (),
-                         total // 2, total, None)[0]
+        d1 = next((deg for deg in range(total // 2 + 1) if _derivation_dim(
+            R.field, R.forms, R.mult, _binary_monomials, deg)), None)
     if d1 is None:
         raise CertificationError(
             f"no derivation of degree <= {total // 2} of total {total}"

@@ -295,13 +295,13 @@ class CycNumber:
             return NotImplemented
         if e < 0:
             return _inverse(self) ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if not e:
+            return self.field.one
+        result = self  # the top bit; then one square per lower bit
+        for bit in bin(e)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __bool__(self):

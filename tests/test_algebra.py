@@ -817,15 +817,6 @@ def _restriction_candidates(R):
             for theta in _power_images(R.field, k + 1)]
 
 
-def _candidate_search(R, candidates):
-    """d1 of R from _min_degree on the binary question, given candidates:
-    each passing candidate is settled by its exact check and coprimality,
-    or by the kernel."""
-    return alg._min_degree(R.field, R.forms, R.mult, _binary_monomials,
-                           candidates, R.total // 2, R.total,
-                           lambda deg, theta, quotients: theta)[0]
-
-
 def _power_image(F, c1, c2, r):
     """Oracle for the power images of _restriction_candidates: the Ziegler
     image on the line x_piv = w, w = -(c1 u + c2 v), of theta = x^r d_x +
@@ -987,17 +978,12 @@ def test_candidate_one_degree_too_low_is_rejected():
                for t in theta]
         assert not is_relation(arr, deg - 1, low)
     # restrictions: both closed forms with one exponent lowered fail the
-    # exact check, as they fail the division oracle, and offered to the
-    # search before the power images they leave every answer unchanged
+    # exact check, as they fail the division oracle
     rejected = 0
     for R in _scan_restrictions():
-        low = _low_restriction_candidates(R)
-        for deg, vec in low:
+        for deg, vec in _low_restriction_candidates(R):
             assert not derives(R, deg, vec) and not _derives(R, deg, vec)
             rejected += 1
-        assert _candidate_search(R, [
-            (deg, binary(vec)) for deg, vec in low
-        ] + _restriction_candidates(R)) == _scan_exponents(R)[0]
     assert rejected > 100
 
 
@@ -1203,8 +1189,8 @@ def _exact_relation_dim(arr, r):
 def test_candidate_claiming_one_degree_less_is_rejected(monkeypatch):
     # A candidate's exact check binds the degree it claims: every real
     # candidate stated one degree low is rejected, and so is the zero
-    # element; offered first, the low ones leave every answer equal to the
-    # exact scan.
+    # element; offered first, the low relations leave every answer equal
+    # to the exact one.
     real_rel = alg._relation_candidates
     monkeypatch.setattr(alg, "_relation_candidates", lambda arr: [
         (deg - 1, theta) for deg, theta in real_rel(arr)] + real_rel(arr))
@@ -1232,75 +1218,61 @@ def test_candidate_claiming_one_degree_less_is_rejected(monkeypatch):
                                       theta)
             assert not derives(R, deg, [zero] * (2 * deg + 2))
             rejected += 1
-        assert _candidate_search(R, [
-            (deg - 1, theta) for deg, theta in real] + real) == (
-            _scan_exponents(R)[0])
     assert rejected > 100
 
 
 def test_perturbed_candidate_is_rejected():
     # One coefficient + 1: the exact check agrees with the oracle rows and
     # the division oracle on it, unless that makes it zero, which both
-    # checks reject, and the answer still equals the exact scan.
-    def perturbed(R):
-        out = []
+    # checks reject.
+    rejected = 0
+    for R in _scan_restrictions():
         for deg, theta in _restriction_candidates(R):
             bad = flat(R, theta, deg)
             j = next(j for j, x in enumerate(bad) if x)
             bad[j] = bad[j] + R.field.one
-            out.append((deg, bad))
-        return out
-
-    rejected = 0
-    for R in _scan_restrictions():
-        for deg, bad in perturbed(R):
             ok = derives(R, deg, bad)
             assert ok == _derives(R, deg, bad) == (
                 any(bad) and _in_exact_kernel(R, deg, bad))
             rejected += not ok
-        assert _candidate_search(R, [
-            (deg, binary(bad)) for deg, bad in perturbed(R)]) == (
-            _scan_exponents(R)[0])
     assert rejected > 100
 
 
 def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
     # u times a derivation of degree d1 is an exact derivation of degree
-    # d1 + 1.  Offered alone to the search, it passes its check, but it is
-    # not primitive, and the certified dimension at d1 is not zero:
-    # skipping that question would answer d1 + 1.  It is asked once, and
-    # the answer is d1 after the degrees below it, each asked once, are
-    # certified zero.
-    log = _route_log(monkeypatch)
+    # d1 + 1: the exact check and the division oracle both pass it, so a
+    # passing check alone never certifies a minimal degree.
     cases = 0
     for R in _scan_restrictions():
         if not is_balanced(R):
             continue
-        d1, d2 = _scan_exponents(R)
+        d1, _ = _scan_exponents(R)
         good = [flat(R, theta, deg) for deg, theta
                 in _restriction_candidates(R) if deg == d1]
         good = [vec for vec in good if derives(R, d1, vec)]
-        if not good or 2 * (d1 + 1) > R.total:
+        if not good:
             continue
         P, Q = good[0][:d1 + 1], good[0][d1 + 1:]
         zero = R.field.zero
-        del log[:]
-        assert _candidate_search(
-            R, [(d1 + 1, binary(P + [zero] + Q + [zero]))]) == d1
-        asked = [event[1:] for event in log if event[0] == "nullity"]
-        assert log[:2] == [("check", d1 + 1, True), ("coprime", d1 + 1, False)]
-        assert asked[0][0] == 2 * d1 + 2 and asked[0][1] > 0
-        assert asked[1:] == [(2 * deg + 2, 0) for deg in range(d1)]
+        shifted = P + [zero] + Q + [zero]
+        assert derives(R, d1 + 1, shifted) and _derives(R, d1 + 1, shifted)
         cases += 1
     assert cases > 20
-    # relations: on this cone the pencil derivation has degree 3 but the
-    # minimal relation degree is 2
+    # relations: on this cone the pencil derivation has degree 3, above
+    # the half-bound, so no coprimality is asked; the relation space at 2
+    # is not zero (a kernel vector is lifted and checked), so the search
+    # goes below it, certifies zero spaces at 0 and 1, each degree asked
+    # once, and answers 2
     [arr] = [a for label, a in _standard_pool(0, 1, 3)
              if label == "cone-d3-generic-e0-s1"]
     assert is_relation(arr, 3, _pencil_derivation(arr))
     assert len(arr.lines) - build_lattice(arr).mult[0] == 3
-    assert mdr(arr, bound=3) == 2 and verify_mdr(arr, 2)
-    assert not verify_mdr(arr, 3)
+    log = _route_log(monkeypatch)
+    assert mdr(arr, bound=3) == 2 and ("lift",) in log
+    assert [event for event in log if event != ("lift",)] == [
+        ("check", 2, False), ("check", 3, True), ("check", 2, True),
+        ("nullity", 15, 1), ("nullity", 3, 0), ("nullity", 8, 0)]
+    assert verify_mdr(arr, 2) and not verify_mdr(arr, 3)
 
 
 def test_mdr_certifies_a_primitive_candidate_with_no_kernel(monkeypatch):
@@ -1323,6 +1295,24 @@ def test_mdr_certifies_a_primitive_candidate_with_no_kernel(monkeypatch):
             ("check", n + 1, True), ("coprime", n + 1, True)]
         assert mdr(full_monomial(n)) == n + 1
     assert dims == []
+
+
+def test_mdr_without_coprimality_takes_one_zero_kernel(monkeypatch):
+    # When certified_coprime proves nothing (it answers False), the passing
+    # power derivation at r = n + 1 is still the answer, certified by one
+    # zero relation space at n, and the dimension at r is asked, not taken
+    # in closed form.
+    monkeypatch.setattr(alg, "certified_coprime", lambda *args: False)
+    log = _route_log(monkeypatch)
+    for n in (2, 3, 4):
+        del log[:]
+        value, dim = alg._relation_search(full_monomial(n), None)
+        assert value == n + 1
+        assert log == [("check", k + 1, False) for k in divisors(n)[:-1]] + [
+            ("check", n + 1, True), ("coprime", n + 1, False),
+            ("nullity", (n + 1) * (n + 3), 0)]
+        assert dim(value) == 1
+        assert log[-1][:2] == ("nullity", (n + 2) * (n + 4))
 
 
 def test_candidates_the_certificate_does_not_settle_take_one_zero_kernel(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from linarr.field import (
     MAX_ORDER,
     CycField,
+    CycNumber,
     cyc_field,
     cyc_from_strings,
     cyc_to_strings,
@@ -156,6 +157,28 @@ def test_pow_negative_exponent():
     z = F.zeta
     assert z ** -1 == z ** 4
     assert z ** -3 == z ** 2
+
+
+def test_pow_multiplies_once_per_square_and_set_bit(monkeypatch):
+    # x ** e starts from x, at the top bit of e, then squares once per
+    # lower bit and multiplies by x once per lower set bit: bit_length +
+    # popcount - 2 multiplies, none at e = 0 or 1 (never one * x, never a
+    # square past the top bit); the values equal repeated multiplication,
+    # and a negative e inverts.
+    calls = []
+    mul = CycNumber.__mul__
+    monkeypatch.setattr(CycNumber, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    for F in (cyc_field(5), cyc_field(1)):
+        x = F.zeta + 2 if F.degree > 1 else F.scalar(Fraction(-3, 2))
+        want = F.one
+        for e in range(17):
+            del calls[:]
+            got = x ** e
+            assert len(calls) == max(e.bit_length() + bin(e).count("1") - 2, 0)
+            assert got == want
+            assert x ** -e * want == F.one
+            want = mul(want, x)
 
 
 def test_hash_consistency():

@@ -342,9 +342,11 @@ def test_default_check_builds_exact_rows_once():
 
 
 def _binary(F, *coeffs):
-    """The binary form sum coeffs[j] u^(deg-j) v^j, deg = len(coeffs) - 1."""
+    """The binary form sum coeffs[j] u^(deg-j) v^j, deg = len(coeffs) - 1,
+    as the ternary form in x = u and y = v with no z that certified_coprime
+    reads."""
     deg = len(coeffs) - 1
-    return {(deg - j, j): c if isinstance(c, CycNumber) else F.scalar(c)
+    return {(deg - j, j, 0): c if isinstance(c, CycNumber) else F.scalar(c)
             for j, c in enumerate(coeffs)}
 
 

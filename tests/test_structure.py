@@ -14,12 +14,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "linarr"
 EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
                 "_EXACT_COLS", "nullity", "rank"}
 
-# A minimal degree that no closed form gives takes one search
-# (algebra._min_degree), the CLI's too: an
-# explicit derivation checked exactly, then certified minimal by its
-# primitive vector within the half-bound (du Plessis-Wall for relations;
-# linalg.certified_coprime), else by a certified
-# dimension below it, each degree asked once.  No uncertified guess to
+# A minimal relation degree takes one search (algebra._relation_search),
+# the CLI's too: an explicit derivation checked exactly, then certified
+# minimal by its primitive relation within the half-bound (du Plessis-Wall;
+# linalg.certified_coprime), else by a certified dimension below it, each
+# degree asked once.  The search owns that certificate, so no generic
+# minimal-degree search (_min_degree) serves relations and restrictions
+# with parameters that only one of them reads.  No uncertified guess to
 # certify, no knob to bypass it, no Hilbert-function read of one
 # dimension, no probe of F_p beside certified_nullity and
 # certified_coprime, and no global cache of relation answers.  A lattice
@@ -43,17 +44,17 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
 # table (algebra._power_images_pass), with no exact check and no
 # coprimality.  So the images are built and checked only in the tests,
 # where _restriction_candidates is the oracle, and a restriction that no
-# image settles is scanned by _min_degree with no candidate.  The CLI
-# reads a restriction's profile in closed form too (free of rank two: 1
-# at d1, 2 when d1 = d2), so no search hands a restriction's dimensions
-# back and _min_degree takes no closed form for them.
+# image settles scans _derivation_dim up to total/2, with no candidate.
+# The CLI reads a restriction's profile in closed form too (free of rank
+# two: 1 at d1, 2 when d1 = d2), so no search hands a restriction's
+# dimensions back.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
            "certified_zero", "_upward", "_rows_at", "split_roots", "_cross",
            "div_linear", "_gauged_rows", "_restriction_rows", "_derives",
            "_multi_dim", "det3", "adjugate3", "_max_modular",
            "_power_image", "lifts", "_restriction_search", "at_half",
-           "_product", "_restriction_candidates"}
+           "_product", "_restriction_candidates", "_min_degree"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
@@ -94,8 +95,9 @@ CANDIDATE_BUILDERS = {"divisors", "_conv", "_parts",
                       "_relation_candidates", "_power_images_pass"}
 
 # multi_exponents decides every power image by its table: it runs no exact
-# check and no coprimality, only the scan of _min_degree when no image
-# passes.
+# check and no coprimality, only a scan of the certified dimensions
+# (_derivation_dim) when no image passes, whose lifted vectors the
+# dimension's own check (_is_derivation) reads.
 EXACT_CHECKS = {"_quotients", "_is_derivation", "certified_coprime"}
 
 # Elimination and the gcd mod p are linalg's own: no other module reaches
@@ -170,7 +172,7 @@ def test_memos_only_where_allowed():
 def test_only_linalg_names_the_fp_engine():
     assert {module for module, _ in _src_names_in(FP_ENGINE)} == {"linalg.py"}
     assert "_fp_gcd" in _calls_in("linalg.py", "certified_coprime")
-    assert "certified_coprime" in _calls_in("algebra.py", "_min_degree")
+    assert "certified_coprime" in _calls_in("algebra.py", "_relation_search")
 
 
 def _convolution_loops():
@@ -255,6 +257,6 @@ def test_ziegler_restriction_builds_no_candidate():
 
 def test_multi_exponents_runs_no_exact_check():
     calls = _calls_in("algebra.py", "multi_exponents")
-    assert {"_power_images_pass", "_min_degree"} <= calls
+    assert {"_power_images_pass", "_derivation_dim"} <= calls
     assert not calls & EXACT_CHECKS
     assert not _calls_in("algebra.py", "_power_images_pass") & EXACT_CHECKS
