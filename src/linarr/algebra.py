@@ -1,9 +1,11 @@
 """Exact polynomial algebra on arrangements.
 
-Defining polynomials, minimal degrees of Jacobian relations, restriction of
-an arrangement to one of its lines as a rank-two multiarrangement, exponent
-pairs of such restrictions, and the vanishing dimension at the nodes of a
-generic arrangement.  Every answer is certified over the exact field.
+Minimal degrees of Jacobian relations, restriction of an arrangement to one
+of its lines as a rank-two multiarrangement, exponent pairs of such
+restrictions, and the vanishing dimension at the nodes of a generic
+arrangement.  Every answer is certified over the exact field, and no
+polynomial is ever expanded: tests/exact_poly.py keeps the expansion as
+the tests' oracle.
 
 A relation and a derivation of a restriction answer one question: does
 theta send each form alpha into (alpha^m)?  A relation is 3 variables,
@@ -27,15 +29,20 @@ Ziegler image of the power derivation is a derivation (G. Ziegler,
 "Multiarrangements of hyperplanes and their freeness", 1989); else it
 scans the certified dimensions (_derivation_dim) up to total/2 for d1.
 
-A minimal relation degree (mdr) is one search, _relation_search: the lowest
-closed-form candidate c that passes _is_derivation at the degree it claims
-is the minimum when its relation rho = d theta - h E, h = theta(f)/f the
-sum of the quotients of its check, is primitive (linalg.certified_coprime)
-and 2c <= d - 1: two independent relations have degrees summing to at
-least d - 1 (du Plessis and Wall, Math. Proc. Cambridge Philos. Soc.,
-1999), so a lower one would be a multiple of it or independent of it.  Any
-other passing candidate is certified by a zero dimension at c - 1, else
-the search goes below c - 1.
+A minimal relation degree (mdr) is one search, _relation_search.  Two
+independent relations have degrees summing to at least d - 1 (du Plessis
+and Wall, Math. Proc. Cambridge Philos. Soc., 1999), so a relation of
+degree c with no common factor is the minimum when 2c <= d - 1.  The
+pencil derivation g d_P, P a point of largest multiplicity m, gives such a
+relation of degree d - m, so mdr = d - m when 2m > d, in closed form, with
+no derivation built or checked (A. Dimca, "Curve arrangements, pencils,
+and Jacobian syzygies", 2017, treats this regime).  Otherwise d - m is a
+degree known to pass, and the lowest power derivation below it that
+passes _is_derivation at the degree it claims is the minimum when its
+relation rho = d theta - h E, h = theta(f)/f the sum of the quotients of
+its check, is primitive (linalg.certified_coprime) and 2c <= d - 1.  Any
+other passing degree is certified by a zero dimension at c - 1, else the
+search goes below c - 1.
 """
 
 from __future__ import annotations
@@ -52,139 +59,6 @@ from .field import (
 )
 from .linalg import certified_coprime, certified_nullity
 from .projgeo import Arrangement, _normalize, build_lattice
-
-
-class Poly:
-    """Sparse trivariate polynomial over a cyclotomic field.
-
-    Terms map exponent triples (i, j, l) to nonzero coefficients.
-    """
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: CycField, terms=None):
-        self.field = field
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    self.terms[mono] = c
-
-    @classmethod
-    def zero(cls, field: CycField) -> "Poly":
-        return cls(field)
-
-    @classmethod
-    def constant(cls, field: CycField, c) -> "Poly":
-        if not isinstance(c, CycNumber):
-            c = field.scalar(c)
-        return cls(field, {(0, 0, 0): c})
-
-    @classmethod
-    def from_linear(cls, field: CycField, coeffs) -> "Poly":
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                mono = [0, 0, 0]
-                mono[i] = 1
-                terms[tuple(mono)] = c
-        return cls(field, terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.field == other.field and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono)
-            s = c if s is None else s + c
-            if s:
-                terms[mono] = s
-            elif mono in terms:
-                del terms[mono]
-        out = Poly(self.field)
-        out.terms = terms
-        return out
-
-    def __neg__(self) -> "Poly":
-        out = Poly(self.field)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            terms = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                    c = c1 * c2
-                    s = terms.get(mono)
-                    s = c if s is None else s + c
-                    if s:
-                        terms[mono] = s
-                    elif mono in terms:
-                        del terms[mono]
-            out = Poly(self.field)
-            out.terms = terms
-            return out
-        c = other if isinstance(other, CycNumber) else self.field.scalar(other)
-        if not c:
-            return Poly.zero(self.field)
-        out = Poly(self.field)
-        out.terms = {m: v * c for m, v in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
-    def eval3(self, coords) -> CycNumber:
-        F = self.field
-        total = F.zero
-        for (i, j, l), c in self.terms.items():
-            v = c
-            for e, x in ((i, coords[0]), (j, coords[1]), (l, coords[2])):
-                for _ in range(e):
-                    v = v * x
-            total = total + v
-        return total
-
-    def __repr__(self):
-        return f"Poly({len(self.terms)} terms, deg {self.degree()})"
-
-
-def defining_polynomial(arr: Arrangement) -> Poly:
-    """Product of the normalized forms of all lines."""
-    f = Poly.constant(arr.field, 1)
-    for line in arr.lines:
-        f = f * Poly.from_linear(arr.field, line.coords)
-    return f
-
-
-def partial_products(arr: Arrangement) -> list[Poly]:
-    """For each line, the product of all the other forms."""
-    out = []
-    for i in range(len(arr.lines)):
-        g = Poly.constant(arr.field, 1)
-        for j, line in enumerate(arr.lines):
-            if j != i:
-                g = g * Poly.from_linear(arr.field, line.coords)
-        out.append(g)
-    return out
 
 
 # --- derivations: relations and restrictions alike -------------------------
@@ -386,17 +260,6 @@ def syzygy_dimension(arr: Arrangement, r: int) -> int:
     return _derivation_dim(*_relation_question(arr), _gauged_monomials, r)
 
 
-def _pencil_derivation(arr: Arrangement) -> list[dict]:
-    """g d_P for P a point of maximal multiplicity m and g the product of
-    the forms missing it, of degree d - m: theta(alpha) = alpha(P) g."""
-    lat = build_lattice(arr)
-    g = Poly.constant(arr.field, 1)
-    for j, line in enumerate(arr.lines):
-        if j not in lat.incidence[0]:
-            g = g * Poly.from_linear(arr.field, line.coords)
-    return [(g * c).terms for c in lat.points[0].coords]
-
-
 def _power_derivation(F: CycField, r: int) -> list[dict]:
     """x^r d_x + y^r d_y + z^r d_z: a form with coefficients in mu_(r-1)
     divides its image."""
@@ -404,16 +267,14 @@ def _power_derivation(F: CycField, r: int) -> list[dict]:
             for v in range(3)]
 
 
-def _relation_candidates(arr: Arrangement) -> list:
-    """(degree, derivation) of the explicit derivations: the pencil one,
-    and the power ones with r = k + 1 for k dividing the field order.  None
-    is a multiple of the Euler derivation, so each is a nonzero relation of
-    its degree once it passes _is_derivation."""
-    F = arr.field
-    return [
-        (len(arr.lines) - build_lattice(arr).mult[0], _pencil_derivation(arr)),
-        *((k + 1, _power_derivation(F, k + 1)) for k in divisors(F.order)),
-    ]
+def _relation_candidates(F: CycField) -> list:
+    """(degree, derivation) of the power derivations, r = k + 1 for k
+    dividing the field order, by increasing degree.  None is a multiple of
+    the Euler derivation, so each is a nonzero relation of its degree once
+    it passes _is_derivation.  The pencil derivation g d_P is no candidate:
+    its degree d - m is known to pass, and it is never built
+    (_relation_search)."""
+    return [(k + 1, _power_derivation(F, k + 1)) for k in divisors(F.order)]
 
 
 def mdr(arr: Arrangement, bound: int | None = None) -> int | None:
@@ -421,11 +282,13 @@ def mdr(arr: Arrangement, bound: int | None = None) -> int | None:
 
     The default bound (d-1)//2 covers every free arrangement.  Bounds at or
     above d-1 are rejected: from there the Koszul relations between the
-    partials make the kernel nonzero for trivial reasons.  The answer is
-    the lowest explicit derivation that passes its exact check, when the
-    relation it gives is primitive and 2r <= d - 1 or a zero relation space
-    is certified one degree below, else the first certified nonzero degree
-    below it (_relation_search).
+    partials make the kernel nonzero for trivial reasons.  With m the
+    largest multiplicity of a point, the answer is d - m when 2m > d, in
+    closed form; else it is the lowest power derivation below d - m that
+    passes its exact check, when the relation it gives is primitive and 2r
+    <= d - 1, or the lowest passing degree (a power one, else d - m) when a
+    zero relation space is certified one degree below, else the first
+    certified nonzero degree below it (_relation_search).
     """
     return _relation_search(arr, bound)[0]
 
@@ -435,20 +298,37 @@ def _relation_search(arr: Arrangement, bound: int | None):
     degree-deg relation space (_derivation_dim), asked at most once per
     degree and kept, or known in closed form at the answer.
 
-    The spaces only grow with degree.  Let c be the lowest candidate degree
-    whose derivation theta passes the exact check (_quotients), and rho =
-    d theta - h E its relation (_relation_vector).  Two independent
-    relations have degrees summing to at least d - 1 (du Plessis and Wall,
-    1999, rho1 x rho2 = h' grad f).  So when 2c <= d - 1 and the forms of
-    rho have no common factor (linalg.certified_coprime), c is the minimum
-    with no kernel asked: a relation below c would be a multiple of rho,
-    or independent of it.  The dimension at c is then 1 when 2c < d - 1.
-    Otherwise c is the minimum when c = 0 or dim(c - 1) = 0, else it is
-    the first nonzero degree below c - 1, else c - 1.  With no candidate up
-    to the bound it is the first nonzero degree to the bound.
+    Two independent relations have degrees summing to at least d - 1 (du
+    Plessis and Wall, 1999, rho1 x rho2 = h' grad f).  So a relation rho of
+    degree c whose forms have no common factor is the minimum when 2c <= d
+    - 1: a relation below c would be a multiple of rho, or independent of
+    it.  The dimension at c is then 1 when 2c < d - 1; at 2c = d - 1 it is
+    asked.
+
+    The pencil relation is such a rho, of degree c = d - m, m the largest
+    multiplicity of a point P.  Take P = (0:0:1) and g the product of the
+    forms missing P: theta = g d_z sends each form alpha to c_alpha g, its
+    z-coefficient c_alpha times g, so it is a relation of degree d - m, and
+    rho = d theta - h E = (-h x, -h y, d g - h z) with h = theta(f)/f = g
+    sum(c_alpha / alpha) over the forms missing P.  For each such alpha, h
+    = c_alpha g / alpha (mod alpha), which is nonzero, so gcd(h, g) = 1; a
+    common factor of rho divides h, as it cannot divide both x and y, and
+    then d g, so there is none.  Hence when 2m > d, so that 2c <= d - 1,
+    c = d - m is the minimum, with no derivation built, no check and no
+    coprimality.
+
+    When 2m <= d, d - m is only a degree known to pass.  Let c be the
+    lowest power derivation theta below it that passes the exact check
+    (_quotients), else d - m; when theta passes with 2c <= d - 1 and its
+    relation rho = d theta - h E (_relation_vector) has no common factor
+    (linalg.certified_coprime), c is the minimum as above.  The spaces only
+    grow with degree, so otherwise c is the minimum when dim(c - 1) = 0,
+    else it is the first nonzero degree below c - 1, else c - 1.  With c
+    above the bound the answer is the first nonzero degree to the bound.
     """
     F, forms, mult = _relation_question(arr)
     top, half = _relation_top(arr, bound), len(forms) - 1
+    m = build_lattice(arr).mult[0]
     dims = {}
 
     def dim(deg):
@@ -456,22 +336,26 @@ def _relation_search(arr: Arrangement, bound: int | None):
             dims[deg] = _derivation_dim(F, forms, mult, _gauged_monomials, deg)
         return dims[deg]
 
-    c = theta = quotients = None
-    for deg, theta in sorted(_relation_candidates(arr), key=lambda dt: dt[0]):
-        if deg > top:
-            break
-        quotients = _quotients(F, forms, mult, deg, theta)
-        if quotients is not None:
-            c = deg
-            break
-    if c and 2 * c <= half and certified_coprime(
-            F, c, _relation_vector(forms, c, theta, quotients)):
+    c, settled = len(forms) - m, 2 * m > len(forms)
+    if not settled:
+        for deg, theta in _relation_candidates(F):
+            if deg >= c or deg > top:
+                break
+            quotients = _quotients(F, forms, mult, deg, theta)
+            if quotients is not None:
+                c, settled = deg, 2 * deg <= half and certified_coprime(
+                    F, deg, _relation_vector(forms, deg, theta, quotients))
+                break
+    if settled:
+        if c > top:
+            return None, dim
         if 2 * c < half:
             dims[c] = 1
         return c, dim
-    if c is None or (c and dim(c - 1)):
-        c = next((deg for deg in range(top + 1 if c is None else c - 1)
-                  if dim(deg)), None if c is None else c - 1)
+    if c > top:
+        return next((deg for deg in range(top + 1) if dim(deg)), None), dim
+    if dim(c - 1):
+        c = next((deg for deg in range(c - 1) if dim(deg)), c - 1)
     return c, dim
 
 

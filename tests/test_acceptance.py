@@ -7,11 +7,11 @@ arithmetic; there are no tolerances anywhere.
 from fractions import Fraction
 from itertools import combinations
 
+from exact_poly import partial_products
 from linarr.algebra import (
     mdr,
     multi_exponents,
     nodal_vanishing_dimension,
-    partial_products,
     supersolvable_exponents,
     verify_mdr,
     ziegler_restriction,

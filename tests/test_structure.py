@@ -4,7 +4,9 @@ import ast
 import dataclasses
 from pathlib import Path
 
+import linarr.algebra as alg
 from linarr.algebra import MultiRestriction
+from linarr.families import near_pencil
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "linarr"
 
@@ -15,10 +17,15 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
                 "_EXACT_COLS", "nullity", "rank"}
 
 # A minimal relation degree takes one search (algebra._relation_search),
-# the CLI's too: an explicit derivation checked exactly, then certified
-# minimal by its primitive relation within the half-bound (du Plessis-Wall;
-# linalg.certified_coprime), else by a certified dimension below it, each
-# degree asked once.  The search owns that certificate, so no generic
+# the CLI's too: d - m in closed form when 2m > d, m the largest
+# multiplicity of a point (the pencil relation g d_P is primitive, so du
+# Plessis-Wall makes it the minimum, and it is never built or checked);
+# else a power derivation checked exactly, then certified minimal by its
+# primitive relation within the half-bound (linalg.certified_coprime),
+# else by a certified dimension below it, each degree asked once.  No
+# polynomial is expanded in src: Poly, the defining polynomial, the
+# partial products and the pencil derivation are the tests' oracles
+# (tests/exact_poly.py).  The search owns that certificate, so no generic
 # minimal-degree search (_min_degree) serves relations and restrictions
 # with parameters that only one of them reads.  No uncertified guess to
 # certify, no knob to bypass it, no Hilbert-function read of one
@@ -54,7 +61,8 @@ RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "div_linear", "_gauged_rows", "_restriction_rows", "_derives",
            "_multi_dim", "det3", "adjugate3", "_max_modular",
            "_power_image", "lifts", "_restriction_search", "at_half",
-           "_product", "_restriction_candidates", "_min_degree"}
+           "_product", "_restriction_candidates", "_min_degree", "Poly",
+           "_pencil_derivation", "defining_polynomial", "partial_products"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
@@ -91,8 +99,8 @@ MODULAR_READERS = {
 # derivations of a restriction is decided by _power_images_pass, from the
 # restriction alone.
 CANDIDATE_BUILDERS = {"divisors", "_conv", "_parts",
-                      "_power_derivation", "_pencil_derivation",
-                      "_relation_candidates", "_power_images_pass"}
+                      "_power_derivation", "_relation_candidates",
+                      "_power_images_pass"}
 
 # multi_exponents decides every power image by its table: it runs no exact
 # check and no coprimality, only a scan of the certified dimensions
@@ -173,6 +181,19 @@ def test_only_linalg_names_the_fp_engine():
     assert {module for module, _ in _src_names_in(FP_ENGINE)} == {"linalg.py"}
     assert "_fp_gcd" in _calls_in("linalg.py", "certified_coprime")
     assert "certified_coprime" in _calls_in("algebra.py", "_relation_search")
+
+
+def test_closed_form_relation_asks_nothing(monkeypatch):
+    # near_pencil(6) has a point of multiplicity m = 5 > d/2: the search
+    # answers d - m = 1 with no exact check, no coprimality and no
+    # certified dimension, and reads the dimension 1 there in closed form.
+    asked = []
+    for name in ("_quotients", "certified_coprime", "certified_nullity",
+                 "_derivation_dim"):
+        monkeypatch.setattr(alg, name, lambda *args, name=name: asked.append(
+            name))
+    value, dim = alg._relation_search(near_pencil(6), None)
+    assert (value, dim(value), asked) == (1, 1, [])
 
 
 def _convolution_loops():
