@@ -37,12 +37,14 @@ pencil derivation g d_P, P a point of largest multiplicity m, gives such a
 relation of degree d - m, so mdr = d - m when 2m > d, in closed form, with
 no derivation built or checked (A. Dimca, "Curve arrangements, pencils,
 and Jacobian syzygies", 2017, treats this regime).  Otherwise d - m is a
-degree known to pass, and the lowest power derivation below it that
-passes _is_derivation at the degree it claims is the minimum when its
-relation rho = d theta - h E, h = theta(f)/f the sum of the quotients of
-its check, is primitive (linalg.certified_coprime) and 2c <= d - 1.  Any
-other passing degree is certified by a zero dimension at c - 1, else the
-search goes below c - 1.
+degree known to pass, and the power derivation x^r d_x + y^r d_y + z^r
+d_z, r = k + 1 for k | n, is read off a table of the normalized forms
+(_power_fits): it is a relation exactly when every form has at most two
+nonzero coefficients, its lead 1 and b, with (-b)^(r-1) = 1, and its
+relation is always primitive, so the lowest such r below d - m is the
+minimum when 2r <= d - 1, with no derivation built, no check and no
+prime.  Any other passing degree is certified by a zero dimension at c -
+1, else the search goes below c - 1.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .field import (
     CycNumber,
     divisors,
 )
-from .linalg import certified_coprime, certified_nullity
+from .linalg import certified_nullity
 from .projgeo import Arrangement, _normalize, build_lattice
 
 
@@ -143,24 +145,16 @@ def _derivation_rows(forms, mult, groups, deg: int, zero, one) -> list[list]:
 def _is_derivation(F: CycField, forms, mult, deg: int, theta) -> bool:
     """Exact check, with no inverse, that theta, one {monomial:
     coefficient} map per variable, is nonzero, homogeneous of degree deg
-    and sends each form alpha into (alpha^m), m its multiplicity
-    (_quotients)."""
-    return _quotients(F, forms, mult, deg, theta) is not None
-
-
-def _quotients(F: CycField, forms, mult, deg: int, theta):
-    """theta(alpha) / alpha^k, k = min(m, deg + 1), for each form alpha,
-    when theta is nonzero, homogeneous of degree deg and sends alpha into
-    (alpha^m); else None.  theta(alpha) as a polynomial in x_piv over forms
-    in the other variables (_pivot_frame) must leave the zero remainder in
-    k Horner divisions by x_piv - w.  A quotient is held like theta(alpha):
-    its k-th slice is the coefficient of x_piv^k, by the exponent of last.
+    and sends each form alpha into (alpha^m), m its multiplicity.
+    theta(alpha) as a polynomial in x_piv over forms in the other variables
+    (_pivot_frame) must leave the zero remainder in min(m, deg + 1) Horner
+    divisions by x_piv - w.  A quotient is held like theta(alpha): its k-th
+    slice is the coefficient of x_piv^k, by the exponent of last.
     """
     if not any(a for part in theta for a in part.values()) or any(
             sum(mono) != deg for part in theta for mono in part):
-        return None
+        return False
     zero = F.zero
-    out = []
     for c, m in zip(forms, mult):
         piv, w, last = _pivot_frame(c)
         # slices[k]: the coefficient of x_piv^k, a form of degree deg - k
@@ -182,36 +176,9 @@ def _quotients(F: CycField, forms, mult, deg: int, theta):
                 acc = [a + b if b else a
                        for a, b in zip(_conv(acc, w, zero), sl)]
             if any(acc):
-                return None
+                return False
             slices = quot[::-1]
-        out.append(slices)
-    return out
-
-
-def _relation_vector(forms, deg: int, theta, quotients) -> list[dict]:
-    """rho = d theta - h E, the relation of a derivation theta of degree
-    deg >= 1 (d forms, each of multiplicity one, f their product): h =
-    theta(f)/f is the sum of the quotients theta(alpha)/alpha that
-    _quotients gave, each read back from its pivot frame, so rho(f) = 0."""
-    h = {}
-    for c, quot in zip(forms, quotients):
-        piv, _, last = _pivot_frame(c)
-        first = next(v for v in range(3) if v not in (piv, last))
-        for k, sl in enumerate(quot):
-            for j, a in enumerate(sl):
-                if a:
-                    mono = [0, 0, 0]
-                    mono[piv], mono[last], mono[first] = k, j, deg - 1 - k - j
-                    mono = tuple(mono)
-                    h[mono] = h[mono] + a if mono in h else a
-    rho = []
-    for v, part in enumerate(theta):
-        out = {mono: a * len(forms) for mono, a in part.items()}
-        for mono, a in h.items():
-            up = tuple(e + (i == v) for i, e in enumerate(mono))
-            out[up] = out[up] - a if up in out else -a
-        rho.append(out)
-    return rho
+    return True
 
 
 def _derivation_dim(F: CycField, forms, mult, monomials, deg: int) -> int:
@@ -232,6 +199,16 @@ def _parts(groups, vec) -> list[dict]:
     coefficient} map per variable."""
     coeffs = iter(vec)  # zip ends each group before taking from coeffs
     return [dict(zip(group, coeffs)) for group in groups]
+
+
+def _power_fits(form, r: int) -> bool:
+    """Whether the power derivation of degree r >= 2, the sum of x^r d_x
+    over the variables, sends the normalized form alpha into (alpha): at
+    most one nonzero coefficient b after the lead, with (-b)^(r-1) = 1.
+    The one table test of the relation search and of the power images of a
+    restriction (_relation_search, _power_images_pass)."""
+    _, *tail = filter(None, form)
+    return not tail or len(tail) == 1 and (-tail[0]) ** (r - 1) == 1
 
 
 def _relation_top(arr: Arrangement, bound: int | None) -> int:
@@ -260,23 +237,6 @@ def syzygy_dimension(arr: Arrangement, r: int) -> int:
     return _derivation_dim(*_relation_question(arr), _gauged_monomials, r)
 
 
-def _power_derivation(F: CycField, r: int) -> list[dict]:
-    """x^r d_x + y^r d_y + z^r d_z: a form with coefficients in mu_(r-1)
-    divides its image."""
-    return [{tuple(r if i == v else 0 for i in range(3)): F.one}
-            for v in range(3)]
-
-
-def _relation_candidates(F: CycField) -> list:
-    """(degree, derivation) of the power derivations, r = k + 1 for k
-    dividing the field order, by increasing degree.  None is a multiple of
-    the Euler derivation, so each is a nonzero relation of its degree once
-    it passes _is_derivation.  The pencil derivation g d_P is no candidate:
-    its degree d - m is known to pass, and it is never built
-    (_relation_search)."""
-    return [(k + 1, _power_derivation(F, k + 1)) for k in divisors(F.order)]
-
-
 def mdr(arr: Arrangement, bound: int | None = None) -> int | None:
     """Smallest degree r <= bound carrying a nonzero relation, else None.
 
@@ -285,10 +245,10 @@ def mdr(arr: Arrangement, bound: int | None = None) -> int | None:
     partials make the kernel nonzero for trivial reasons.  With m the
     largest multiplicity of a point, the answer is d - m when 2m > d, in
     closed form; else it is the lowest power derivation below d - m that
-    passes its exact check, when the relation it gives is primitive and 2r
-    <= d - 1, or the lowest passing degree (a power one, else d - m) when a
-    zero relation space is certified one degree below, else the first
-    certified nonzero degree below it (_relation_search).
+    the table of the normalized forms passes, when 2r <= d - 1, or the
+    lowest passing degree (a power one, else d - m) when a zero relation
+    space is certified one degree below, else the first certified nonzero
+    degree below it (_relation_search).
     """
     return _relation_search(arr, bound)[0]
 
@@ -317,14 +277,35 @@ def _relation_search(arr: Arrangement, bound: int | None):
     c = d - m is the minimum, with no derivation built, no check and no
     coprimality.
 
-    When 2m <= d, d - m is only a degree known to pass.  Let c be the
-    lowest power derivation theta below it that passes the exact check
-    (_quotients), else d - m; when theta passes with 2c <= d - 1 and its
-    relation rho = d theta - h E (_relation_vector) has no common factor
-    (linalg.certified_coprime), c is the minimum as above.  The spaces only
-    grow with degree, so otherwise c is the minimum when dim(c - 1) = 0,
-    else it is the first nonzero degree below c - 1, else c - 1.  With c
-    above the bound the answer is the first nonzero degree to the bound.
+    When 2m <= d, d - m is only a degree known to pass.  The power
+    derivation theta = x^r d_x + y^r d_y + z^r d_z, r = k + 1 >= 2 for k
+    dividing the field order, is no multiple of the Euler derivation E, so
+    it is a nonzero relation of degree r exactly when it sends every form
+    alpha into (alpha).  That is read off the normalized forms by a table
+    (_power_fits), with no derivation built and no check: alpha passes when
+    it has at most two nonzero coefficients, its lead 1 and b, with
+    (-b)^(r-1) = 1.  A form x_i passes, as theta(x_i) = x_i^r.  For
+    alpha = x_i + b x_j, theta(alpha) at x_i = -b x_j is b x_j^r (1 -
+    (-b)^(r-1)).  With a third coefficient c, alpha = x_i + b x_j + c x_l,
+    the monomial x_j^(r-1) x_l of theta(alpha) at x_i = -(b x_j + c x_l)
+    keeps the coefficient (-1)^r r b^(r-1) c != 0, for r >= 2, so alpha
+    does not divide it.
+
+    Its relation rho = d theta - h E, h = theta(f)/f of degree k, is
+    always primitive, whatever h is: rho = (x(d x^k - h), y(d y^k - h),
+    z(d z^k - h)), k >= 1.  Take an irreducible G dividing all three.  If
+    G is prime to x, y and z, it divides d(x^k - y^k) and d(y^k - z^k),
+    which are coprime products of distinct lines (those through (0:0:1),
+    and those through (1:0:0)).  If G = x, it divides d y^k - h and d z^k
+    - h, so d(y^k - z^k), which is nonzero mod x; the same holds for y and
+    z.  So there is no G.
+
+    Let c be the lowest such r below d - m and within the bound, else d -
+    m; when r passes with 2c <= d - 1, c is the minimum as above, with no
+    kernel.  The spaces only grow with degree, so otherwise c is the
+    minimum when dim(c - 1) = 0, else it is the first nonzero degree below
+    c - 1, else c - 1.  With c above the bound the answer is the first
+    nonzero degree to the bound.
     """
     F, forms, mult = _relation_question(arr)
     top, half = _relation_top(arr, bound), len(forms) - 1
@@ -338,13 +319,11 @@ def _relation_search(arr: Arrangement, bound: int | None):
 
     c, settled = len(forms) - m, 2 * m > len(forms)
     if not settled:
-        for deg, theta in _relation_candidates(F):
-            if deg >= c or deg > top:
+        for r in (k + 1 for k in divisors(F.order)):
+            if r >= c or r > top:
                 break
-            quotients = _quotients(F, forms, mult, deg, theta)
-            if quotients is not None:
-                c, settled = deg, 2 * deg <= half and certified_coprime(
-                    F, deg, _relation_vector(forms, deg, theta, quotients))
+            if all(_power_fits(form, r) for form in forms):
+                c, settled = r, 2 * r <= half
                 break
     if settled:
         if c > top:
@@ -529,8 +508,7 @@ def _power_images_pass(R: MultiRestriction, r: int) -> list[bool]:
     """Whether each power image I, II, III of degree r >= 2 is a derivation
     of R, read off its forms and multiplicities (multi_exponents' table)."""
     caps = [(r, 1, r) if not a else (r, r, 1) if not b else (1, 2, 2)
-            if (-b) ** (r - 1) == R.field.one else (0, 0, 0)
-            for a, b in R.forms]
+            if _power_fits((a, b), r) else (0, 0, 0) for a, b in R.forms]
     return [all(m <= cap[i] for cap, m in zip(caps, R.mult)) for i in range(3)]
 
 

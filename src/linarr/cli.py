@@ -199,11 +199,11 @@ def cmd_algebra(args) -> int:
     # The relation search (_relation_search) certifies every degree below
     # the minimum zero (the spaces only grow with degree); its profile reads
     # the dimensions the search kept, in closed form at a minimum that the
-    # pencil relation (2m > d) or a primitive power candidate settled, with
-    # 2 mdr < d - 1.  A restriction is free with exponents
-    # (d1, d2), so its profile is closed: zero below d1, then 1, or 2 when
-    # d1 = d2; so are d1 and d2 unless multi_exponents scans the certified
-    # dimensions up to total/2.
+    # pencil relation (2m > d) or a power relation read off the table of the
+    # forms settled (both are primitive), with 2 mdr < d - 1.  A restriction
+    # is free with exponents (d1, d2), so its profile is closed: zero below
+    # d1, then 1, or 2 when d1 = d2; so are d1 and d2 unless multi_exponents
+    # scans the certified dimensions up to total/2.
     if args.op == "mdr":
         top = _relation_top(arr, args.bound)
         value, dim = _relation_search(arr, top)

@@ -9,11 +9,6 @@ bound, and checks exactly a kernel basis lifted by interpolation, CRT and
 rational reconstruction, for a lower one.  A zero kernel needs no lift: it
 is certified at the first good root, by one elimination.  There is no
 exact elimination: an answer is certified, or CertificationError is raised.
-
-certified_coprime is the other place a question meets F_p: it proves that
-a few ternary forms (the coefficients of a relation, in algebra's relation
-search) have no common factor by one gcd mod p at one root, and answers
-False, proving nothing, whenever that gcd does not settle it.
 """
 
 from __future__ import annotations
@@ -327,65 +322,3 @@ def certified_nullity(F: CycField, ncols: int, inputs, build,
         f"nullity of a {ncols}-column system over Q(zeta_{F.order}) not "
         f"certified within {_PRIME_CAP} split primes"
     )
-
-
-# The fixed line z = a x + b y that certified_coprime restricts each form to,
-# as (x, y, z) = (s, 1, a s + b).  It misses the coordinate points, and its
-# wide coefficients keep it off the points of small height where the forms
-# of an arrangement tend to meet.
-_LINE = (2654435761, 2246822519)
-
-
-def certified_coprime(F: CycField, deg: int, forms) -> bool:
-    """True only when the forms over F have no common factor of positive
-    degree, certified at the first root of the first split prime.
-
-    Each form is a {(i, j, l): coefficient} map of degree deg >= 1, on the
-    ternary monomials x^i y^j z^l; a binary form is one with l = 0.  The
-    map zeta -> root is the residue map of a discrete valuation ring that
-    holds every coefficient, so by Gauss's lemma a common factor g over F
-    reduces to a nonzero form of the degree of g that divides every reduced
-    form.  Restricted to the line (x, y, z) = (s, 1, a s + b) (_LINE), it is
-    zero or divides every restriction, as a binary form of that degree.
-    So restrictions of which one keeps degree deg in s and whose gcd mod p
-    is a constant prove the forms coprime.  Every other outcome is False,
-    never an error: a vanishing denominator, restrictions that are all zero
-    or all of lower degree, or a common root.
-    """
-    p, roots = split_prime(F.order, 0)
-    try:
-        red = reduce_at([list(form.values()) for form in forms], roots[0], p)
-    except ZeroDivisionError:
-        return False
-    a, b = _LINE
-    polys = []
-    for form, values in zip(forms, red):
-        # levels[l][i]: the coefficient of x^i y^j z^l, j = deg - i - l
-        levels = [[0] * (deg + 1) for _ in range(deg + 1)]
-        for mono, x in zip(form, values):
-            levels[mono[2]][mono[0]] = x
-        acc = levels[-1]  # Horner in z = a s + b, degree <= deg - l
-        for level in reversed(levels[:-1]):
-            acc = [(b * x + a * y + g) % p
-                   for x, y, g in zip(acc, [0] + acc, level)]
-        polys.append(acc[::-1])  # highest power of s first
-    if not any(poly[0] for poly in polys):
-        return False
-    return len(_fp_gcd(polys, p)) == 1
-
-
-def _fp_gcd(polys, p: int) -> list[int]:
-    """A gcd mod p of polynomials given highest coefficient first, by
-    Euclid's algorithm, with no leading zero; [] when all are zero."""
-    g = []
-    for r in polys:
-        r = r[next((i for i, x in enumerate(r) if x), len(r)):]
-        while r:  # g, r = r, g mod r
-            inv = pow(r[0], -1, p)
-            while len(g) >= len(r):
-                f = g[0] * inv % p
-                g = [(x - f * y) % p for x, y in zip(g[1:], r[1:])] \
-                    + g[len(r):]
-                g = g[next((i for i, x in enumerate(g) if x), len(g)):]
-            g, r = r, g
-    return g

@@ -3,11 +3,13 @@
 linarr never expands a polynomial: a relation or a derivation of a
 restriction is decided by the exact check in pivot coordinates
 (linarr.algebra._is_derivation), and the minimal relation degree of an
-arrangement with a point of multiplicity m, 2m > d, is d - m in closed form
-(linarr.algebra._relation_search).  These routines expand products of
-linear forms instead, so the tests can check those answers against the
-defining polynomial, its partials and the pencil derivation g d_P, with
-code that shares none of theirs.
+arrangement with a point of multiplicity m, 2m > d, is d - m in closed
+form, and a power relation is read off a table of the normalized forms
+(linarr.algebra._relation_search).  These routines expand products of linear
+forms and build the derivations instead, so the tests can check those
+answers against the defining polynomial, its partials, the pencil
+derivation g d_P and the power derivations, with code that shares none of
+theirs.
 """
 
 from linarr.field import CycField, CycNumber
@@ -157,3 +159,11 @@ def pencil_derivation(arr: Arrangement) -> list[dict]:
         if j not in lat.incidence[0]:
             g = g * Poly.from_linear(arr.field, line.coords)
     return [(g * c).terms for c in lat.points[0].coords]
+
+
+def power_derivation(F: CycField, r: int) -> list[dict]:
+    """x^r d_x + y^r d_y + z^r d_z, one {monomial: coefficient} map per
+    variable: the derivation that linarr's relation search decides by a
+    table of the normalized forms, with no derivation built."""
+    return [{tuple(r if i == v else 0 for i in range(3)): F.one}
+            for v in range(3)]

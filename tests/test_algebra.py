@@ -18,6 +18,7 @@ from exact_poly import (
     defining_polynomial,
     partial_products,
     pencil_derivation,
+    power_derivation,
 )
 from linarr.algebra import (
     MultiRestriction,
@@ -28,8 +29,6 @@ from linarr.algebra import (
     _is_derivation,
     _node_rows,
     _parts,
-    _power_derivation,
-    _relation_candidates,
     _relation_question,
     is_balanced,
     mdr,
@@ -229,11 +228,13 @@ def is_relation(arr, deg, theta):
 
 
 def explicit_relations(arr):
-    """(degree, derivation) of the pencil derivation g d_P, built by the
-    oracle, then of the power derivations that the search checks."""
-    lat = build_lattice(arr)
+    """(degree, derivation) of the pencil derivation g d_P, then of the
+    power derivations x^r d_x + y^r d_y + z^r d_z, r = k + 1 for k
+    dividing the field order, that the search reads off its table, each
+    built by the oracle."""
+    F, lat = arr.field, build_lattice(arr)
     return [(len(arr.lines) - lat.mult[0], pencil_derivation(arr)),
-            *_relation_candidates(arr.field)]
+            *((k + 1, power_derivation(F, k + 1)) for k in divisors(F.order))]
 
 
 def binary(vec):
@@ -711,22 +712,16 @@ def test_multi_exponents_property(case):
 
 
 def _route_log(monkeypatch):
-    """Record in order the exact derivation checks, the coprimality
-    certificates (by degree, with their answer), the certified nullities
-    (by column count, with their answer) and the kernel vectors lifted that
-    algebra asks."""
+    """Record in order the exact derivation checks (by degree, with their
+    answer), the certified nullities (by column count, with their answer)
+    and the kernel vectors lifted that algebra asks."""
     log = []
-    quotients, coprime = alg._quotients, alg.certified_coprime
+    check = alg._is_derivation
     nullity, lift = alg.certified_nullity, la.lift_flat_vector
 
     def spy_check(F, forms, mult, deg, theta):
-        out = quotients(F, forms, mult, deg, theta)
-        log.append(("check", deg, out is not None))
-        return out
-
-    def spy_coprime(F, deg, forms):
-        ok = coprime(F, deg, forms)
-        log.append(("coprime", deg, ok))
+        ok = check(F, forms, mult, deg, theta)
+        log.append(("check", deg, ok))
         return ok
 
     def spy_nullity(F, ncols, *args):
@@ -738,8 +733,7 @@ def _route_log(monkeypatch):
         log.append(("lift",))
         return lift(*args)
 
-    monkeypatch.setattr(alg, "_quotients", spy_check)
-    monkeypatch.setattr(alg, "certified_coprime", spy_coprime)
+    monkeypatch.setattr(alg, "_is_derivation", spy_check)
     monkeypatch.setattr(alg, "certified_nullity", spy_nullity)
     monkeypatch.setattr(la, "lift_flat_vector", spy_lift)
     return log
@@ -770,9 +764,9 @@ def test_multi_exponents_certifies_a_primitive_candidate_with_no_kernel(
     # other, d1 is the least degree at which a power image is a
     # derivation, read off the forms and multiplicities by a table: each
     # image is primitive, and two independent derivations have degrees
-    # summing to at least total (Ziegler), so no exact check, coprimality
-    # or kernel is asked.  That degree is the lowest candidate of the
-    # oracle that passes the exact check.  A restriction with no passing
+    # summing to at least total (Ziegler), so no exact check or kernel is
+    # asked.  That degree is the lowest candidate of the oracle that
+    # passes the exact check.  A restriction with no passing
     # image (hand-built in general position) asks each degree once, up to
     # the first nonzero one, d1, where a kernel vector is lifted.
     log = _route_log(monkeypatch)
@@ -798,7 +792,6 @@ def test_multi_exponents_certifies_a_primitive_candidate_with_no_kernel(
             asked = [event[1:] for event in log if event[0] == "nullity"]
             assert asked[:-1] == [(2 * deg + 2, 0) for deg in range(d1)]
             assert asked[-1][0] == 2 * d1 + 2 and asked[-1][1] > 0
-            assert all(event[0] != "coprime" for event in log)
             scanned += 1
             continue
         assert log == [] and d1 == min(passing)
@@ -884,9 +877,9 @@ def test_power_images_read_off_the_restriction():
 def test_modular_lines_take_a_power_image_without_a_lift(monkeypatch):
     # On every line through the first modular point, the exponents
     # (m-1, d-m) are settled by a power image at r = max m, read off the
-    # restriction by the table, with no exact check, no coprimality and no
-    # kernel asked: the oracle's exact check passes an image at max m and
-    # none below, and the table passes exactly the images it passes.
+    # restriction by the table, with no exact check and no kernel asked:
+    # the oracle's exact check passes an image at max m and none below, and
+    # the table passes exactly the images it passes.
     log = _route_log(monkeypatch)
     pinned = 0
     for arr in (a_of_w(4, (0, 1)), a_of_w(5, (0, 2, 3)), full_monomial(3),
@@ -975,8 +968,8 @@ def test_candidate_one_degree_too_low_is_rejected():
     for n in (2, 3, 4):
         for arr in (full_monomial(n), a_of_w(n, (0,))):
             F = arr.field
-            assert not is_relation(arr, n, _power_derivation(F, n))
-            assert is_relation(arr, n + 1, _power_derivation(F, n + 1))
+            assert not is_relation(arr, n, power_derivation(F, n))
+            assert is_relation(arr, n + 1, power_derivation(F, n + 1))
     for arr in (near_pencil(6), _cone_over_q(4, 1, 1)):
         theta = pencil_derivation(arr)
         lat = build_lattice(arr)
@@ -1055,7 +1048,7 @@ def derivation_cases(draw):
     kind = draw(st.sampled_from(("pencil", "all-but-last", "low", "power")))
     if kind == "power":
         deg = draw(st.sampled_from(divisors(n))) + 1
-        theta = [Poly(F, t) for t in _power_derivation(F, deg)]
+        theta = [Poly(F, t) for t in power_derivation(F, deg)]
     else:
         base = arr if kind != "all-but-last" else Arrangement(F, lines[:-1])
         theta = [Poly(F, t) for t in pencil_derivation(base)]
@@ -1196,16 +1189,11 @@ def _exact_relation_dim(arr, r):
     return nullity(rows, (r + 1) * (r + 3))
 
 
-def test_candidate_claiming_one_degree_less_is_rejected(monkeypatch):
-    # A candidate's exact check binds the degree it claims: every real
-    # candidate (the power derivations, and the pencil one built by the
-    # oracle) stated one degree low is rejected, and so is the zero
-    # element; offered to the search ahead of the real ones, the low power
-    # relations leave every answer equal to the exact one.
-    real_rel = alg._relation_candidates
-    monkeypatch.setattr(alg, "_relation_candidates", lambda F: sorted(
-        [(deg - 1, theta) for deg, theta in real_rel(F)] + real_rel(F),
-        key=lambda dt: dt[0]))
+def test_candidate_claiming_one_degree_less_is_rejected():
+    # A candidate's exact check binds the degree it claims: every explicit
+    # relation (the power and pencil derivations, built by the oracle)
+    # stated one degree low is rejected, and so is the zero element; and
+    # every answer of the search equals the exact one.
     rejected = 0
     for _, arr in _standard_pool(0, 3, 4):
         d = len(arr.lines)
@@ -1271,11 +1259,11 @@ def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
         cases += 1
     assert cases > 20
     # relations: on this cone 2m = d, so the pencil derivation's degree d -
-    # m = 3 is only known to pass: it is not built or checked, and no
-    # coprimality is asked; the power derivation at 2 fails its check, the
-    # relation space at 2 is not zero (a kernel vector is lifted and
-    # checked), so the search goes below it, certifies zero spaces at 0 and
-    # 1, each degree asked once, and answers 2 = d - m - 1
+    # m = 3 is only known to pass: it is not built or checked; the table
+    # fails the power derivation at 2 with no check, the relation space at
+    # 2 is not zero (a kernel vector is lifted and checked), so the search
+    # goes below it, certifies zero spaces at 0 and 1, each degree asked
+    # once, and answers 2 = d - m - 1
     [arr] = [a for label, a in _standard_pool(0, 1, 3)
              if label == "cone-d3-generic-e0-s1"]
     assert is_relation(arr, 3, pencil_derivation(arr))
@@ -1283,60 +1271,39 @@ def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
     log = _route_log(monkeypatch)
     assert mdr(arr, bound=3) == 2 and ("lift",) in log
     assert [event for event in log if event != ("lift",)] == [
-        ("check", 2, False), ("check", 2, True),
-        ("nullity", 15, 1), ("nullity", 3, 0), ("nullity", 8, 0)]
+        ("check", 2, True), ("nullity", 15, 1), ("nullity", 3, 0),
+        ("nullity", 8, 0)]
     assert verify_mdr(arr, 2) and not verify_mdr(arr, 3)
 
 
 def test_mdr_certifies_a_primitive_candidate_with_no_kernel(monkeypatch):
-    # The power derivation at r = n + 1 passes its exact check, after the
-    # lower power derivations fail theirs, and the relation it gives is
-    # certified primitive with 2r < d - 1: two independent relations have
+    # The table passes the power derivation at r = n + 1, and none below
+    # it, read off the normalized forms with no check; its relation is
+    # always primitive and 2r < d - 1: two independent relations have
     # degrees summing to at least d - 1 (du Plessis and Wall), so r is the
     # minimum and the relation space at r is one-dimensional, with no
-    # kernel asked.
+    # check, no dimension and no kernel asked.
     log = _route_log(monkeypatch)
     dims = []
     real = alg._derivation_dim
     monkeypatch.setattr(alg, "_derivation_dim", lambda *args: (
         dims.append(args[-1]) or real(*args)))
     for n in (2, 3, 4):
-        del log[:]
         value, dim = alg._relation_search(full_monomial(n), None)
         assert value == n + 1 and dim(value) == 1
-        assert log == [("check", k + 1, False) for k in divisors(n)[:-1]] + [
-            ("check", n + 1, True), ("coprime", n + 1, True)]
         assert mdr(full_monomial(n)) == n + 1
-    assert dims == []
-
-
-def test_mdr_without_coprimality_takes_one_zero_kernel(monkeypatch):
-    # When certified_coprime proves nothing (it answers False), the passing
-    # power derivation at r = n + 1 is still the answer, certified by one
-    # zero relation space at n, and the dimension at r is asked, not taken
-    # in closed form.
-    monkeypatch.setattr(alg, "certified_coprime", lambda *args: False)
-    log = _route_log(monkeypatch)
-    for n in (2, 3, 4):
-        del log[:]
-        value, dim = alg._relation_search(full_monomial(n), None)
-        assert value == n + 1
-        assert log == [("check", k + 1, False) for k in divisors(n)[:-1]] + [
-            ("check", n + 1, True), ("coprime", n + 1, False),
-            ("nullity", (n + 1) * (n + 3), 0)]
-        assert dim(value) == 1
-        assert log[-1][:2] == ("nullity", (n + 2) * (n + 4))
+    assert log == [] and dims == []
 
 
 def test_candidates_the_certificate_does_not_settle_take_one_zero_kernel(
         monkeypatch):
     # A generic arrangement has m = 2, so for d >= 4 its pencil degree d -
     # 2 is only known to pass, above the half-bound (d - 1)/2: the pencil
-    # derivation is not built or checked, no coprimality is asked, and one
-    # zero kernel below certifies it, after the power derivations below it
-    # (r = 2 over Q, when 2 < d - 2) fail their checks.  No restriction takes this route:
-    # it has no candidate, and a power image that is a derivation, read off
-    # a table, is primitive.  The lines that used to
+    # derivation is not built or checked, and one zero kernel below
+    # certifies it, after the table fails the power derivations below it
+    # (r = 2 over Q, when 2 < d - 2), with no check.  No restriction takes
+    # this route: it has no candidate, and a power image that is a
+    # derivation, read off a table, is primitive.  The lines that used to
     # take it, through the Euler product prod alpha^(m - 1) (u d_u + v d_v),
     # have total < 2s and are answered in closed form, (total - s + 1,
     # s - 1) sorted, with nothing checked or asked: a cone's line with
@@ -1357,40 +1324,24 @@ def test_candidates_the_certificate_does_not_settle_take_one_zero_kernel(
     for d in (4, 5):
         del log[:]
         assert mdr(generic_arrangement(d, seed=0), d - 2) == d - 2
-        assert log == [("check", r, False) for r in (2,) if r < d - 2] + [
-            ("nullity", (d - 2) * d, 0)]
-
-
-def test_relation_vector_is_the_relation_of_its_candidate():
-    # rho = d theta - h E, h = theta(f)/f read off the quotients of the
-    # exact check: rho(f) = 0, and rho - d theta is a multiple of E.
-    moved = apply_transform(full_monomial(2),
-                            random_invertible_matrix(random.Random(0)))
-    arrs = [full_monomial(n) for n in (1, 2, 3)] + [
-        a_of_w(4, (0, 1)), near_pencil(6), moved, generic_arrangement(5, 0),
-        _over_q_zeta_8(full_monomial(4))]
-    checked = 0
-    for arr in arrs:
-        F, forms, mult = _relation_question(arr)
-        f = defining_polynomial(arr)
-        grad = [deriv(f, v) for v in range(3)]
-        xs = [Poly.from_linear(F, [int(i == v) for i in range(3)])
-              for v in range(3)]
-        for deg, theta in explicit_relations(arr):
-            quotients = alg._quotients(F, forms, mult, deg, theta)
-            if quotients is None or not deg:
-                continue
-            rho = [Poly(F, part) for part in
-                   alg._relation_vector(forms, deg, theta, quotients)]
-            assert any(rho)
-            assert not sum((a * g for a, g in zip(rho, grad)), Poly.zero(F))
-            rest = [a - Poly(F, part) * len(forms)
-                    for a, part in zip(rho, theta)]
-            for u in range(3):
-                for v in range(u + 1, 3):
-                    assert rest[u] * xs[v] == rest[v] * xs[u]
-            checked += 1
-    assert checked >= 10
+        assert log == [("nullity", (d - 2) * d, 0)]
+    # A power relation that the table passes above the half-bound is
+    # certified the same way: on eight lines of full_monomial(3), x, x - y,
+    # y - z, x - z, x - zeta y, y - zeta z, x - zeta z and y - zeta^2 z (d =
+    # 8, m = 3), the table passes r = 4 < d - m with 2r > d - 1, so with
+    # the bound raised to 4 one zero kernel at 3 certifies it, and the
+    # dimension at 4 is asked.
+    F = cyc_field(3)
+    one, zero, z = F.one, F.zero, F.zeta
+    arr = Arrangement(F, [ProjLine(F, c) for c in (
+        (one, zero, zero), (one, -one, zero), (zero, one, -one),
+        (one, zero, -one), (one, -z, zero), (zero, one, -z), (one, zero, -z),
+        (zero, one, -z * z))])
+    assert build_lattice(arr).mult[0] == 3
+    del log[:]
+    value, dim = alg._relation_search(arr, 4)
+    assert value == 4 and log == [("nullity", 24, 0)]
+    assert dim(4) == 2 and mdr(arr) is None
 
 
 def _restriction_profile(R):
@@ -1401,49 +1352,56 @@ def _restriction_profile(R):
 
 def _settled_by_primitivity(arr):
     """Run the relation search and every restriction's exponents of arr,
-    and check each answer c that a primitive element settled, the pencil
-    relation in closed form (2m > d, c = d - m, with no check and no
-    coprimality asked), a relation certified coprime or a power image read
-    off the table, against the kernel: the certified dimension is 0 at c -
+    and check each answer c that a primitive element settled against the
+    kernel: the pencil relation in closed form (2m > d, c = d - m, with
+    nothing read off the table), a power relation that the table passes
+    (_power_fits on every form at r = c, with 2c <= d - 1) or a power image
+    read off the restriction's table.  The certified dimension is 0 at c -
     1 and at least 1 at c, and the dimension read at c (closed form or
-    asked) is the same.  Returns how many answers it settled, and how many
-    of them in closed form."""
+    asked) is the same.  Returns how many answers it settled, how many of
+    them in closed form, and how many relations the table settled."""
     d, m = len(arr.lines), build_lattice(arr).mult[0]
     questions = [(*_relation_question(arr), _gauged_monomials,
-                  lambda: alg._relation_search(arr, None), 2 * m > d)]
+                  lambda: alg._relation_search(arr, None), True)]
     for h in range(len(arr.lines)):
         R = ziegler_restriction(arr, h)
         questions.append((R.field, R.forms, R.mult, _binary_monomials,
                           partial(_restriction_profile, R), False))
-    fired, coprime, images = [], alg.certified_coprime, alg._power_images_pass
-    quotients = alg._quotients
+    fits, fired = [], []
+    power_fits, images = alg._power_fits, alg._power_images_pass
+
+    def spy_fits(form, r):
+        out = power_fits(form, r)
+        fits.append((r, out))
+        return out
 
     def spy_images(R, r):
         out = images(R, r)
         fired.append(any(out))
         return out
 
-    settled = closed = 0
+    settled = closed = table = 0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(alg, "certified_coprime",
-                   lambda *args: fired.append(coprime(*args)) or fired[-1])
+        mp.setattr(alg, "_power_fits", spy_fits)
         mp.setattr(alg, "_power_images_pass", spy_images)
-        # an exact check settles nothing by itself
-        mp.setattr(alg, "_quotients",
-                   lambda *args: fired.append(None) or quotients(*args))
-        for F, forms, mult, monomials, search, pencil_first in questions:
-            del fired[:]
+        for F, forms, mult, monomials, search, relation in questions:
+            del fits[:], fired[:]
             c, dim = search()
-            if pencil_first:
-                assert c == d - m and not fired
+            by_pencil = relation and 2 * m > d
+            # the table passes r when every form fits: all() asks each one
+            by_table = relation and 2 * c <= d - 1 and sum(
+                ok for r, ok in fits if r == c) == d
+            if by_pencil:
+                assert c == d - m and not fits
                 closed += 1
-            if pencil_first or fired and fired[-1]:
+            table += by_table
+            if by_pencil or by_table or fired and fired[-1]:
                 assert c == 0 or _derivation_dim(
                     F, forms, mult, monomials, c - 1) == 0
                 k = _derivation_dim(F, forms, mult, monomials, c)
                 assert k >= 1 and dim(c) == k
                 settled += 1
-    return settled, closed
+    return settled, closed, table
 
 
 def test_primitive_certificate_agrees_with_the_kernel():
@@ -1451,17 +1409,21 @@ def test_primitive_certificate_agrees_with_the_kernel():
     # closed form before any power image, so it is not counted here: the
     # closed-form tests below check it against the kernel.  A relation
     # with 2m > d is counted: its closed form is the pencil relation's
-    # degree, primitive with no coprimality asked.
-    own = [0, 0]
-    moved = [0, 0]
+    # degree, primitive with nothing read off the table.  So is a power
+    # relation that the table passes, primitive with no check: in the own
+    # frame six A(w) classes take it (full_monomial(3) among them), and
+    # moved, no form has two coefficients only.
+    own = [0, 0, 0]
+    moved = [0, 0, 0]
     for i, (_, arr) in enumerate(_standard_pool(0, 3, 4)):
-        for total, (settled, closed) in (
+        for total, counts in (
                 (own, _settled_by_primitivity(arr)),
                 (moved, _settled_by_primitivity(apply_transform(
                     arr, random_invertible_matrix(random.Random(i)))))):
-            total[0] += settled
-            total[1] += closed
-    assert own[0] > 60 and own[1] > 25 and moved[0] > 25 and moved[1] > 25
+            for j, k in enumerate(counts):
+                total[j] += k
+    assert own[0] > 60 and own[1] > 25 and own[2] >= 6
+    assert moved[0] > 25 and moved[1] > 25
 
 
 @settings(max_examples=15, deadline=None)
@@ -1473,6 +1435,118 @@ def test_primitive_certificate_agrees_with_the_kernel_property(data):
         arr = apply_transform(arr,
                               random_invertible_matrix(random.Random(seed)))
     _settled_by_primitivity(arr)
+
+
+def _relation_table_matches_the_exact_check(arr):
+    """The table (_power_fits on every normalized form) decides the power
+    derivation at every r = k + 1, k dividing the field order, as the
+    exact check decides the oracle's power derivation; returns how many r
+    pass."""
+    F, forms, _ = _relation_question(arr)
+    passed = 0
+    for k in divisors(F.order):
+        exact = is_relation(arr, k + 1, power_derivation(F, k + 1))
+        assert all(alg._power_fits(form, k + 1) for form in forms) == exact
+        passed += exact
+    return passed
+
+
+def _moved(arr, seed):
+    return apply_transform(arr, random_invertible_matrix(random.Random(seed)))
+
+
+def _with_line(arr, coeffs):
+    """arr with the line of coeffs added, when it is not already a line."""
+    line = ProjLine(arr.field, coeffs)
+    return arr if line in arr.lines else Arrangement(
+        arr.field, [*arr.lines, line])
+
+
+def test_relation_table_matches_the_exact_check():
+    # On every arrangement of the pool and on full_monomial(n), n <= 6,
+    # each in its own frame and moved: the power relations pass in the own
+    # frame only, where every form has at most two nonzero coefficients.
+    # With x - y - z added to full_monomial(n), a form with three nonzero
+    # coefficients, each ratio passing alone, none passes.
+    arrs = [arr for _, arr in _standard_pool(0, 3, 4)] + [
+        full_monomial(n) for n in range(1, 7)]
+    own = sum(map(_relation_table_matches_the_exact_check, arrs))
+    moved = sum(_relation_table_matches_the_exact_check(_moved(arr, i))
+                for i, arr in enumerate(arrs))
+    assert own > 15 and moved == 0
+    for n in range(1, 5):
+        F = cyc_field(n)
+        arr = _with_line(full_monomial(n), (F.one, -F.one, -F.one))
+        assert _relation_table_matches_the_exact_check(arr) == 0
+
+
+@st.composite
+def pool_or_monomial_arrangements(draw):
+    """An arrangement of the pool or full_monomial(n), n <= 6, often with
+    a line x + b y + c z added, -b and -c roots of unity, in its own frame
+    or moved."""
+    if draw(st.booleans()):
+        arr = full_monomial(draw(st.integers(1, 6)))
+    else:
+        _, arr = draw(st.sampled_from(_standard_pool(0, 3, 4)))
+    if draw(st.booleans()):
+        F = arr.field
+        b, c = (-F.zeta_pow(draw(st.integers(0, F.order - 1)))
+                for _ in range(2))
+        arr = _with_line(arr, (F.one, b, c))
+    seed = draw(st.none() | st.integers(0, 2 ** 32))
+    return arr if seed is None else _moved(arr, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool_or_monomial_arrangements())
+def test_relation_table_matches_the_exact_check_property(arr):
+    _relation_table_matches_the_exact_check(arr)
+
+
+def test_relation_table_is_read_below_the_pencil_degree_within_the_bound(
+        monkeypatch):
+    # The table is read only at r < d - m, below the degree the pencil is
+    # known to pass, and at r <= the bound: on generic_arrangement(4), d -
+    # m = 2, it is not read at r = 2, even with the bound raised to 2; on
+    # full_monomial(3) with bound 3 it reads r = 2 (no form x - zeta y
+    # passes) and not r = 4.
+    asked = []
+    real = alg._power_fits
+    monkeypatch.setattr(alg, "_power_fits", lambda form, r: (
+        asked.append(r) or real(form, r)))
+    for arr, bound, want in (
+            (generic_arrangement(4, seed=0), 2, set()),
+            (generic_arrangement(5, seed=0), None, {2}),
+            (full_monomial(2), 2, {2}), (full_monomial(3), 3, {2}),
+            (full_monomial(3), None, {2, 4}),
+            (full_monomial(4), None, {2, 3, 5})):
+        del asked[:]
+        d, m = len(arr.lines), build_lattice(arr).mult[0]
+        top = (d - 1) // 2 if bound is None else bound
+        mdr(arr, bound)
+        assert set(asked) == want
+        assert all(r < d - m and r <= top for r in asked)
+
+
+def test_power_relation_at_half_of_d_minus_one_asks_only_its_dimension(
+        monkeypatch):
+    # full_monomial(2) without the lines x and y: d = 7, m = 3, and the
+    # table passes r = 3 < d - m = 4 with 2r = d - 1.  Its relation is
+    # primitive, so 3 is the minimum with nothing asked below it; the
+    # dimension at 3 is asked, not read in closed form, and it is 2 (free
+    # with exponents (3, 3)), as the exact kernel says.
+    mono = full_monomial(2)
+    arr = Arrangement(mono.field, [
+        line for line in mono.lines
+        if line.coords[2] or all(line.coords[:2])])
+    assert (len(arr.lines), build_lattice(arr).mult[0]) == (7, 3)
+    log = _route_log(monkeypatch)
+    value, dim = alg._relation_search(arr, None)
+    assert value == 3 and log == []
+    assert dim(3) == 2 and [e for e in log if e[0] == "nullity"] == [
+        ("nullity", 24, 2)]
+    assert [_exact_relation_dim(arr, r) for r in (2, 3)] == [0, 2]
 
 
 def _pencil_with_extra_lines(F, rng, m, k):
@@ -1495,12 +1569,11 @@ def _pencil_with_extra_lines(F, rng, m, k):
 
 def _closed_form_relation_agrees_with_the_kernel(arr, log):
     """On arr with 2m > d, m the largest multiplicity of a point: the
-    search answers c = d - m and logs (_route_log) no check, no
-    coprimality and no nullity; the exact relation space (exact_linalg) is
-    zero at c - 1 and nonzero at c, with the dimension the search reads at
-    c, 1 in closed form when 2c < d - 1 and asked at 2c = d - 1; and a
-    bound below c answers None with nothing asked.  Returns whether 2c = d
-    - 1."""
+    search answers c = d - m and logs (_route_log) no check and no
+    nullity; the exact relation space (exact_linalg) is zero at c - 1 and
+    nonzero at c, with the dimension the search reads at c, 1 in closed
+    form when 2c < d - 1 and asked at 2c = d - 1; and a bound below c
+    answers None with nothing asked.  Returns whether 2c = d - 1."""
     d, m = len(arr.lines), build_lattice(arr).mult[0]
     c = d - m
     assert 2 * m > d
@@ -1623,8 +1696,8 @@ def test_closed_form_agrees_with_the_kernel(monkeypatch):
     # On every line of the pool, in its own frame and moved, and on the
     # hand-built restrictions: an unbalanced restriction, a balanced one
     # with total < 2s, and one that a power image settles check no
-    # candidate and ask no coprimality or nullity, and every answer, closed
-    # form or scanned, agrees with the kernel.  A power image settles
+    # candidate and ask no nullity, and every answer, closed form or
+    # scanned, agrees with the kernel.  A power image settles
     # exactly the restrictions on which the oracle's exact check passes
     # one.  At total = 2s the count bound is not the answer: mult (2, 2,
     # 2) and (2, 2, 2, 2) have exponents (3, 3) and (4, 4).
@@ -2118,9 +2191,9 @@ def test_kernel_nonzero_matches_exact_over_q_zeta_8():
         assert (null > 0) == exact == (r == 5)
         assert (syzygy_dimension(arr, r) > 0) == exact
     # the power derivation with r = k + 1 for k = 4, a divisor of 8
-    assert not any(is_relation(arr, k + 1, _power_derivation(F, k + 1))
+    assert not any(is_relation(arr, k + 1, power_derivation(F, k + 1))
                    for k in (1, 2))
-    assert is_relation(arr, 5, _power_derivation(F, 5))
+    assert is_relation(arr, 5, power_derivation(F, 5))
     assert mdr(arr, bound=5) == 5 and verify_mdr(arr, 5)
 
 
@@ -2138,7 +2211,7 @@ from linarr import CertificationError, cyc_field, full_monomial
 F = cyc_field(1)
 R = alg.MultiRestriction(F, ((F.one, F.zero), (F.zero, F.one), (F.one, F.one)),
                          (2, 2, 2))
-alg._quotients = lambda *args: None
+alg._is_derivation = lambda *args: False
 cls.tjurina_census = lambda lat: -1
 for call in (lambda: alg.multi_exponents(R),
              lambda: alg.supersolvable_exponents(full_monomial(1))):

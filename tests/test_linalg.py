@@ -15,7 +15,6 @@ from linarr.field import (
     euler_phi,
 )
 from linarr.linalg import (
-    certified_coprime,
     certified_nullity,
     fp_echelon,
     fp_kernel_basis,
@@ -340,78 +339,3 @@ def test_default_check_builds_exact_rows_once():
     assert certified_nullity(K, 2, [[K.one, K.zeta]], square) == 0
     assert not exact
 
-
-def _binary(F, *coeffs):
-    """The binary form sum coeffs[j] u^(deg-j) v^j, deg = len(coeffs) - 1,
-    as the ternary form in x = u and y = v with no z that certified_coprime
-    reads."""
-    deg = len(coeffs) - 1
-    return {(deg - j, j, 0): c if isinstance(c, CycNumber) else F.scalar(c)
-            for j, c in enumerate(coeffs)}
-
-
-def test_certified_coprime_cases():
-    Q, F5 = cyc_field(1), cyc_field(5)
-    z = F5.zeta
-    one, zero = F5.one, F5.zero
-    # coprime pairs: u^2 + v^2 and u v; u - zeta v and u - zeta^2 v
-    assert certified_coprime(Q, 2, [_binary(Q, 1, 0, 1), _binary(Q, 0, 1, 0)])
-    assert certified_coprime(F5, 1, [_binary(F5, one, -z),
-                                     _binary(F5, one, -z * z)])
-    # a common linear factor: (u + v) u and (u + v) v; (u - zeta v) u and
-    # (u - zeta v) v
-    assert not certified_coprime(Q, 2, [_binary(Q, 1, 1, 0),
-                                        _binary(Q, 0, 1, 1)])
-    assert not certified_coprime(F5, 2, [_binary(F5, one, -z, zero),
-                                         _binary(F5, zero, one, -z)])
-    # a common root only at infinity: u v and v^2 share v, though u and 1,
-    # their values at v = 1, are coprime
-    assert not certified_coprime(Q, 2, [_binary(Q, 0, 1, 0),
-                                        _binary(Q, 0, 0, 1)])
-    # all-zero forms
-    assert not certified_coprime(Q, 2, [{}, _binary(Q, 0, 0, 0)])
-    # a denominator that vanishes mod the first split prime: False, not
-    # ZeroDivisionError; another denominator is harmless
-    p = split_prime(1, 0)[0]
-    assert not certified_coprime(Q, 1, [_binary(Q, 1, F(1, p)),
-                                        _binary(Q, 0, 1)])
-    assert certified_coprime(Q, 1, [_binary(Q, 1, F(1, 3)), _binary(Q, 0, 1)])
-
-
-def test_certified_coprime_on_ternary_forms():
-    Q = cyc_field(1)
-    one = Q.one
-    x, y, z = ({mono: one} for mono in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    assert certified_coprime(Q, 1, [x, y, z])
-    # x (x + y), y (x + y), z (x + y): a common factor
-    common = [{(2, 0, 0): one, (1, 1, 0): one},
-              {(1, 1, 0): one, (0, 2, 0): one},
-              {(1, 0, 1): one, (0, 1, 1): one}]
-    assert not certified_coprime(Q, 2, common)
-    # forms that vanish on the fixed line z = a x + b y restrict to zero
-    a, b = (Q.scalar(c) for c in la._LINE)
-    line = {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): -one}
-    assert not certified_coprime(Q, 1, [line, line])
-    # y and z - a x are coprime, but meet on the fixed line where it
-    # leaves the chart: both restrictions drop a degree, and that proves
-    # nothing
-    assert not certified_coprime(Q, 1, [y, {(1, 0, 0): -a, (0, 0, 1): one}])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.data())
-def test_certified_coprime_matches_the_resultant(deg, data):
-    # Over Q with small coefficients the resultant of two binary forms of
-    # degree deg is far below the split prime, so the certificate answers
-    # True exactly when the Sylvester matrix, with the formal degrees, is
-    # invertible: no common factor and no common root at v = 0.
-    coeffs = st.lists(st.integers(-3, 3), min_size=deg + 1,
-                      max_size=deg + 1)
-    a, b = data.draw(coeffs), data.draw(coeffs)
-    Q = cyc_field(1)
-    rows = [[0] * i + a + [0] * (deg - 1 - i) for i in range(deg)]
-    rows += [[0] * i + b + [0] * (deg - 1 - i) for i in range(deg)]
-    rows = [[F(x) for x in row] for row in rows]
-    invertible = rank(rows, 2 * deg) == 2 * deg
-    assert certified_coprime(Q, deg, [_binary(Q, *a), _binary(Q, *b)]) \
-        == invertible

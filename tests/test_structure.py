@@ -6,7 +6,7 @@ from pathlib import Path
 
 import linarr.algebra as alg
 from linarr.algebra import MultiRestriction
-from linarr.families import near_pencil
+from linarr.families import full_monomial, near_pencil
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "linarr"
 
@@ -16,45 +16,48 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "linarr"
 EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
                 "_EXACT_COLS", "nullity", "rank"}
 
-# A minimal relation degree takes one search (algebra._relation_search),
-# the CLI's too: d - m in closed form when 2m > d, m the largest
-# multiplicity of a point (the pencil relation g d_P is primitive, so du
-# Plessis-Wall makes it the minimum, and it is never built or checked);
-# else a power derivation checked exactly, then certified minimal by its
-# primitive relation within the half-bound (linalg.certified_coprime),
-# else by a certified dimension below it, each degree asked once.  No
-# polynomial is expanded in src: Poly, the defining polynomial, the
-# partial products and the pencil derivation are the tests' oracles
-# (tests/exact_poly.py).  The search owns that certificate, so no generic
-# minimal-degree search (_min_degree) serves relations and restrictions
-# with parameters that only one of them reads.  No uncertified guess to
-# certify, no knob to bypass it, no Hilbert-function read of one
-# dimension, no probe of F_p beside certified_nullity and
-# certified_coprime, and no global cache of relation answers.  A lattice
-# is kept on its Arrangement, and campaigns build each arrangement once, so
-# no global dict caches either.  split_prime hands out the roots it keeps
-# with each prime, so nothing computes them again.  projgeo crosses
-# integral triples, not CycNumbers.  Derivation membership, for relations
-# and restrictions alike, is decided by one exact check (algebra._quotients
-# behind _is_derivation, Horner division in pivot coordinates, no inverse)
-# and one row builder (algebra._derivation_rows); a relation's h =
-# theta(f)/f is the sum of that check's quotients, so no division comes
-# back, and the division and the two former builders and checks live on in
-# the tests as oracles.  Transforms take their adjugate and determinant
-# from integral cross products too, so the generic 3x3 determinant and
-# adjugate are test oracles now.  A restriction's exponents are read off
-# the restriction alone, with no candidate carried on it as lifts: (total -
-# max m, max m) when it is unbalanced (2 max m >= total), (total - s + 1,
-# s - 1) sorted when total < 2s, s its number of points (so the Euler
-# product and its builder, _product, are gone), and otherwise the least
-# degree of a power image that its forms and multiplicities admit, by a
-# table (algebra._power_images_pass), with no exact check and no
-# coprimality.  So the images are built and checked only in the tests,
-# where _restriction_candidates is the oracle, and a restriction that no
-# image settles scans _derivation_dim up to total/2, with no candidate.
-# The CLI reads a restriction's profile in closed form too (free of rank
-# two: 1 at d1, 2 when d1 = d2), so no search hands a restriction's
-# dimensions back.
+# A minimal relation degree takes one search (algebra._relation_search), the
+# CLI's too: d - m in closed form when 2m > d, m the largest multiplicity of
+# a point (the pencil relation g d_P is primitive, so du Plessis-Wall makes
+# it the minimum, and it is never built or checked); else a power derivation
+# read off a table of the normalized forms (algebra._power_fits, with no
+# derivation built and no check), minimal within the half-bound because its
+# relation is always primitive (the proof is in _relation_search's
+# docstring, so no gcd mod p certifies it: certified_coprime, _fp_gcd and
+# its line _LINE are gone, and so are the relation vector and the candidate
+# list that fed it), else certified by a dimension below it, each degree
+# asked once.  No polynomial is expanded in src: Poly, the defining
+# polynomial, the partial products, the pencil derivation and the power
+# derivations are the tests' oracles (tests/exact_poly.py).  The search owns
+# that certificate, so no generic minimal-degree search (_min_degree) serves
+# relations and restrictions with parameters that only one of them reads.
+# No uncertified guess to certify, no knob to bypass it, no Hilbert-function
+# read of one dimension, no probe of F_p beside certified_nullity, and no
+# global cache of relation answers.  A lattice is kept on its Arrangement,
+# and campaigns build each arrangement once, so no global dict caches
+# either.  split_prime hands out the roots it keeps with each prime, so
+# nothing computes them again.  projgeo crosses integral triples, not
+# CycNumbers.  Derivation membership, for relations and restrictions alike,
+# is decided by one exact check (algebra._is_derivation, Horner division in
+# pivot coordinates, no inverse, which hands back no quotients now that no
+# relation vector reads them) and one row builder
+# (algebra._derivation_rows), and the division and the two former builders
+# and checks live on in the tests as oracles.  Transforms take their
+# adjugate and determinant from integral cross products too, so the generic
+# 3x3 determinant and adjugate are test oracles now.  A restriction's
+# exponents are read off the restriction alone, with no candidate carried on
+# it as lifts: (total - max m, max m) when it is unbalanced (2 max m >=
+# total), (total - s + 1, s - 1) sorted when total < 2s, s its number of
+# points (so the Euler product and its builder, _product, are gone), and
+# otherwise the least degree of a power image that its forms and
+# multiplicities admit, by a table (algebra._power_images_pass, which reads
+# each form through the relation search's _power_fits, so src holds one
+# table test), with no exact check and no coprimality.  So the images are
+# built and checked only in the tests, where _restriction_candidates is the
+# oracle, and a restriction that no image settles scans _derivation_dim up
+# to total/2, with no candidate.  The CLI reads a restriction's profile in
+# closed form too (free of rank two: 1 at d1, 2 when d1 = d2), so no search
+# hands a restriction's dimensions back.
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
            "certified_zero", "_upward", "_rows_at", "split_roots", "_cross",
@@ -62,7 +65,9 @@ RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_multi_dim", "det3", "adjugate3", "_max_modular",
            "_power_image", "lifts", "_restriction_search", "at_half",
            "_product", "_restriction_candidates", "_min_degree", "Poly",
-           "_pencil_derivation", "defining_polynomial", "partial_products"}
+           "_pencil_derivation", "defining_polynomial", "partial_products",
+           "certified_coprime", "_fp_gcd", "_LINE", "_relation_vector",
+           "_power_derivation", "_relation_candidates", "_quotients"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
@@ -97,20 +102,19 @@ MODULAR_READERS = {
 
 # ziegler_restriction only reads the lattice: which power images are
 # derivations of a restriction is decided by _power_images_pass, from the
-# restriction alone.
-CANDIDATE_BUILDERS = {"divisors", "_conv", "_parts",
-                      "_power_derivation", "_relation_candidates",
+# restriction alone, through the one table test _power_fits.
+CANDIDATE_BUILDERS = {"divisors", "_conv", "_parts", "_power_fits",
                       "_power_images_pass"}
 
-# multi_exponents decides every power image by its table: it runs no exact
-# check and no coprimality, only a scan of the certified dimensions
-# (_derivation_dim) when no image passes, whose lifted vectors the
-# dimension's own check (_is_derivation) reads.
-EXACT_CHECKS = {"_quotients", "_is_derivation", "certified_coprime"}
+# multi_exponents and the relation search decide every power derivation by
+# the table: they run no exact check, only a scan of the certified
+# dimensions (_derivation_dim) when the table settles nothing, whose
+# lifted vectors the dimension's own check (_is_derivation) reads.
+EXACT_CHECKS = {"_is_derivation"}
 
-# Elimination and the gcd mod p are linalg's own: no other module reaches
-# past certified_nullity or certified_coprime to the engine behind them.
-FP_ENGINE = {"fp_echelon", "fp_kernel_basis", "_fp_gcd"}
+# Elimination is linalg's own: no other module reaches past
+# certified_nullity to the engine behind it.
+FP_ENGINE = {"fp_echelon", "fp_kernel_basis"}
 
 
 def _names(tree):
@@ -179,21 +183,30 @@ def test_memos_only_where_allowed():
 
 def test_only_linalg_names_the_fp_engine():
     assert {module for module, _ in _src_names_in(FP_ENGINE)} == {"linalg.py"}
-    assert "_fp_gcd" in _calls_in("linalg.py", "certified_coprime")
-    assert "certified_coprime" in _calls_in("algebra.py", "_relation_search")
+    assert "fp_kernel_basis" in _calls_in("linalg.py", "certified_nullity")
+    assert "fp_echelon" in _calls_in("linalg.py", "fp_kernel_basis")
+
+
+def test_relation_search_runs_no_exact_check():
+    calls = _calls_in("algebra.py", "_relation_search")
+    assert {"_power_fits", "_derivation_dim"} <= calls
+    assert not calls & EXACT_CHECKS
 
 
 def test_closed_form_relation_asks_nothing(monkeypatch):
     # near_pencil(6) has a point of multiplicity m = 5 > d/2: the search
-    # answers d - m = 1 with no exact check, no coprimality and no
-    # certified dimension, and reads the dimension 1 there in closed form.
+    # answers d - m = 1 with no exact check and no certified dimension, and
+    # reads the dimension 1 there in closed form.  On full_monomial(n), n =
+    # 2, 3, 4, the table passes the power derivation at n + 1 < (d - 1)/2,
+    # so the answer n + 1 and its dimension 1 are read just as directly.
     asked = []
-    for name in ("_quotients", "certified_coprime", "certified_nullity",
-                 "_derivation_dim"):
+    for name in ("_is_derivation", "certified_nullity", "_derivation_dim"):
         monkeypatch.setattr(alg, name, lambda *args, name=name: asked.append(
             name))
-    value, dim = alg._relation_search(near_pencil(6), None)
-    assert (value, dim(value), asked) == (1, 1, [])
+    for arr, want in ((near_pencil(6), 1), *(
+            (full_monomial(n), n + 1) for n in (2, 3, 4))):
+        value, dim = alg._relation_search(arr, None)
+        assert (value, dim(value), asked) == (want, 1, [])
 
 
 def _convolution_loops():
