@@ -3,9 +3,9 @@
 Minimal degrees of Jacobian relations, restriction of an arrangement to one
 of its lines as a rank-two multiarrangement, exponent pairs of such
 restrictions, and the vanishing dimension at the nodes of a generic
-arrangement.  Every answer is certified over the exact field, and no
-polynomial is ever expanded: tests/exact_poly.py keeps the expansion as
-the tests' oracle.
+arrangement, which a theorem gives (nodal_dimension_profile).  Every other
+answer is certified over the exact field, and no polynomial is ever
+expanded: tests/exact_poly.py keeps the expansion as the tests' oracle.
 
 A relation and a derivation of a restriction answer one question: does
 theta send each form alpha into (alpha^m)?  A relation is 3 variables,
@@ -15,10 +15,10 @@ exact check, _is_derivation, answer it in the pivot coordinates of each
 form, where alpha's line is x_piv = w: the rows ask the first m Taylor
 coefficients of theta(alpha) in x_piv - w to vanish, and the check makes m
 Horner divisions by x_piv - w, with no inverse.  Every dimension is one
-linalg.certified_nullity, which reduces the inputs (forms or node
-coordinates) and runs a builder generic over the element type, so this
-module knows nothing of primes; a lifted derivation is checked by
-_is_derivation, so exact rows are built only for node conditions.
+linalg.certified_nullity, which reduces the forms and runs a builder
+generic over the element type, so this module knows nothing of primes; a
+lifted derivation is checked by _is_derivation, so no exact rows are
+built.
 
 A rank-two multiarrangement is free (Ziegler), so the exponents of a
 restriction are (d1, total - d1), d1 its least degree with a nonzero
@@ -38,9 +38,9 @@ relation of degree d - m, so mdr = d - m when 2m > d, in closed form, with
 no derivation built or checked (A. Dimca, "Curve arrangements, pencils,
 and Jacobian syzygies", 2017, treats this regime).  Otherwise d - m is a
 degree known to pass, and the power derivation x^r d_x + y^r d_y + z^r
-d_z, r = k + 1 for k | n, is read off a table of the normalized forms
-(_power_fits): it is a relation exactly when every form has at most two
-nonzero coefficients, its lead 1 and b, with (-b)^(r-1) = 1, and its
+d_z, r = k + 1 for k | lcm(2, n), is read off a table of the normalized
+forms (_power_fits): it is a relation exactly when every form has at most
+two nonzero coefficients, its lead 1 and b, with (-b)^(r-1) = 1, and its
 relation is always primitive, so the lowest such r below d - m is the
 minimum when 2r <= d - 1, with no derivation built, no check and no
 prime.  Any other passing degree is certified by a zero dimension at c -
@@ -50,7 +50,7 @@ prime.  Any other passing degree is certified by a zero dimension at c -
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, lcm
 
 from .classify import ClassifyReport, check_identities
 from .field import (
@@ -279,17 +279,19 @@ def _relation_search(arr: Arrangement, bound: int | None):
 
     When 2m <= d, d - m is only a degree known to pass.  The power
     derivation theta = x^r d_x + y^r d_y + z^r d_z, r = k + 1 >= 2 for k
-    dividing the field order, is no multiple of the Euler derivation E, so
-    it is a nonzero relation of degree r exactly when it sends every form
-    alpha into (alpha).  That is read off the normalized forms by a table
-    (_power_fits), with no derivation built and no check: alpha passes when
-    it has at most two nonzero coefficients, its lead 1 and b, with
-    (-b)^(r-1) = 1.  A form x_i passes, as theta(x_i) = x_i^r.  For
+    dividing lcm(2, n), n the field order, is no multiple of the Euler
+    derivation E, so it is a nonzero relation of degree r exactly when it
+    sends every form alpha into (alpha).  That is read off the normalized
+    forms by a table (_power_fits), with no derivation built and no check:
+    alpha passes when it has at most two nonzero coefficients, its lead 1
+    and b, with (-b)^(r-1) = 1.  A form x_i passes, as theta(x_i) = x_i^r.  For
     alpha = x_i + b x_j, theta(alpha) at x_i = -b x_j is b x_j^r (1 -
     (-b)^(r-1)).  With a third coefficient c, alpha = x_i + b x_j + c x_l,
     the monomial x_j^(r-1) x_l of theta(alpha) at x_i = -(b x_j + c x_l)
     keeps the coefficient (-1)^r r b^(r-1) c != 0, for r >= 2, so alpha
-    does not divide it.
+    does not divide it.  So r passes when k is a multiple of the order of
+    every such -b, a root of unity of Q(zeta_n), whose orders divide
+    lcm(2, n): the lowest passing r has k | lcm(2, n).
 
     Its relation rho = d theta - h E, h = theta(f)/f of degree k, is
     always primitive, whatever h is: rho = (x(d x^k - h), y(d y^k - h),
@@ -305,7 +307,9 @@ def _relation_search(arr: Arrangement, bound: int | None):
     kernel.  The spaces only grow with degree, so otherwise c is the
     minimum when dim(c - 1) = 0, else it is the first nonzero degree below
     c - 1, else c - 1.  With c above the bound the answer is the first
-    nonzero degree to the bound.
+    nonzero degree to the bound.  Both scans start at m - 1: the pencil
+    relation is primitive, so a relation below d - m is independent of it,
+    and du Plessis-Wall gives it degree at least (d - 1) - (d - m).
     """
     F, forms, mult = _relation_question(arr)
     top, half = _relation_top(arr, bound), len(forms) - 1
@@ -319,7 +323,7 @@ def _relation_search(arr: Arrangement, bound: int | None):
 
     c, settled = len(forms) - m, 2 * m > len(forms)
     if not settled:
-        for r in (k + 1 for k in divisors(F.order)):
+        for r in (k + 1 for k in divisors(lcm(2, F.order))):
             if r >= c or r > top:
                 break
             if all(_power_fits(form, r) for form in forms):
@@ -332,9 +336,10 @@ def _relation_search(arr: Arrangement, bound: int | None):
             dims[c] = 1
         return c, dim
     if c > top:
-        return next((deg for deg in range(top + 1) if dim(deg)), None), dim
+        return next((deg for deg in range(m - 1, top + 1) if dim(deg)),
+                    None), dim
     if dim(c - 1):
-        c = next((deg for deg in range(c - 1) if dim(deg)), c - 1)
+        c = next((deg for deg in range(m - 1, c - 1) if dim(deg)), c - 1)
     return c, dim
 
 
@@ -464,14 +469,16 @@ def multi_exponents(R: MultiRestriction) -> tuple[int, int]:
     of degree total - s + 1, which is d1 when total <= 2s - 2; when total =
     2s - 1, d1 <= total/2 leaves d1 = s - 1.
 
-    Otherwise d1 is the least r = k + 1, k | n, max m <= r <= total/2, at
-    which a Ziegler image of x^r d_x + y^r d_y + z^r d_z is a derivation
-    (_power_images_pass): it is primitive, and two independent derivations
-    have degrees summing to at least total (Ziegler: their determinant is
-    divisible by prod alpha^m), so a lower one would be a multiple of it or
-    independent of it.  I = u^r d_u + v^r d_v, II = (1-r) u^r d_u + (v^r -
-    r u^(r-1) v) d_v and III = (u^r - r u v^(r-1)) d_u + (1-r) v^r d_v pass
-    when each normalized form meets its entry (* for (-b)^(r-1) = 1):
+    Otherwise d1 is the least r = k + 1, k | lcm(2, n), max m <= r <=
+    total/2 (the order of every root of unity -b in Q(zeta_n) divides
+    lcm(2, n)), at which a Ziegler image of x^r d_x + y^r d_y + z^r d_z is
+    a derivation (_power_images_pass): it is primitive, and two
+    independent derivations have degrees summing to at least total
+    (Ziegler: their determinant is divisible by prod alpha^m), so a lower
+    one would be a multiple of it or independent of it.  I = u^r d_u +
+    v^r d_v, II = (1-r) u^r d_u + (v^r - r u^(r-1) v) d_v and III = (u^r -
+    r u v^(r-1)) d_u + (1-r) v^r d_v pass when each normalized form meets
+    its entry (* for (-b)^(r-1) = 1):
 
         form       I          II         III
         v          m <= r     m = 1      m <= r
@@ -484,19 +491,23 @@ def multi_exponents(R: MultiRestriction) -> tuple[int, int]:
     u-derivative vanishes, and its second is r (r-1) b (-b)^(r-3) v^(r-2)
     != 0; III is II with u and v swapped, b for 1/b.  Else d1 is the first
     degree whose certified dimension (_derivation_dim) is nonzero;
-    CertificationError if no degree <= total/2 has a derivation.
+    CertificationError if no degree <= total/2 has a derivation.  The scan
+    starts at max(m1, s - 1): on a balanced restriction a derivation below
+    m1 has degree at least total - m1 > m1 (Wakamiko's argument above), and
+    total >= 2s leaves d1 >= s - 1 (the count argument).
     """
     m1, total, s = R.mult[0], R.total, len(R.forms)
     if not is_balanced(R):
         return (total - m1, m1)
     if total < 2 * s:
         return tuple(sorted((total - s + 1, s - 1)))
-    d1 = next((k + 1 for k in divisors(R.field.order)
+    d1 = next((k + 1 for k in divisors(lcm(2, R.field.order))
                if m1 <= k + 1 <= total // 2
                and any(_power_images_pass(R, k + 1))), None)
     if d1 is None:
-        d1 = next((deg for deg in range(total // 2 + 1) if _derivation_dim(
-            R.field, R.forms, R.mult, _binary_monomials, deg)), None)
+        d1 = next((deg for deg in range(max(m1, s - 1), total // 2 + 1)
+                   if _derivation_dim(R.field, R.forms, R.mult,
+                                      _binary_monomials, deg)), None)
     if d1 is None:
         raise CertificationError(
             f"no derivation of degree <= {total // 2} of total {total}"
@@ -519,47 +530,33 @@ def is_balanced(R: MultiRestriction) -> bool:
 
 # --- nodes of a generic arrangement --------------------------------------
 
-def _nodal_lattice(arr: Arrangement):
-    lat = build_lattice(arr)
-    if lat.mult[0] != 2:
-        raise ValueError("non-nodal input")
-    return lat
-
-
-def _node_rows(points, r: int, zero, one) -> list[list]:
-    """Every degree-r monomial evaluated at each point (a coordinate
-    triple, of any element type): the kernel is the space of degree-r forms
-    vanishing at all the points."""
-    mons = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
-    rows = []
-    for coords in points:
-        pw = []
-        for x in coords:
-            tab = [one]
-            for _ in range(r):
-                tab.append(tab[-1] * x)
-            pw.append(tab)
-        rows.append([pw[0][i] * pw[1][j] * pw[2][l] for (i, j, l) in mons])
-    return rows
-
-
-def _node_dim(arr: Arrangement, lat, r: int) -> int:
-    return certified_nullity(
-        arr.field, (r + 1) * (r + 2) // 2, [p.coords for p in lat.points],
-        lambda points, zero, one: _node_rows(points, r, zero, one),
-    )
-
-
 def nodal_vanishing_dimension(arr: Arrangement) -> int:
-    """dim of the degree-(d'-1) forms vanishing at all nodes.
-
-    Input must have double points only.
-    """
-    lat = _nodal_lattice(arr)
-    return _node_dim(arr, lat, len(arr.lines) - 1)
+    """dim of the degree-(d'-1) forms vanishing at all nodes, d' lines with
+    double points only: d', the last entry of nodal_dimension_profile."""
+    return nodal_dimension_profile(arr)[-1]
 
 
 def nodal_dimension_profile(arr: Arrangement) -> list[int]:
-    """Same vanishing condition at every degree up to d'-1."""
-    lat = _nodal_lattice(arr)
-    return [_node_dim(arr, lat, r) for r in range(len(arr.lines))]
+    """dim of the degree-r forms vanishing at all nodes, r = 0..d-1: 0
+    below d - 1 and d at d - 1, a theorem, so nothing is built or asked
+    (the nodes form a star configuration: A. Geramita, B. Harbourne and J.
+    Migliore, "Star configurations in P^n", J. Algebra, 2013).
+
+    The input has d >= 2 lines (the lattice refuses fewer) and double
+    points only, else ValueError.  r <= d - 2 gives 0: each line L_i holds
+    d - 1 distinct nodes, so a form F of degree r < d - 1 vanishing at them
+    restricts to zero on L_i, and L_i divides F; all d distinct lines then
+    divide F, so F = 0.  r = d - 1 gives at least d: P_i, the product of
+    the lines other than L_i, vanishes at every node, as a node lies on two
+    lines and one of them is not L_i; on L_i only P_i is nonzero, so the
+    P_i are independent.  r = d - 1 gives at most d: for F vanishing at the
+    nodes, F|L_1 and P_1|L_1 != 0 have degree d - 1 and vanish at the same
+    d - 1 distinct points, so F - c P_1 = L_1 G for some c, and G, of
+    degree d - 2, vanishes at the nodes of the other d - 1 lines, again
+    generic.  By induction on d, from d = 2 (the linear forms through one
+    point, of dimension 2), F lies in a space of dimension 1 + (d - 1).
+    """
+    lat = build_lattice(arr)
+    if lat.mult[0] != 2:
+        raise ValueError("non-nodal input")
+    return [0] * (lat.d - 1) + [lat.d]

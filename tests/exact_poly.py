@@ -9,7 +9,9 @@ form, and a power relation is read off a table of the normalized forms
 forms and build the derivations instead, so the tests can check those
 answers against the defining polynomial, its partials, the pencil
 derivation g d_P and the power derivations, with code that shares none of
-theirs.
+theirs.  Node conditions are answered by a theorem
+(linarr.algebra.nodal_dimension_profile); node_rows gives the rows whose
+certified kernel the tests compare with it.
 """
 
 from linarr.field import CycField, CycNumber
@@ -167,3 +169,20 @@ def power_derivation(F: CycField, r: int) -> list[dict]:
     table of the normalized forms, with no derivation built."""
     return [{tuple(r if i == v else 0 for i in range(3)): F.one}
             for v in range(3)]
+
+
+def node_rows(points, r: int, zero, one) -> list[list]:
+    """Every degree-r monomial evaluated at each point (a coordinate
+    triple, of any element type): the kernel is the space of degree-r forms
+    vanishing at all the points."""
+    mons = [(i, j, r - i - j) for i in range(r + 1) for j in range(r + 1 - i)]
+    rows = []
+    for coords in points:
+        pw = []
+        for x in coords:
+            tab = [one]
+            for _ in range(r):
+                tab.append(tab[-1] * x)
+            pw.append(tab)
+        rows.append([pw[0][i] * pw[1][j] * pw[2][l] for (i, j, l) in mons])
+    return rows

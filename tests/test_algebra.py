@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from exact_linalg import kernel_basis, kernel_vector, nullity, rank
 from exact_poly import (
     Poly,
     defining_polynomial,
+    node_rows,
     partial_products,
     pencil_derivation,
     power_derivation,
@@ -27,12 +29,12 @@ from linarr.algebra import (
     _derivation_rows,
     _gauged_monomials,
     _is_derivation,
-    _node_rows,
     _parts,
     _relation_question,
     is_balanced,
     mdr,
     multi_exponents,
+    nodal_dimension_profile,
     nodal_vanishing_dimension,
     supersolvable_exponents,
     syzygy_dimension,
@@ -767,8 +769,9 @@ def test_multi_exponents_certifies_a_primitive_candidate_with_no_kernel(
     # summing to at least total (Ziegler), so no exact check or kernel is
     # asked.  That degree is the lowest candidate of the oracle that
     # passes the exact check.  A restriction with no passing
-    # image (hand-built in general position) asks each degree once, up to
-    # the first nonzero one, d1, where a kernel vector is lifted.
+    # image (hand-built in general position) asks each degree once, from
+    # its floor max(max m, s - 1) up to the first nonzero one, d1, where a
+    # kernel vector is lifted.
     log = _route_log(monkeypatch)
     closed = boundary = counted = edge = settled = scanned = 0
     for R in _scan_restrictions() + _wide_restrictions():
@@ -790,7 +793,9 @@ def test_multi_exponents_certifies_a_primitive_candidate_with_no_kernel(
         if ("lift",) in log:
             assert passing == []
             asked = [event[1:] for event in log if event[0] == "nullity"]
-            assert asked[:-1] == [(2 * deg + 2, 0) for deg in range(d1)]
+            floor = max(max(R.mult), s - 1)
+            assert asked[:-1] == [(2 * deg + 2, 0)
+                                  for deg in range(floor, d1)]
             assert asked[-1][0] == 2 * d1 + 2 and asked[-1][1] > 0
             scanned += 1
             continue
@@ -813,9 +818,9 @@ def _power_images(F, r):
 def _restriction_candidates(R):
     """Oracle for the power images that multi_exponents decides by its
     table: (degree, derivation) of I, II and III at each r = k + 1, k
-    dividing the field order, with max m <= r <= total/2, for the exact
-    check to decide."""
-    return [(k + 1, theta) for k in divisors(R.field.order)
+    dividing lcm(2, n), n the field order, with max m <= r <= total/2, for
+    the exact check to decide."""
+    return [(k + 1, theta) for k in divisors(lcm(2, R.field.order))
             if max(R.mult) <= k + 1 <= R.total // 2
             for theta in _power_images(R.field, k + 1)]
 
@@ -906,10 +911,11 @@ def test_modular_lines_take_a_power_image_without_a_lift(monkeypatch):
 
 def test_multi_exponents_raises_when_no_degree_certifies(monkeypatch):
     # With no power image passing and every certified dimension zero up to
-    # total/2, no d1 is certified: the scan asks each degree once, then
-    # CertificationError.  Only a balanced restriction with total >= 2s
-    # reaches the images and the scan: any other is answered in closed
-    # form.
+    # total/2, no d1 is certified: the scan asks each degree once, from
+    # max(max m, s - 1), below which Wakamiko's and the count argument
+    # leave no derivation, then CertificationError.  Only a balanced
+    # restriction with total >= 2s reaches the images and the scan: any
+    # other is answered in closed form.
     asked = []
     monkeypatch.setattr(alg, "_power_images_pass",
                         lambda R, r: [False] * 3)
@@ -923,7 +929,8 @@ def test_multi_exponents_raises_when_no_degree_certifies(monkeypatch):
         del asked[:]
         with pytest.raises(CertificationError):
             multi_exponents(R)
-        assert asked == list(range(R.total // 2 + 1))
+        floor = max(max(R.mult), len(R.forms) - 1)
+        assert asked == list(range(floor, R.total // 2 + 1))
 
 
 def _in_exact_kernel(R, deg, vec):
@@ -1262,8 +1269,9 @@ def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
     # m = 3 is only known to pass: it is not built or checked; the table
     # fails the power derivation at 2 with no check, the relation space at
     # 2 is not zero (a kernel vector is lifted and checked), so the search
-    # goes below it, certifies zero spaces at 0 and 1, each degree asked
-    # once, and answers 2 = d - m - 1
+    # goes below it, where du Plessis-Wall leaves no relation below m - 1
+    # = 2 (the pencil relation is primitive), and answers 2 = d - m - 1
+    # with nothing asked at 0 and 1
     [arr] = [a for label, a in _standard_pool(0, 1, 3)
              if label == "cone-d3-generic-e0-s1"]
     assert is_relation(arr, 3, pencil_derivation(arr))
@@ -1271,8 +1279,7 @@ def test_candidate_above_d1_is_caught_by_the_zero_kernel_below(monkeypatch):
     log = _route_log(monkeypatch)
     assert mdr(arr, bound=3) == 2 and ("lift",) in log
     assert [event for event in log if event != ("lift",)] == [
-        ("check", 2, True), ("nullity", 15, 1), ("nullity", 3, 0),
-        ("nullity", 8, 0)]
+        ("check", 2, True), ("nullity", 15, 1)]
     assert verify_mdr(arr, 2) and not verify_mdr(arr, 3)
 
 
@@ -1293,6 +1300,49 @@ def test_mdr_certifies_a_primitive_candidate_with_no_kernel(monkeypatch):
         assert value == n + 1 and dim(value) == 1
         assert mdr(full_monomial(n)) == n + 1
     assert log == [] and dims == []
+
+
+def _monomial_6_over_q_zeta_3():
+    """The full monomial arrangement of order 6 written over Q(zeta_3): x,
+    y, z and x - w y, y - w z, x - w z for the six w = (-zeta_3)^j in
+    mu_6, which Q(zeta_3) holds, as it holds every root of unity of order
+    dividing lcm(2, 3)."""
+    F = cyc_field(3)
+    lines = [ProjLine(F, c) for c in ((F.one, F.zero, F.zero),
+                                      (F.zero, F.one, F.zero),
+                                      (F.zero, F.zero, F.one))]
+    w = F.one
+    for _ in range(6):
+        lines += [ProjLine(F, (F.one, -w, F.zero)),
+                  ProjLine(F, (F.zero, F.one, -w)),
+                  ProjLine(F, (F.one, F.zero, -w))]
+        w = w * -F.zeta
+    return Arrangement(F, lines)
+
+
+def test_odd_order_tables_read_the_roots_of_order_2n(monkeypatch):
+    # Over Q(zeta_3) the forms x - w y with w = -zeta_3 pass the table only
+    # at r - 1 = 6, a divisor of lcm(2, 3) and not of 3.  So mdr is 7 with
+    # no certified dimension asked, and each of the 21 restrictions is
+    # settled by a power image at 7, with nothing asked either; the
+    # answers are those of full_monomial(6) over Q(zeta_6), and of the
+    # exact scan on one line of each kind.
+    arr = _monomial_6_over_q_zeta_3()
+    d = len(arr.lines)
+    assert (d, build_lattice(arr).mult[0]) == (21, 8)
+    mono = full_monomial(6)
+    want = sorted(multi_exponents(ziegler_restriction(mono, h))
+                  for h in range(d))
+    scanned = {h: _scan_exponents(ziegler_restriction(arr, h))
+               for h in (0, 3)}
+    dims = []
+    real = alg._derivation_dim
+    monkeypatch.setattr(alg, "_derivation_dim", lambda *args: (
+        dims.append(args[-1]) or real(*args)))
+    assert mdr(arr) == mdr(mono) == 7
+    got = [multi_exponents(ziegler_restriction(arr, h)) for h in range(d)]
+    assert dims == [] and sorted(got) == want
+    assert all(got[h] == pair for h, pair in scanned.items())
 
 
 def test_candidates_the_certificate_does_not_settle_take_one_zero_kernel(
@@ -1439,12 +1489,12 @@ def test_primitive_certificate_agrees_with_the_kernel_property(data):
 
 def _relation_table_matches_the_exact_check(arr):
     """The table (_power_fits on every normalized form) decides the power
-    derivation at every r = k + 1, k dividing the field order, as the
-    exact check decides the oracle's power derivation; returns how many r
-    pass."""
+    derivation at every r = k + 1, k dividing lcm(2, n), n the field
+    order, as the exact check decides the oracle's power derivation;
+    returns how many r pass."""
     F, forms, _ = _relation_question(arr)
     passed = 0
-    for k in divisors(F.order):
+    for k in divisors(lcm(2, F.order)):
         exact = is_relation(arr, k + 1, power_derivation(F, k + 1))
         assert all(alg._power_fits(form, k + 1) for form in forms) == exact
         passed += exact
@@ -1507,10 +1557,12 @@ def test_relation_table_matches_the_exact_check_property(arr):
 def test_relation_table_is_read_below_the_pencil_degree_within_the_bound(
         monkeypatch):
     # The table is read only at r < d - m, below the degree the pencil is
-    # known to pass, and at r <= the bound: on generic_arrangement(4), d -
-    # m = 2, it is not read at r = 2, even with the bound raised to 2; on
-    # full_monomial(3) with bound 3 it reads r = 2 (no form x - zeta y
-    # passes) and not r = 4.
+    # known to pass, and at r <= the bound, for r - 1 dividing lcm(2, n):
+    # on generic_arrangement(4), d - m = 2, it is not read at r = 2, even
+    # with the bound raised to 2, and on generic_arrangement(5), d - m = 3,
+    # only at r = 2; on full_monomial(3) with bound 3 it reads r = 2 and 3
+    # (2 divides lcm(2, 3); no form x - zeta y passes) and not r = 4, which
+    # passes with the default bound 5.
     asked = []
     real = alg._power_fits
     monkeypatch.setattr(alg, "_power_fits", lambda form, r: (
@@ -1518,8 +1570,8 @@ def test_relation_table_is_read_below_the_pencil_degree_within_the_bound(
     for arr, bound, want in (
             (generic_arrangement(4, seed=0), 2, set()),
             (generic_arrangement(5, seed=0), None, {2}),
-            (full_monomial(2), 2, {2}), (full_monomial(3), 3, {2}),
-            (full_monomial(3), None, {2, 4}),
+            (full_monomial(2), 2, {2}), (full_monomial(3), 3, {2, 3}),
+            (full_monomial(3), None, {2, 3, 4}),
             (full_monomial(4), None, {2, 3, 5})):
         del asked[:]
         d, m = len(arr.lines), build_lattice(arr).mult[0]
@@ -1876,6 +1928,52 @@ def test_nodal_vanishing_dimensions():
 
 
 @st.composite
+def nodal_arrangements(draw):
+    """A nodal arrangement: generic_arrangement(d') for d' = 3..6, two
+    lines over Q, or d' = 2..6 lines x + a y + b z over Q(zeta_n), n in
+    {3, 4, 5}, drawn until only double points are left; in its own frame
+    or moved."""
+    kind = draw(st.sampled_from(("generic", "two", "cyclotomic")))
+    if kind == "generic":
+        arr = generic_arrangement(draw(st.integers(3, 6)),
+                                  seed=draw(st.integers(0, 50)))
+    elif kind == "two":
+        F = cyc_field(1)
+        arr = Arrangement(F, [ProjLine(F, (F.one, F.zero, F.zero)),
+                              ProjLine(F, (F.one, F.scalar(2), F.one))])
+    else:
+        F = cyc_field(draw(st.sampled_from((3, 4, 5))))
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        count = draw(st.integers(2, 6))
+        while True:
+            lines = {ProjLine(F, (F.one, *(
+                F.element([rng.randint(-4, 4) for _ in range(F.degree)])
+                for _ in range(2)))) for _ in range(count)}
+            if len(lines) == count:
+                arr = Arrangement(F, list(lines))
+                if build_lattice(arr).mult[0] == 2:
+                    break
+    seed = draw(st.none() | st.integers(0, 2 ** 32))
+    return arr if seed is None else apply_transform(
+        arr, random_invertible_matrix(random.Random(seed)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nodal_arrangements())
+def test_nodal_profile_matches_the_certified_kernel_property(arr):
+    # The closed profile, 0 below d' - 1 and d' at d' - 1 (the nodes of d'
+    # generic lines form a star configuration), equals in every degree the
+    # certified nullity of the oracle's node rows.
+    points = [p.coords for p in build_lattice(arr).points]
+    d = len(arr.lines)
+    assert nodal_dimension_profile(arr) == [la.certified_nullity(
+        arr.field, (r + 1) * (r + 2) // 2, points,
+        lambda pts, zero, one, r=r: node_rows(pts, r, zero, one))
+        for r in range(d)]
+    assert nodal_vanishing_dimension(arr) == d
+
+
+@st.composite
 def builder_cases(draw):
     """(F, inputs, build): the derivation row builder on relation or
     restriction inputs, or the node row builder, at a degree up to 3, on
@@ -1915,7 +2013,7 @@ def builder_cases(draw):
         return F, forms, lambda ins, z, o: _derivation_rows(
             ins, mult, _binary_monomials(deg), deg, z, o)
     points = [entries(3, False) for _ in range(count)]
-    return F, points, lambda ins, z, o: _node_rows(ins, deg, z, o)
+    return F, points, lambda ins, z, o: node_rows(ins, deg, z, o)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1955,7 +2053,7 @@ def test_node_rows_match_monomials_evaluated_exactly():
         for points in (line, more):
             null = la.certified_nullity(
                 F, len(mons), points,
-                lambda pts, zero, one: alg._node_rows(pts, r, zero, one))
+                lambda pts, zero, one: node_rows(pts, r, zero, one))
             exact = [[Poly(F, {m: F.one}).eval3(p) for m in mons]
                      for p in points]
             assert null == nullity(exact, len(mons))

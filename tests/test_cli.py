@@ -191,7 +191,7 @@ def test_algebra_mdr(tmp_path, capsys):
 def _nullity_columns(monkeypatch):
     """Record the column count of every certified nullity algebra asks:
     (r + 1)(r + 3) for relations of degree r, 2 deg + 2 for derivations of
-    a restriction, one per monomial for node conditions."""
+    a restriction."""
     import linarr.algebra as alg
 
     asked = []
@@ -236,8 +236,10 @@ def test_algebra_mdr_asks_each_degree_once(tmp_path, capsys, monkeypatch):
     # asked.  At 2 value = d - 1 (three generic lines) the dimension at
     # value is asked.  Above the half-bound (a generic arrangement of four
     # lines, bound 2) value - 1 is asked (a zero kernel, no lift), then
-    # value.  The output is the same as when every degree up to value was
-    # asked.
+    # value.  No degree below m - 1 is asked, m the largest multiplicity of
+    # a point: the pencil relation is primitive, so du Plessis-Wall leaves
+    # no relation there.  The output is the same as when every degree up
+    # to value was asked.
     from linarr.algebra import syzygy_dimension
 
     cone = _generic_cone()
@@ -254,9 +256,9 @@ def test_algebra_mdr_asks_each_degree_once(tmp_path, capsys, monkeypatch):
         (gen3, [], {"value": 1, "degree_dims": [0, 2]}, (1,)),
         (gen4, ["--bound", "2"], {"value": 2, "degree_dims": [0, 0, 3]},
          (1, 2)),
-        # the candidate at degree 3 meets a nonzero space at 2, so the
-        # search asks 2, then 0 and 1; the profile reads the answer at 2
-        (cone, ["--bound", "3"], want_cone, (2, 0, 1)),
+        # the candidate at degree 3 meets a nonzero space at 2 = m - 1, so
+        # the search asks 2 and nothing below; the profile reads it at 2
+        (cone, ["--bound", "3"], want_cone, (2,)),
     ):
         path.write_text(json.dumps(arr.to_json()))
         del asked[:]
@@ -278,7 +280,8 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
     # full_monomial(3), mult (4, 4, 1, 1, 1) and (4, 2, 2, 2, 1)), certifies
     # d1: nothing is asked.  Where none applies
     # (line 0 of _three_triple_points, mult (2, 2, 2)) the search asks each
-    # degree up to d1 once.
+    # degree once, from max(max m, s - 1) = 2, below which no derivation
+    # exists, up to d1.
     from linarr.algebra import (
         _binary_monomials,
         _derivation_dim,
@@ -323,26 +326,21 @@ def test_algebra_ziegler_asks_each_degree_at_most_once(tmp_path, capsys,
         assert want["balanced"] == (route != "closed form")
         assert (want["total"] < 2 * len(want["mult"])) == (route == "count")
         d1 = want["value"][0]
-        degrees = range(d1 + 1) if route == "scan" else ()
+        floor = max(max(want["mult"]), len(want["mult"]) - 1)
+        degrees = range(floor, d1 + 1) if route == "scan" else ()
         assert asked == [2 * deg + 2 for deg in degrees]
 
 
-def test_algebra_nodal_dim_asks_each_degree_once(tmp_path, capsys,
-                                                  monkeypatch):
-    from linarr.algebra import nodal_vanishing_dimension
-
-    arrs = [generic_arrangement(4, seed=1), generic_arrangement(5, seed=2)]
-    wants = [nodal_vanishing_dimension(arr) for arr in arrs]
+def test_algebra_nodal_dim_asks_nothing(tmp_path, capsys, monkeypatch):
+    # The nodes of d' generic lines form a star configuration: the profile
+    # is 0 below d' - 1 and d' at d' - 1, a theorem, so nothing is asked.
     asked = _nullity_columns(monkeypatch)
     path = tmp_path / "arr.json"
-    for arr, want in zip(arrs, wants):
-        path.write_text(json.dumps(arr.to_json()))
-        del asked[:]
-        assert main(["algebra", "nodal-dim", str(path)]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["value"] == data["degree_dims"][-1] == want
-        d = len(arr.lines)
-        assert asked == [(r + 1) * (r + 2) // 2 for r in range(d)]
+    path.write_text(json.dumps(generic_arrangement(16, seed=1).to_json()))
+    assert main(["algebra", "nodal-dim", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "value": 16, "degree_dims": [0] * 15 + [16]}
+    assert asked == []
 
 
 def test_algebra_ziegler(tmp_path, capsys):

@@ -57,7 +57,12 @@ EXACT_ENGINE = {"echelon", "kernel_basis", "kernel_vector", "_complexity",
 # oracle, and a restriction that no image settles scans _derivation_dim up
 # to total/2, with no candidate.  The CLI reads a restriction's profile in
 # closed form too (free of rank two: 1 at d1, 2 when d1 = d2), so no search
-# hands a restriction's dimensions back.
+# hands a restriction's dimensions back.  A node question is answered by a
+# theorem (algebra.nodal_dimension_profile: the nodes of d generic lines
+# form a star configuration, so the profile is 0 below d - 1 and d at d -
+# 1), so no node rows are built (_node_rows is the tests' oracle,
+# tests/exact_poly.py), no node dimension is asked (_node_dim) and the
+# lattice check needs no helper (_nodal_lattice).
 RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_LATTICE_CACHE", "_POOLS", "_hilbert_d1", "_syz_nonzero_at",
            "certified_zero", "_upward", "_rows_at", "split_roots", "_cross",
@@ -67,7 +72,8 @@ RETIRED = {"force_kernel", "omega_nullity", "_fp_dim", "_SYZ_CACHE",
            "_product", "_restriction_candidates", "_min_degree", "Poly",
            "_pencil_derivation", "defining_polynomial", "partial_products",
            "certified_coprime", "_fp_gcd", "_LINE", "_relation_vector",
-           "_power_derivation", "_relation_candidates", "_quotients"}
+           "_power_derivation", "_relation_candidates", "_quotients",
+           "_node_rows", "_node_dim", "_nodal_lattice"}
 
 # A system meets F_p only inside linalg.certified_nullity, which reduces the
 # inputs a row builder reads; algebra builds rows and knows nothing of primes.
@@ -185,6 +191,28 @@ def test_only_linalg_names_the_fp_engine():
     assert {module for module, _ in _src_names_in(FP_ENGINE)} == {"linalg.py"}
     assert "fp_kernel_basis" in _calls_in("linalg.py", "certified_nullity")
     assert "fp_echelon" in _calls_in("linalg.py", "fp_kernel_basis")
+
+
+def test_one_certified_nullity_call_with_a_check():
+    # Every dimension src asks is a derivation question (_derivation_dim),
+    # whose lifted vectors _is_derivation reads: no src path takes the
+    # default check, which builds the exact rows, and no node question asks
+    # a dimension.
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "certified_nullity" in {
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)}:
+                calls.setdefault(path.name, []).append((tree, node))
+    [(tree, call)] = calls.pop("algebra.py")
+    assert calls == {}
+    [fn] = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and any(inner is call for inner in ast.walk(node))]
+    assert fn.name == "_derivation_dim"
+    assert len(call.args) == 5 or "check" in {kw.arg for kw in call.keywords}
 
 
 def test_relation_search_runs_no_exact_check():
