@@ -15,10 +15,11 @@ from .projgeo import (
     Arrangement,
     ProjLine,
     ProjPoint,
+    _int_cross,
+    _int_dot,
     _ortho_pair,
     build_lattice,
     census,
-    line_intersect,
     line_through,
 )
 
@@ -115,22 +116,23 @@ def generic_arrangement(d_prime: int, seed: int) -> Arrangement:
     bound = max(9, d_prime * d_prime // 4)
     Q = cyc_field(1)
     lines: list[ProjLine] = []
-    points: set[ProjPoint] = set()
+    ints: list[tuple] = []
+    nodes: list[tuple] = []
     while len(lines) < d_prime:
         for _ in range(_RETRIES):
             t = tuple(rng.randint(-bound, bound) for _ in range(3))
             if not any(t):
                 continue
-            cand = ProjLine(Q, t)
+            cand, c = ProjLine(Q, t), tuple((x,) for x in t)
             if cand in lines:
                 continue
-            if any(cand.contains(p) for p in points):
+            if not all(any(_int_dot(Q, c, X)) for X in nodes):
                 continue
             break
         else:
             raise RuntimeError("could not certify a generic arrangement")
-        for old in lines:
-            points.add(line_intersect(old, cand))
+        nodes.extend(_int_cross(Q, old, c) for old in ints)
+        ints.append(c)
         lines.append(cand)
     arr = Arrangement(Q, lines)
     n = d_prime * (d_prime - 1) // 2
@@ -140,11 +142,16 @@ def generic_arrangement(d_prime: int, seed: int) -> Arrangement:
 
 
 def _connecting_lines(base: Arrangement) -> list[ProjLine]:
-    """Lines through two intersection points of the base, base lines included."""
-    pts = build_lattice(base).points
+    """The diagonals: lines through two base intersection points that are
+    not base lines, in order of first occurrence.  Two points join in a base
+    line exactly when they share one (the lattice lists every line through
+    a point), so only the pairs with disjoint incidences are joined."""
+    lat = build_lattice(base)
+    pts, inc = lat.points, [frozenset(i) for i in lat.incidence]
     return list(dict.fromkeys(
         line_through(pts[i], pts[j])
         for i in range(len(pts)) for j in range(i + 1, len(pts))
+        if inc[i].isdisjoint(inc[j])
     ))
 
 
@@ -157,9 +164,7 @@ def generic_vertex(base: Arrangement, seed: int) -> ProjPoint:
     """A point off every base line and off every line joining two base
     intersection points."""
     rng = random.Random(seed)
-    forbidden = list(base.line_set) + [
-        l for l in _connecting_lines(base) if l not in base.line_set
-    ]
+    forbidden = list(base.line_set) + _connecting_lines(base)
     F = base.field
     for _ in range(_RETRIES):
         p = ProjPoint(F, (_ratio(rng), _ratio(rng), 1))
@@ -175,9 +180,7 @@ def adversarial_vertex(base: Arrangement, seed: int) -> ProjPoint:
     No such line exists for a triangle; raises ValueError then.
     """
     rng = random.Random(seed)
-    connecting = [
-        l for l in _connecting_lines(base) if l not in base.line_set
-    ]
+    connecting = _connecting_lines(base)
     if not connecting:
         raise ValueError("base has no diagonal to sit on")
     connecting.sort(key=lambda l: l.sort_key())
@@ -228,7 +231,13 @@ def joining_lines(base: Arrangement, vertex: ProjPoint) -> list[ProjLine]:
 
 def cone(spec: ConeSpec) -> Arrangement:
     """Base, plus all vertex-to-point joining lines, plus `extra` certified
-    lines through the vertex that avoid every other intersection point."""
+    lines through the vertex p that avoid every other intersection point.
+
+    Each point q != p lies on a line through p already there: a point of
+    two base lines is a base point, on its joining line, and any other lies
+    on a joining or extra line.  So a line through p that meets some q != p
+    is the line pq, already there, and rejecting those needs no lattice.
+    """
     F = spec.base.field
     p = spec.vertex
     lines = list(spec.base.lines) + joining_lines(spec.base, p)
@@ -236,8 +245,6 @@ def cone(spec: ConeSpec) -> Arrangement:
     rng = random.Random(spec.seed)
     u, v = _ortho_pair(p.coords, F.zero)
     for _ in range(spec.extra):
-        lat = build_lattice(arr)
-        obstacles = [q for q in lat.points if q != p]
         for _ in range(_RETRIES):
             a, b = _ratio(rng), _ratio(rng)
             coords = tuple(
@@ -247,8 +254,6 @@ def cone(spec: ConeSpec) -> Arrangement:
                 continue
             cand = ProjLine(F, coords)
             if cand in arr.line_set:
-                continue
-            if any(cand.contains(q) for q in obstacles):
                 continue
             lines.append(cand)
             arr = Arrangement(F, lines)

@@ -168,10 +168,15 @@ def _reduced(field: CycField, num: tuple[int, ...], den: int) -> "CycNumber":
 
 def _polymul(F: CycField, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The product of numerator tuples in Z[t]/(Phi_n), the one multiply loop:
-    a convolution, then t^k for k >= deg folded down by the monic Phi_n."""
+    a convolution, then t^k for k >= deg folded down by the monic Phi_n.
+    A rational operand only scales the other, with no convolution."""
     deg = F.degree
     if deg == 1:
         return (a[0] * b[0],)
+    if not any(b[1:]):
+        return tuple(map(b[0].__mul__, a))
+    if not any(a[1:]):
+        return tuple(map(a[0].__mul__, b))
     conv = [0] * (2 * deg - 1)
     for i, x in enumerate(a):
         if x:

@@ -10,6 +10,7 @@ from linarr.field import (
     MAX_ORDER,
     CycField,
     CycNumber,
+    _polymul,
     cyc_field,
     cyc_from_strings,
     cyc_to_strings,
@@ -363,3 +364,57 @@ def test_kernels_match_fraction_reference(case):
     assert (a * b).coeffs == _ref_mul(F, a.coeffs, b.coeffs)
     if a:
         assert (1 / a).coeffs == _ref_inv(F, a.coeffs)
+
+
+# Orders n by phi(n): each degree's fields, (Z/n)* cyclic or not.
+_ORDERS_BY_PHI = {1: (1, 2), 2: (3, 4, 6), 4: (5, 8, 10, 12), 6: (7, 9, 14, 18)}
+
+
+@st.composite
+def _polymul_operands(draw):
+    """A field of degree phi in {1, 2, 4, 6} and two numerator tuples, each
+    general, rational (only a constant term) or zero."""
+    phi = draw(st.sampled_from(sorted(_ORDERS_BY_PHI)))
+    F = cyc_field(draw(st.sampled_from(_ORDERS_BY_PHI[phi])))
+    ints = st.integers(-10**15, 10**15)
+    operand = st.one_of(
+        st.lists(ints, min_size=phi, max_size=phi).map(tuple),
+        ints.map(lambda c: (c,) + (0,) * (phi - 1)),
+        st.just((0,) * phi),
+    )
+    return F, draw(operand), draw(operand)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polymul_operands())
+def test_polymul_matches_the_convolution_mod_phi_property(case):
+    F, a, b = case
+    got = _polymul(F, a, b)
+    assert len(got) == F.degree and all(type(x) is int for x in got)
+    assert got == _ref_mul(F, tuple(map(Fraction, a)), tuple(map(Fraction, b)))
+    assert got == _polymul(F, b, a)
+
+
+class _Counted(int):
+    """An int that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def test_rational_operand_skips_the_convolution():
+    # A rational operand on either side scales the other: one product per
+    # coefficient, not the deg^2 of a convolution.
+    for n in (3, 5, 7):
+        F = cyc_field(n)
+        general = tuple(map(_Counted, range(2, 2 + F.degree)))
+        rational = tuple(map(_Counted, (-7,) + (0,) * (F.degree - 1)))
+        for a, b in ((general, rational), (rational, general)):
+            _Counted.products = 0
+            assert _polymul(F, a, b) == tuple(-7 * x for x in range(2, 2 + F.degree))
+            assert _Counted.products == F.degree

@@ -92,6 +92,17 @@ MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
 # again.
 INCIDENCE = {"contains", "line_intersect", "line_through"}
 
+# A cone grows with no lattice past its base's.  Every intersection point
+# q != p of base, joining and extra lines lies on a line of the cone through
+# the vertex p: a point of two base lines is a base point, on its joining
+# line, and any other point lies on a joining or extra line, each through p.
+# So a candidate through p that meets such a q is the line pq, already in
+# the cone, and the line set alone rejects it.  A generic base tests its
+# candidates by integral dot products with the integral cross products of
+# earlier lines, and normalizes no point.
+GROWN_WITHOUT_LATTICE = ("cone", "generic_arrangement")
+LATTICE_AND_INCIDENCE = {"build_lattice", "contains", "line_intersect"}
+
 # Which points are modular is decided once, by classify.modular_indices,
 # in lattice order: the first index has the largest multiplicity, and
 # points of equal multiplicity come by coordinates.  Readers take modular
@@ -322,3 +333,11 @@ def test_multi_exponents_runs_no_exact_check():
     assert {"_power_images_pass", "_derivation_dim"} <= calls
     assert not calls & EXACT_CHECKS
     assert not _calls_in("algebra.py", "_power_images_pass") & EXACT_CHECKS
+
+
+def test_cones_and_generic_bases_grow_with_no_lattice():
+    tree = ast.parse((SRC / "families.py").read_text())
+    for function in GROWN_WITHOUT_LATTICE:
+        [fn] = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function]
+        assert not set(_names(fn)) & LATTICE_AND_INCIDENCE
