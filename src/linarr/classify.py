@@ -17,18 +17,21 @@ from .projgeo import Arrangement, Lattice, ProjPoint, build_lattice
 
 
 def modular_indices(arr: Arrangement) -> list[int]:
-    """Indices of the modular points in build_lattice(arr), in lattice
-    order, so the first has the largest multiplicity.
+    """_modular_in in lattice order: the first has the largest multiplicity."""
+    return _modular_in(build_lattice(arr).incidence)
+
+
+def _modular_in(incidence) -> list[int]:
+    """Indices of the modular points among the incidences of all P points.
 
     Two distinct points share at most one line, so point i shares a line
     with sum(points_on[l] - 1 for l through i) others, each counted once,
     and is modular exactly when that is all P - 1 of them."""
-    lat = build_lattice(arr)
-    points_on = Counter(li for inc in lat.incidence for li in inc)
-    others = len(lat.points) - 1
+    points_on = Counter(li for inc in incidence for li in inc)
+    others = len(incidence) - 1
     return [
-        i for i, inc in enumerate(lat.incidence)
-        if sum(points_on[li] for li in inc) - lat.mult[i] == others
+        i for i, inc in enumerate(incidence)
+        if sum(points_on[li] for li in inc) - len(inc) == others
     ]
 
 
@@ -43,11 +46,11 @@ def is_supersolvable(arr: Arrangement) -> bool:
 
 def homogeneity(arr: Arrangement) -> int | None:
     """The common modular multiplicity, when all modular points agree."""
-    return _homogeneity(build_lattice(arr), modular_indices(arr))
+    return _homogeneity(build_lattice(arr).incidence, modular_indices(arr))
 
 
-def _homogeneity(lat: Lattice, mods: list[int]) -> int | None:
-    mults = {lat.mult[i] for i in mods}
+def _homogeneity(incidence, mods: list[int]) -> int | None:
+    mults = {len(incidence[i]) for i in mods}
     return mults.pop() if len(mults) == 1 else None
 
 
@@ -150,7 +153,7 @@ def check_identities(arr: Arrangement) -> ClassifyReport:
     mods = modular_indices(arr)
     pencil = is_pencil(arr)
     near = is_near_pencil(arr)
-    m_homog = _homogeneity(lat, mods)
+    m_homog = _homogeneity(lat.incidence, mods)
     checks = {name: CheckResult(name, False, None) for name in CHECK_NAMES}
 
     def check(name, passed, lhs, rhs):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .field import CycNumber, cyc_field, exponent_in_mu
 from .projgeo import (
@@ -141,18 +142,18 @@ def generic_arrangement(d_prime: int, seed: int) -> Arrangement:
     return arr
 
 
-def _connecting_lines(base: Arrangement) -> list[ProjLine]:
+def _connecting_lines(base: Arrangement) -> dict[ProjLine, tuple]:
     """The diagonals: lines through two base intersection points that are
-    not base lines, in order of first occurrence.  Two points join in a base
-    line exactly when they share one (the lattice lists every line through
-    a point), so only the pairs with disjoint incidences are joined."""
+    not base lines, in order of first occurrence, each with the first pair
+    of points it joins.  Two points join in a base line exactly when
+    they share one, so only the pairs with disjoint incidences are joined."""
     lat = build_lattice(base)
     pts, inc = lat.points, [frozenset(i) for i in lat.incidence]
-    return list(dict.fromkeys(
-        line_through(pts[i], pts[j])
-        for i in range(len(pts)) for j in range(i + 1, len(pts))
-        if inc[i].isdisjoint(inc[j])
-    ))
+    joined: dict[ProjLine, tuple[ProjPoint, ProjPoint]] = {}
+    for i, j in combinations(range(len(pts)), 2):
+        if inc[i].isdisjoint(inc[j]):
+            joined.setdefault(line_through(pts[i], pts[j]), (pts[i], pts[j]))
+    return joined
 
 
 def _ratio(rng) -> Fraction:
@@ -164,7 +165,7 @@ def generic_vertex(base: Arrangement, seed: int) -> ProjPoint:
     """A point off every base line and off every line joining two base
     intersection points."""
     rng = random.Random(seed)
-    forbidden = list(base.line_set) + _connecting_lines(base)
+    forbidden = [*base.line_set, *_connecting_lines(base)]
     F = base.field
     for _ in range(_RETRIES):
         p = ProjPoint(F, (_ratio(rng), _ratio(rng), 1))
@@ -180,17 +181,14 @@ def adversarial_vertex(base: Arrangement, seed: int) -> ProjPoint:
     No such line exists for a triangle; raises ValueError then.
     """
     rng = random.Random(seed)
-    connecting = _connecting_lines(base)
-    if not connecting:
+    joined = _connecting_lines(base)
+    if not joined:
         raise ValueError("base has no diagonal to sit on")
-    connecting.sort(key=lambda l: l.sort_key())
-    diag = connecting[0]
-    others = list(base.line_set) + connecting[1:]
+    diag = min(joined, key=ProjLine.sort_key)
+    others = [*base.line_set, *(l for l in joined if l != diag)]
     F = base.field
-    # parametrize diag by two of its points
-    lat = build_lattice(base)
-    on_diag = [p for p in lat.points if diag.contains(p)]
-    q0, q1 = on_diag[0], on_diag[1]
+    # parametrize diag by its first pair: its first two points in lattice order
+    q0, q1 = joined[diag]
     for _ in range(_RETRIES):
         t = _ratio(rng)
         if not t:

@@ -14,6 +14,8 @@ numerators: one integral cross product X of its two lowest lines, and one
 integral dot product with X for every further line, all checked before any
 point is normalized.  A failed check, a pair of lines that coincide mod p or
 a denominator divisible by p sends the whole lattice to the next split prime.
+certified_incidence returns the groups' incident lines, sorted; build_lattice
+also normalizes each point and orders them by multiplicity, then coordinates.
 """
 
 from __future__ import annotations
@@ -281,13 +283,13 @@ class Lattice:
     incidence: tuple[tuple[int, ...], ...]
 
     def census(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for m in self.mult:
-            out[m] = out.get(m, 0) + 1
-        total = sum(n_k * k * (k - 1) // 2 for k, n_k in out.items())
-        if total != self.d * (self.d - 1) // 2:
-            raise CertificationError("pair count identity violated")
-        return dict(sorted(out.items()))
+        _pair_count(self.d, self.mult)
+        return {k: self.mult.count(k) for k in sorted(set(self.mult))}
+
+
+def _pair_count(d: int, mult) -> None:
+    if sum(k * (k - 1) // 2 for k in mult) != d * (d - 1) // 2:
+        raise CertificationError("pair count identity violated")
 
 
 def build_lattice(arr: Arrangement) -> Lattice:
@@ -296,14 +298,8 @@ def build_lattice(arr: Arrangement) -> Lattice:
     Computed once per arrangement and kept on it."""
     if arr._lattice is not None:
         return arr._lattice
-    d = len(arr.lines)
-    if d < 2:
-        raise ValueError("need at least two lines to intersect")
-    # Only finitely many primes divide a denominator, a cross-product
-    # coordinate or a 2x2 minor of two distinct points, so this ends.
-    skip = 0
-    while (points := _certified_points(arr, skip)) is None:
-        skip += 1
+    points = [(ProjPoint._from_integral(arr.field, X), inc)
+              for X, inc in _certified(arr)]
     scale = lcm(*(c.den for p, _ in points for c in p.coords))
 
     def order(item):
@@ -316,19 +312,38 @@ def build_lattice(arr: Arrangement) -> Lattice:
 
     points.sort(key=order)
     lattice = Lattice(
-        d=d,
+        d=len(arr.lines),
         points=tuple(p for p, _ in points),
         mult=tuple(len(inc) for _, inc in points),
         incidence=tuple(inc for _, inc in points),
     )
-    lattice.census()  # certifies the pair count identity
     arr._lattice = lattice
     return lattice
 
 
+def certified_incidence(arr: Arrangement) -> tuple[tuple[int, ...], ...]:
+    """Every intersection point's incident lines, certified as in build_lattice
+    with no point normalized.  Sorted: the pair scan meets each point first at
+    its two lowest lines, which lead its tuple, and no two points share both."""
+    return tuple(inc for _, inc in _certified(arr))
+
+
+def _certified(arr: Arrangement):
+    """_certified_points at the first split prime that serves."""
+    if len(arr.lines) < 2:
+        raise ValueError("need at least two lines to intersect")
+    # Only finitely many primes divide a denominator, a cross-product
+    # coordinate or a 2x2 minor of two distinct points, so this ends.
+    skip = 0
+    while (points := _certified_points(arr, skip)) is None:
+        skip += 1
+    _pair_count(len(arr.lines), (len(inc) for _, inc in points))
+    return points
+
+
 def _certified_points(arr: Arrangement, skip: int):
-    """(point, incident line indices) for every intersection point, from the
-    grouping at split_prime(n, skip); None when that prime does not serve."""
+    """(integral point, incident lines) for every intersection point, from
+    the grouping at split_prime(n, skip); None when that prime does not serve."""
     F = arr.field
     p, roots = split_prime(F.order, skip)
     try:
@@ -361,7 +376,7 @@ def _certified_points(arr: Arrangement, skip: int):
             if any(_int_dot(F, ints[li], X)):
                 return None  # distinct exact points met mod p
         meets.append((X, inc))
-    return [(ProjPoint._from_integral(F, X), inc) for X, inc in meets]
+    return meets
 
 
 def census(arr: Arrangement) -> dict[int, int]:

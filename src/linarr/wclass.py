@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .classify import modular_indices
+from .classify import _homogeneity, _modular_in
 from .field import MAX_ORDER, CertificationError, exponent_in_mu
-from .projgeo import Arrangement, build_lattice
+from .projgeo import Arrangement, certified_incidence
 
 
 @dataclass(frozen=True, order=True)
@@ -88,21 +88,20 @@ def recover_class(arr: Arrangement) -> Recovery:
     that common point to the modular points, and the coefficient ratios,
     normalized to make one of them 1, are the roots of unity defining the
     class.  Ratios survive projective transforms, so recovery round-trips.
-    Every incidence is read off the certified lattice.
+    The first two modular points of certified_incidence serve: swapping the
+    pencils inverts every ratio, which canonicalize folds, and when k = n
+    any two of the three modular points leave the full class.
     """
-    mods = modular_indices(arr)
+    incidence = certified_incidence(arr)
+    mods = _modular_in(incidence)
     if len(mods) < 2:
         raise ValueError("need at least two modular points")
-    lat = build_lattice(arr)
-    mults = {lat.mult[i] for i in mods}
-    if len(mults) != 1:
+    if (m := _homogeneity(incidence, mods)) is None:
         raise ValueError("modular points of unequal multiplicity")
-    m = mults.pop()
     if m < 3:
         raise ValueError("modular multiplicity below 3")
     n = m - 2
-    # equal multiplicities: the lattice orders these points by coordinates
-    inc1, inc2 = (lat.incidence[i] for i in mods[:2])
+    inc1, inc2 = (incidence[i] for i in mods[:2])
     rest = [j for j in range(len(arr.lines)) if j not in inc1 and j not in inc2]
     k = len(rest)
     if k != len(arr.lines) - 2 * m + 1:
@@ -111,7 +110,7 @@ def recover_class(arr: Arrangement) -> Recovery:
         return Recovery(WClass(n, 0, ()), False)
     if k == 1:
         return Recovery(canonicalize(n, (0,)), k == n)
-    inc_q = next((inc for inc in lat.incidence if set(rest) <= set(inc)), None)
+    inc_q = next((inc for inc in incidence if set(rest) <= set(inc)), None)
     if inc_q is None:
         raise CertificationError("extra lines are not concurrent")
     u, v = (next((j for j in inc_q if j in inc), None) for inc in (inc1, inc2))

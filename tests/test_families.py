@@ -217,10 +217,11 @@ def _generic_by_points(d_prime, seed):
 
 def _diagonals_by_all_pairs(base):
     """Every pair of base points joined, base lines dropped, in order of
-    first occurrence."""
-    pts = build_lattice(base).points
-    joins = dict.fromkeys(line_through(p, q) for p, q in combinations(pts, 2))
-    return [l for l in joins if l not in base.line_set]
+    first occurrence, each line with the first pair of points it joins."""
+    joins = {}
+    for p, q in combinations(build_lattice(base).points, 2):
+        joins.setdefault(line_through(p, q), (p, q))
+    return {l: pq for l, pq in joins.items() if l not in base.line_set}
 
 
 def _cone_by_obstacles(spec):
@@ -261,8 +262,14 @@ def _bases():
 
 def test_connecting_lines_are_the_diagonals_of_all_pairs():
     for base in _bases():
-        assert _connecting_lines(base) == _diagonals_by_all_pairs(base)
-    assert _connecting_lines(near_pencil(5)) == []
+        joined = _connecting_lines(base)
+        assert list(joined.items()) == list(
+            _diagonals_by_all_pairs(base).items())
+        # each diagonal's first pair is its first two points in lattice order
+        pts = build_lattice(base).points
+        for line, pair in joined.items():
+            assert pair == tuple([q for q in pts if line.contains(q)][:2])
+    assert _connecting_lines(near_pencil(5)) == {}
     assert len(_connecting_lines(full_monomial(2))) > 0
 
 

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import linarr.projgeo as projgeo
+from linarr.campaigns import _aw_keys, _build_cone, _standard_pool
 from linarr.classify import modular_points
 from linarr.families import (
     ConeSpec,
@@ -20,8 +21,9 @@ from linarr.families import (
     full_monomial,
     generic_arrangement,
     generic_vertex,
+    near_pencil,
 )
-from linarr.field import cyc_field, cyc_to_strings
+from linarr.field import CertificationError, cyc_field, cyc_to_strings
 from linarr.linalg import _cyclotomic_roots, split_prime
 from linarr.projgeo import (
     Arrangement,
@@ -30,6 +32,7 @@ from linarr.projgeo import (
     apply_transform,
     build_lattice,
     census,
+    certified_incidence,
     lattice_isomorphic,
     line_intersect,
     line_through,
@@ -529,6 +532,7 @@ def test_lattice_matches_pairwise_oracle_property(arr, data):
     moved = apply_transform(arr, M)
     lat_m = build_lattice(moved)
     assert as_tuple(lat_m) == pairwise_lattice(moved)
+    assert certified_incidence(moved) == tuple(sorted(lat_m.incidence))
     assert lat_m.census() == lat.census()
     assert {(p.coords, m) for p, m in modular_points(moved)} == {
         (image(M, p), m) for p, m in mods}
@@ -567,6 +571,65 @@ def test_lattice_survives_bad_primes(name, monkeypatch):
     lat = fresh_lattice(arr)
     assert as_tuple(lat) == pairwise_lattice(arr)
     assert tried == [0, 1, 2]
+    # the incidences alone take the same primes
+    tried.clear()
+    incidence = certified_incidence(Arrangement(arr.field, arr.lines))
+    assert incidence == tuple(sorted(pairwise_lattice(arr)[2]))
+    assert tried == [0, 1, 2]
+
+
+def _incidence_inputs():
+    """Every A(w) class with n <= 6, in its own frame and moved by three
+    transforms, the seed-0 cones and pool, near_pencil(5) and
+    full_monomial(n) for n <= 4."""
+    rng = random.Random(30)
+    for label, _, arr in _aw_keys(6):
+        yield label, arr
+        for t in range(3):
+            yield f"{label}-t{t}", apply_transform(
+                arr, random_invertible_matrix(rng))
+    for dp in range(3, 6):
+        for kind in ("generic", "adversarial"):
+            for e in (0, 1, 2):
+                for s in range(1, 6):
+                    label, arr = _build_cone(0, dp, kind, e, s)
+                    if arr is not None:
+                        yield label, arr
+    yield from _standard_pool(0, 6, 5)
+    yield "near_pencil(5)", near_pencil(5)
+    for n in range(1, 5):
+        yield f"full_monomial({n})", full_monomial(n)
+
+
+def test_certified_incidence_is_the_sorted_lattice_incidence():
+    # On fresh instances, so each grouping runs: the incidences are the
+    # lattice's, sorted, whichever of the two is asked first, and asking for
+    # the incidences leaves the lattice as it was.
+    for label, arr in _incidence_inputs():
+        first, second = (Arrangement(arr.field, arr.lines) for _ in range(2))
+        incidence = certified_incidence(first)
+        assert first._lattice is None
+        lat = build_lattice(first)
+        lat_kept = build_lattice(second)
+        assert certified_incidence(second) == incidence, label
+        assert incidence == tuple(sorted(lat.incidence)), label
+        assert as_tuple(lat) == as_tuple(lat_kept), label
+
+
+def test_certified_incidence_checks_the_pair_count(monkeypatch):
+    # A grouping that lost one double point, so one pair of lines, is
+    # refused by the incidences as by the lattice's census.
+    real = projgeo._certified_points
+
+    def lossy(arr, skip):
+        points = real(arr, skip)
+        k = next(i for i, (_, inc) in enumerate(points) if len(inc) == 2)
+        return points[:k] + points[k + 1:]
+
+    monkeypatch.setattr(projgeo, "_certified_points", lossy)
+    for read in (certified_incidence, build_lattice):
+        with pytest.raises(CertificationError, match="pair count"):
+            read(Arrangement(Q, NEAR_PENCIL_5.lines))
 
 
 # A split prime p = 1 (mod n) small enough that distinct points often meet

@@ -86,10 +86,11 @@ MODULAR = {"reduce_at", "split_prime", "_fp_rows"}
 MEMOIZED = {"cyclotomic_polynomial", "_aw_roster", "_seed_memo"}
 MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
 
-# Which lines meet where is decided once, by projgeo's certified lattice:
-# restrictions, class recovery and the campaigns read its incidences, and
-# never test a point against a line, intersect two lines or join two points
-# again.
+# Which lines meet where is decided once, by projgeo's certified grouping:
+# restrictions and the campaigns read the lattice's incidences, class
+# recovery reads the same groups with no point normalized
+# (projgeo.certified_incidence), and none of them tests a point against a
+# line, intersects two lines or joins two points again.
 INCIDENCE = {"contains", "line_intersect", "line_through"}
 
 # A cone grows with no lattice past its base's.  Every intersection point
@@ -103,17 +104,20 @@ INCIDENCE = {"contains", "line_intersect", "line_through"}
 GROWN_WITHOUT_LATTICE = ("cone", "generic_arrangement")
 LATTICE_AND_INCIDENCE = {"build_lattice", "contains", "line_intersect"}
 
-# Which points are modular is decided once, by classify.modular_indices,
-# in lattice order: the first index has the largest multiplicity, and
-# points of equal multiplicity come by coordinates.  Readers take modular
-# points by index and never look a point up or sort points again.
-# supersolvable_exponents and tjurina-consistency read them, and the
-# Tjurina identity, off one check_identities report.
+# Which points are modular is decided once, by one count over a sequence of
+# incidences, classify._modular_in.  classify.modular_indices applies it to
+# the lattice, in lattice order: the first index has the largest
+# multiplicity, and points of equal multiplicity come by coordinates.
+# Every lattice reader below calls modular_indices; recover_class applies
+# the count to the certified incidences, and builds no lattice.  Readers
+# take modular points by index and never look a point up or sort points
+# again.  supersolvable_exponents and tjurina-consistency read them, and
+# the Tjurina identity, off one check_identities report.
 POINT_LOOKUP = {"index", "sort_key"}
+MODULARITY = "_modular_in"
 MODULAR_READERS = {
     "classify.py": ("modular_points", "is_supersolvable", "homogeneity",
                     "check_identities"),
-    "wclass.py": ("recover_class",),
     "campaigns.py": ("thm1_bound", "thm1b_modular_counts", "zmain_exponents"),
 }
 
@@ -313,9 +317,20 @@ def test_one_3x3_kernel_in_projgeo():
 def test_modular_points_taken_by_lattice_index():
     for module in ("wclass.py", "campaigns.py"):
         assert not _src_names_in(POINT_LOOKUP, module)
+    assert {
+        path.name for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == MODULARITY
+    } == {"classify.py"}
+    assert MODULARITY in _calls_in("classify.py", "modular_indices")
     for module, functions in MODULAR_READERS.items():
         for function in functions:
-            assert "modular_indices" in _calls_in(module, function)
+            assert "modular_indices" in _calls_in(module, function), function
+    assert MODULARITY in _calls_in("wclass.py", "recover_class")
+    [recover] = [node for node in ast.walk(ast.parse(
+        (SRC / "wclass.py").read_text())) if isinstance(node, ast.FunctionDef)
+        and node.name == "recover_class"]
+    assert "build_lattice" not in set(_names(recover))
 
 
 def test_multi_restriction_is_a_plain_value():

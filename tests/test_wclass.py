@@ -5,13 +5,15 @@ import random
 
 import pytest
 
-import linarr.classify as classify
+import linarr.projgeo as projgeo
 import linarr.wclass as wclass
 from linarr import CertificationError
+from linarr.classify import _modular_in
 from linarr.families import a_of_w, full_monomial, near_pencil, pencil
 from linarr.projgeo import (
     apply_transform,
     build_lattice,
+    certified_incidence,
     lattice_isomorphic,
     random_invertible_matrix,
 )
@@ -126,16 +128,26 @@ def test_recover_untransformed():
     assert r.full_monomial and r.k == 1
 
 
-def test_recover_round_trip_with_transforms():
+def test_recover_round_trip_with_transforms(monkeypatch):
+    # Recovery reads the certified incidences alone: no point of a moved
+    # arrangement is normalized, and the arrangement keeps no lattice.
     rng = random.Random(31)
-    for n, w in ((2, (0,)), (4, (0, 2)), (5, (0, 1)), (6, (0, 1, 3))):
-        expected = canonicalize(n, w)
-        arr = a_of_w(n, w)
-        for _ in range(3):
-            moved = apply_transform(arr, random_invertible_matrix(rng))
-            got = recover_class(moved)
-            assert got.wclass == expected
-            assert got.full_monomial == (len(w) == n)
+    cases = [
+        (n, w, apply_transform(a_of_w(n, w), random_invertible_matrix(rng)))
+        for n, w in ((2, ()), (2, (0,)), (3, (0, 1, 2)), (4, (0, 2)),
+                     (5, (0, 1)), (6, (0, 1, 3)))
+        for _ in range(3)
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a point was normalized")
+
+    monkeypatch.setattr(projgeo, "_normalized", refuse)
+    for n, w, moved in cases:
+        got = recover_class(moved)
+        assert got.wclass == canonicalize(n, w)
+        assert got.full_monomial == (len(w) == n)
+        assert moved._lattice is None
 
 
 def test_recover_rejects_bad_inputs():
@@ -152,31 +164,30 @@ def test_failed_structural_checks_raise_certification_error(monkeypatch):
     # must tell apart from a bug; an AssertionError would not let them.
     arr = a_of_w(4, (0, 1))
     lat = build_lattice(arr)
+    incidence = certified_incidence(arr)
     # The two extra lines of A(w) meet at q, on one line through each
-    # modular point; a lattice that drops those two lines from q's
-    # incidence has no joining lines, and one that moves an extra line off
-    # q has no common point.
-    mods = [lat.incidence[i] for i, p in enumerate(lat.points)
-            if p in {q for q, _ in classify.modular_points(arr)}]
-    rest = [j for j in range(len(arr.lines)) if not any(j in i for i in mods)]
-    iq = next(i for i, inc in enumerate(lat.incidence)
-              if set(rest) <= set(inc))
+    # modular point; incidences that drop those two lines from q's have no
+    # joining lines, and ones that move an extra line off q have no common
+    # point.  The modular points stay those of the true incidences: the
+    # faulty ones would break the count that finds them first.
+    mods = _modular_in(incidence)
+    rest = [j for j in range(len(arr.lines))
+            if not any(j in incidence[i] for i in mods)]
+    iq = next(i for i, inc in enumerate(incidence) if set(rest) <= set(inc))
 
     def faulty(incidence_q):
-        incidence = list(lat.incidence)
-        incidence[iq] = incidence_q
-        return dataclasses.replace(lat, incidence=tuple(incidence))
+        return incidence[:iq] + (incidence_q,) + incidence[iq + 1:]
 
+    monkeypatch.setattr(wclass, "_modular_in", lambda inc: mods)
     for incidence_q, message in (
         (tuple(rest), "joining lines"),
-        (tuple(j for j in lat.incidence[iq] if j != rest[-1]),
-         "not concurrent"),
+        (tuple(j for j in incidence[iq] if j != rest[-1]), "not concurrent"),
     ):
-        monkeypatch.setattr(wclass, "build_lattice",
+        monkeypatch.setattr(wclass, "certified_incidence",
                             lambda arr, fake=faulty(incidence_q): fake)
         with pytest.raises(CertificationError, match=message):
             recover_class(arr)
-    monkeypatch.setattr(wclass, "build_lattice", build_lattice)
+    monkeypatch.undo()
     monkeypatch.setattr(wclass, "exponent_in_mu", lambda t, n: None)
     with pytest.raises(CertificationError, match="root of unity"):
         recover_class(arr)
